@@ -1,7 +1,8 @@
 //! Machine-readable kernel performance snapshot: `BENCH_kernel.json`.
 //!
 //! Times the simulator's hot kernels — next-hop table lookups, adaptive
-//! routing decisions, NIC in-flight accounting, the event queue — and one
+//! routing decisions, NIC in-flight accounting, QoS arbitration, the event
+//! queue — and one
 //! end-to-end simulation for an events/sec figure. A counting allocator
 //! wraps the system allocator so every record carries allocs/op next to
 //! ns/op: the routing fast path's zero-allocation claim is measured here
@@ -12,9 +13,12 @@
 //! to be allocation-free allocates).
 
 use serde::Serialize;
-use slingshot::des::{DetRng, EventQueue, SimTime};
-use slingshot::network::InFlightMap;
-use slingshot::routing::{AdaptiveParams, QuietView, Router, RoutingAlgorithm};
+use slingshot::des::{DetRng, EventQueue, SimDuration, SimTime};
+use slingshot::network::{
+    InFlightMap, InSource, MessageId, OutPort, Packet, PacketHandle, PortKind,
+};
+use slingshot::qos::TrafficClassSet;
+use slingshot::routing::{AdaptiveParams, QuietView, RouteState, Router, RoutingAlgorithm, Via};
 use slingshot::telemetry::{HopKind, TelemetryConfig, TelemetryHub};
 use slingshot::topology::{shandy, ChannelId, Liveness, NodeId, SwitchId};
 use slingshot::{Profile, System, SystemBuilder};
@@ -232,6 +236,60 @@ fn main() {
             inflight.add(key, 4096);
             black_box(inflight.get(key));
             inflight.sub(key, 4096);
+        },
+    ));
+
+    // Per-transmit arbitration on a two-class port (fig14's classes): the
+    // class backlog mask, the QoS scheduler's pick, the oldest-head VC
+    // choice and the dequeue. Each served packet is re-queued at the back
+    // of its class, so both classes stay backlogged and the VOQs never
+    // grow past their warmup capacity.
+    let mut port = OutPort::new(
+        PortKind::Channel(ChannelId(0)),
+        &TrafficClassSet::fig14(),
+        1 << 20,
+        25e9,
+        SimDuration::from_ns(13),
+    );
+    let template = |tc: u8, hops: u8| {
+        let mut route = RouteState::new(SwitchId(0), Via::Direct);
+        route.hops = hops;
+        Packet {
+            msg: MessageId(0),
+            src: NodeId(0),
+            dst: NodeId(1),
+            payload: 4096,
+            wire: 4158,
+            tc,
+            routed: true,
+            route,
+            cur_source: InSource::Node(NodeId(0)),
+            path_delay: SimDuration::ZERO,
+            ep_depth: 0,
+            born: SimTime::ZERO,
+            chunk: 0,
+            copy: 0,
+            llr: 0,
+            traced: false,
+        }
+    };
+    for i in 0..8u8 {
+        port.enqueue(PacketHandle(i as u32), &template(i % 2, i / 2));
+    }
+    let mut now = SimTime::ZERO;
+    benches.push(bench(
+        "qos_pick_take_two_class",
+        200_000 * scale,
+        true,
+        || {
+            let (tc, vc) = port.pick(now).expect("both classes backlogged");
+            let head = port.take(tc, vc, now);
+            port.credit_return(tc, vc, head.wire)
+                .expect("take reserved these bytes");
+            now += port.serialization(head.wire);
+            let mut pkt = template(tc as u8, vc as u8);
+            pkt.born = now;
+            port.enqueue(head.pkt, &pkt);
         },
     ));
 

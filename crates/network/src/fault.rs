@@ -8,12 +8,12 @@
 //! simulations execute the exact historical code path (same events, same
 //! RNG draws, byte-identical results).
 
+use fxhash::FxHashMap;
 use serde::Serialize;
 use slingshot_des::{DetRng, SimTime};
 use slingshot_ethernet::PortLanes;
 use slingshot_faults::{FaultConfig, FaultSchedule, RecoveryConfig};
 use slingshot_topology::{Dragonfly, Liveness};
-use std::collections::HashMap;
 
 /// Why a packet copy was destroyed in the fabric.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -131,8 +131,10 @@ pub(crate) struct FaultRuntime {
     pub burst_rate: Vec<f64>,
     /// Per-channel burst expiry.
     pub burst_until: Vec<SimTime>,
-    /// Outstanding end-to-end state per `(message, chunk)`.
-    pub retry: HashMap<(u64, u32), RetryEntry>,
+    /// Outstanding end-to-end state per `(message, chunk)`. Hit on every
+    /// inject, ack and e2e timeout and never iterated, so Fx hashing cannot
+    /// change any result.
+    pub retry: FxHashMap<(u64, u32), RetryEntry>,
     /// Last copy id handed out (0 is reserved for "no fault mode").
     pub next_copy: u32,
     /// Fault-plane RNG (forked from the network seed; never touches the
@@ -153,7 +155,7 @@ impl FaultRuntime {
             lanes: vec![PortLanes::rosetta(); n_ch],
             burst_rate: vec![0.0; n_ch],
             burst_until: vec![SimTime::ZERO; n_ch],
-            retry: HashMap::new(),
+            retry: FxHashMap::default(),
             next_copy: 0,
             rng: DetRng::seed_from(seed).fork(0xFA17),
             stats: FaultStats::default(),

@@ -45,5 +45,5 @@ pub use inflight::InFlightMap;
 pub use kernel::{global_kernel_stats, KernelStats};
 pub use network::{NetStats, Network};
 pub use nic::{CcEngine, Nic};
-pub use packet::{InSource, MessageId, Notification, Packet};
-pub use switch::{OutPort, PortKind, Switch};
+pub use packet::{InSource, MessageId, Notification, Packet, PacketHandle};
+pub use switch::{OutPort, PortKind, Queued, Switch};

@@ -8,30 +8,41 @@ use crate::fault::{DropReason, FaultRuntime, FaultStats, RetryEntry};
 use crate::inflight::InFlightMap;
 use crate::kernel::{flush_to_global, KernelStats};
 use crate::nic::{CcEngine, Nic};
-use crate::packet::{InSource, MessageId, MessageState, Notification, Packet};
+use crate::packet::{
+    InSource, MessageId, MessageState, Notification, Packet, PacketHandle, PacketSlab,
+};
 use crate::switch::{vc_of, OutPort, PortKind, Switch, NUM_VCS};
 use slingshot_congestion::{AckFeedback, CongestionControl};
 use slingshot_des::{DetRng, EventQueue, SimDuration, SimTime};
 use slingshot_ethernet::{message_wire_bytes, PortLanes, MAX_PAYLOAD};
 use slingshot_faults::FaultKind;
-use slingshot_qos::QosScheduler;
 use slingshot_routing::{CongestionView, HopDecision, RouteState, Router, Via};
 use slingshot_telemetry::{HopKind, TelemetryHub, TelemetryReport};
 use slingshot_topology::{ChannelId, Dragonfly, Liveness, NodeId, SwitchId};
 use std::collections::VecDeque;
 
-/// Simulator events.
+/// Simulator events. Packets stay in the network's slab; events name them
+/// by handle, which keeps every event (and every pending-queue entry)
+/// small.
 enum Event {
     /// The injection link finished serializing a packet.
-    NicTxDone { node: u32, pkt: Packet },
+    NicTxDone { node: u32, pkt: PacketHandle },
     /// A packet arrived at a switch (input buffer already reserved by the
     /// sender-side credit).
-    ArriveSwitch { sw: u32, pkt: Packet },
+    ArriveSwitch { sw: u32, pkt: PacketHandle },
     /// A packet finished crossing the switch fabric and joins an output
     /// queue.
-    EnqueueOut { sw: u32, port: u32, pkt: Packet },
+    EnqueueOut {
+        sw: u32,
+        port: u32,
+        pkt: PacketHandle,
+    },
     /// An output port finished serializing a packet.
-    TxDone { sw: u32, port: u32, pkt: Packet },
+    TxDone {
+        sw: u32,
+        port: u32,
+        pkt: PacketHandle,
+    },
     /// A link-level credit returns to the sender side.
     CreditReturn {
         target: CreditTarget,
@@ -40,18 +51,10 @@ enum Event {
         bytes: u32,
     },
     /// A packet fully arrived at its destination node.
-    ArriveNic { pkt: Packet },
-    /// An end-to-end ack reached the source NIC.
-    AckArrive {
-        src: u32,
-        dst: u32,
-        wire: u32,
-        msg: MessageId,
-        chunk: u32,
-        copy: u32,
-        congested: bool,
-        depth: u64,
-    },
+    ArriveNic { pkt: PacketHandle },
+    /// An end-to-end ack for a delivered packet reached its source NIC.
+    /// Every ack field is read from the packet's slot, which the ack frees.
+    AckArrive { pkt: PacketHandle },
     /// A node-local message completed its loopback.
     Loopback { msg: MessageId },
     /// A user timer fired.
@@ -67,6 +70,10 @@ enum Event {
     /// A link taken down by LLR escalation finished its retrain.
     LinkRepair { ch: ChannelId },
 }
+
+// Pending-queue entries are `(time, seq, Event)`: keep the event to three
+// words so the heap stays dense.
+const _: () = assert!(std::mem::size_of::<Event>() <= 24);
 
 /// Hop budget for route healing: a packet whose route has already grown
 /// this long is dropped instead of re-detoured (recovered end-to-end), so
@@ -144,6 +151,9 @@ pub struct Network {
     switches: Vec<Switch>,
     nics: Vec<Nic>,
     messages: Vec<MessageState>,
+    /// Every packet in flight, from injection until its ack resolves or it
+    /// is dropped.
+    pkts: PacketSlab,
     /// ChannelId → (switch index, port index) of the sending port.
     chan_port: Vec<(u32, u32)>,
     /// NodeId → (switch index, port index) of the ejection port.
@@ -196,39 +206,26 @@ impl Network {
             for ch in topo.channels() {
                 if ch.from.0 == sw {
                     chan_port[ch.id.index()] = (sw, ports.len() as u32);
-                    ports.push(OutPort {
-                        kind: PortKind::Channel(ch.id),
-                        queues: vec![VecDeque::new(); n_tc * NUM_VCS],
-                        queued_wire: 0,
-                        busy: false,
-                        outstanding: vec![0; n_tc * NUM_VCS],
-                        pool: buffer_per_class,
-                        rate_bps: link_bps,
-                        prop: SimDuration::from_ns_f64(ch.class.propagation_ns()),
-                        sched: (n_tc > 1)
-                            .then(|| QosScheduler::new(cfg.traffic_classes.clone(), link_bps)),
-                        tx_wire_bytes: 0,
-                    });
+                    ports.push(OutPort::new(
+                        PortKind::Channel(ch.id),
+                        &cfg.traffic_classes,
+                        buffer_per_class,
+                        link_bps,
+                        SimDuration::from_ns_f64(ch.class.propagation_ns()),
+                    ));
                 }
             }
             for node in topo.nodes_of_switch(slingshot_topology::SwitchId(sw)) {
                 eject_port[node.index()] = (sw, ports.len() as u32);
-                ports.push(OutPort {
-                    kind: PortKind::Eject(node),
-                    queues: vec![VecDeque::new(); n_tc * NUM_VCS],
-                    queued_wire: 0,
-                    busy: false,
-                    outstanding: vec![0; n_tc * NUM_VCS],
-                    pool: 0, // ejection: the node always drains
-
-                    rate_bps: inj_bps,
-                    prop: SimDuration::from_ns_f64(
+                ports.push(OutPort::new(
+                    PortKind::Eject(node),
+                    &cfg.traffic_classes,
+                    0, // ejection: the node always drains
+                    inj_bps,
+                    SimDuration::from_ns_f64(
                         slingshot_topology::LinkClass::EdgeCopper.propagation_ns(),
                     ),
-                    sched: (n_tc > 1)
-                        .then(|| QosScheduler::new(cfg.traffic_classes.clone(), inj_bps)),
-                    tx_wire_bytes: 0,
-                });
+                ));
             }
             switches.push(Switch { ports });
         }
@@ -287,6 +284,7 @@ impl Network {
             switches,
             nics,
             messages: Vec::new(),
+            pkts: PacketSlab::default(),
             chan_port,
             eject_port,
             notifications: Vec::new(),
@@ -692,18 +690,9 @@ impl Network {
                 self.kernel.events_arrive_nic += 1;
                 self.arrive_nic(pkt, now)
             }
-            Event::AckArrive {
-                src,
-                dst,
-                wire,
-                msg,
-                chunk,
-                copy,
-                congested,
-                depth,
-            } => {
+            Event::AckArrive { pkt } => {
                 self.kernel.events_ack += 1;
-                self.ack_arrive(src, dst, wire, msg, chunk, copy, congested, depth, now)
+                self.ack_arrive(pkt, now)
             }
             Event::Loopback { msg } => {
                 self.kernel.events_loopback += 1;
@@ -811,6 +800,7 @@ impl Network {
                         );
                     }
                 }
+                let pkt = self.pkts.alloc(pkt);
                 self.queue.push(now + ser, Event::NicTxDone { node, pkt });
                 return;
             }
@@ -826,11 +816,12 @@ impl Network {
         if nic.busy {
             return;
         }
-        let Some(&pkt) = nic.retx.front() else { return };
+        let Some(&h) = nic.retx.front() else { return };
+        let pkt = &mut self.pkts[h];
         if nic.credits[pkt.tc as usize] < pkt.wire as u64 {
             return;
         }
-        let mut pkt = nic.retx.pop_front().expect("checked non-empty");
+        nic.retx.pop_front();
         pkt.born = now;
         nic.busy = true;
         nic.credits[pkt.tc as usize] -= pkt.wire as u64;
@@ -862,13 +853,15 @@ impl Network {
                 );
             }
         }
-        self.queue.push(now + ser, Event::NicTxDone { node, pkt });
+        self.queue
+            .push(now + ser, Event::NicTxDone { node, pkt: h });
     }
 
-    fn nic_tx_done(&mut self, node: u32, mut pkt: Packet, now: SimTime) {
+    fn nic_tx_done(&mut self, node: u32, h: PacketHandle, now: SimTime) {
         let nic = &mut self.nics[node as usize];
         nic.busy = false;
         let prop = nic.prop;
+        let pkt = &mut self.pkts[h];
         pkt.path_delay += prop;
         if pkt.traced {
             if let Some(t) = self.telemetry.as_deref_mut() {
@@ -883,19 +876,21 @@ impl Network {
             }
         }
         let sw = self.topo.switch_of_node(NodeId(node)).0;
-        self.queue.push(now + prop, Event::ArriveSwitch { sw, pkt });
+        self.queue
+            .push(now + prop, Event::ArriveSwitch { sw, pkt: h });
         self.try_inject(node, now);
     }
 
-    fn arrive_switch(&mut self, sw: u32, mut pkt: Packet, now: SimTime) {
+    fn arrive_switch(&mut self, sw: u32, h: PacketHandle, now: SimTime) {
         if let Some(rt) = &self.faults {
             // A dead switch destroys everything arriving at it; the copy is
             // recovered end-to-end.
             if !rt.liveness.is_switch_up(SwitchId(sw)) {
-                self.record_drop(&pkt, DropReason::SwitchDown, now);
+                self.record_drop(h, DropReason::SwitchDown, now);
                 return;
             }
         }
+        let pkt = &mut self.pkts[h];
         if pkt.traced {
             if let Some(t) = self.telemetry.as_deref_mut() {
                 t.hub.record_event(
@@ -950,7 +945,7 @@ impl Network {
             // would detour forever (each detour's first leg is alive, only
             // the final approach is dead).
             if pkt.route.hops >= MAX_HEAL_HOPS {
-                self.record_drop(&pkt, DropReason::NoRoute, now);
+                self.record_drop(h, DropReason::NoRoute, now);
                 return;
             }
             self.kernel.route_heals += 1;
@@ -967,7 +962,7 @@ impl Network {
             HopDecision::Stuck => {
                 // Even the healed route starts dead: drop here, recover
                 // end-to-end.
-                self.record_drop(&pkt, DropReason::NoRoute, now);
+                self.record_drop(h, DropReason::NoRoute, now);
                 return;
             }
         };
@@ -982,12 +977,12 @@ impl Network {
             Event::EnqueueOut {
                 sw,
                 port: port_idx,
-                pkt,
+                pkt: h,
             },
         );
     }
 
-    fn enqueue_out(&mut self, sw: u32, port: u32, mut pkt: Packet, now: SimTime) {
+    fn enqueue_out(&mut self, sw: u32, port: u32, h: PacketHandle, now: SimTime) {
         if let Some(rt) = &self.faults {
             // The output port may have died while the packet crossed the
             // fabric; dead ports must not accumulate backlog (their queues
@@ -1003,17 +998,18 @@ impl Network {
                 }
             };
             if let Some(reason) = reason {
-                self.record_drop(&pkt, reason, now);
+                self.record_drop(h, reason, now);
                 return;
             }
         }
+        let pkt = &mut self.pkts[h];
         let p = &mut self.switches[sw as usize].ports[port as usize];
         if matches!(p.kind, PortKind::Eject(_)) {
             // The endpoint-congestion signal: ejection-queue depth at
             // enqueue time, carried home in the ack.
             pkt.ep_depth = p.queued_wire;
         }
-        p.enqueue(pkt);
+        p.enqueue(h, pkt);
         let depth = p.queued_wire;
         if let Some(t) = self.telemetry.as_deref_mut() {
             let gport = t.port_base[sw as usize] + port;
@@ -1046,15 +1042,16 @@ impl Network {
             }
             return;
         };
-        let pkt = p.take(tc, vc, now);
+        let head = p.take(tc, vc, now);
         p.busy = true;
-        let ser = p.serialization(pkt.wire);
+        let ser = p.serialization(head.wire);
         let depth = p.queued_wire;
         if let Some(t) = self.telemetry.as_deref_mut() {
             let gport = t.port_base[sw as usize] + port;
             t.hub
-                .on_port_tx(gport, pkt.tc, now.as_ps(), pkt.wire as u64);
+                .on_port_tx(gport, tc as u8, now.as_ps(), head.wire as u64);
             t.hub.on_port_queue(gport, now.as_ps(), depth);
+            let pkt = &self.pkts[head.pkt];
             if pkt.traced {
                 t.hub.record_event(
                     now.as_ps(),
@@ -1066,7 +1063,14 @@ impl Network {
                 );
             }
         }
-        self.queue.push(now + ser, Event::TxDone { sw, port, pkt });
+        self.queue.push(
+            now + ser,
+            Event::TxDone {
+                sw,
+                port,
+                pkt: head.pkt,
+            },
+        );
     }
 
     /// A port with backlog found no transmittable VOQ: record a stall
@@ -1086,18 +1090,19 @@ impl Network {
         }
     }
 
-    fn tx_done(&mut self, sw: u32, port: u32, mut pkt: Packet, now: SimTime) {
+    fn tx_done(&mut self, sw: u32, port: u32, h: PacketHandle, now: SimTime) {
         let (kind, prop) = {
             let p = &self.switches[sw as usize].ports[port as usize];
             (p.kind, p.prop)
         };
         if self.faults.is_some() {
-            match self.fault_tx_check(sw, port, kind, &mut pkt, now) {
+            match self.fault_tx_check(sw, port, kind, h, now) {
                 TxVerdict::Proceed => {}
                 TxVerdict::Replayed | TxVerdict::Dropped => return,
             }
         }
         self.switches[sw as usize].ports[port as usize].busy = false;
+        let pkt = &self.pkts[h];
         if pkt.traced {
             if let Some(t) = self.telemetry.as_deref_mut() {
                 t.hub.record_event(
@@ -1114,27 +1119,28 @@ impl Network {
         // from (it has now left this switch).
         // The upstream sender consumed its credit at the packet's VC as of
         // the previous crossing: one less hop than the packet carries now.
-        self.return_upstream_credit(&pkt, now);
+        self.return_upstream_credit(h, now);
+        let pkt = &mut self.pkts[h];
+        pkt.path_delay += prop;
         match kind {
             PortKind::Channel(ch) => {
                 let to = self.topo.channel(ch).to.0;
                 pkt.cur_source = InSource::Channel(ch);
                 pkt.route.hops += 1;
-                pkt.path_delay += prop;
                 self.queue
-                    .push(now + prop, Event::ArriveSwitch { sw: to, pkt });
+                    .push(now + prop, Event::ArriveSwitch { sw: to, pkt: h });
             }
             PortKind::Eject(_) => {
-                pkt.path_delay += prop;
-                self.queue.push(now + prop, Event::ArriveNic { pkt });
+                self.queue.push(now + prop, Event::ArriveNic { pkt: h });
             }
         }
         self.try_start_tx(sw, port, now);
     }
 
-    /// Return the input-buffer credit `pkt` holds at its current switch to
-    /// the upstream sender (the port or NIC it entered from).
-    fn return_upstream_credit(&mut self, pkt: &Packet, now: SimTime) {
+    /// Return the input-buffer credit packet `h` holds at its current
+    /// switch to the upstream sender (the port or NIC it entered from).
+    fn return_upstream_credit(&mut self, h: PacketHandle, now: SimTime) {
+        let pkt = &self.pkts[h];
         let (target, vc, up_prop) = match pkt.cur_source {
             InSource::Channel(in_ch) => {
                 let (up_sw, up_port) = self.chan_port[in_ch.index()];
@@ -1171,12 +1177,12 @@ impl Network {
         sw: u32,
         port: u32,
         kind: PortKind,
-        pkt: &mut Packet,
+        h: PacketHandle,
         now: SimTime,
     ) -> TxVerdict {
         let rt = self.faults.as_mut().expect("fault mode");
         if !rt.liveness.is_switch_up(SwitchId(sw)) {
-            self.drop_at_port(sw, port, pkt, DropReason::SwitchDown, now);
+            self.drop_at_port(sw, port, h, DropReason::SwitchDown, now);
             return TxVerdict::Dropped;
         }
         let PortKind::Channel(ch) = kind else {
@@ -1184,13 +1190,14 @@ impl Network {
         };
         if !rt.liveness.is_channel_up(ch) {
             // The link was cut mid-serialization.
-            self.drop_at_port(sw, port, pkt, DropReason::LinkDown, now);
+            self.drop_at_port(sw, port, h, DropReason::LinkDown, now);
             return TxVerdict::Dropped;
         }
         let rate = rt.error_rate(ch.index(), now);
         if rate <= 0.0 || !rt.rng.chance(rate) {
             return TxVerdict::Proceed;
         }
+        let pkt = &mut self.pkts[h];
         if pkt.llr < rt.recovery.llr_max_retries {
             // §II-F low-latency link-level retransmission: replay the
             // packet on the same link after the replay latency.
@@ -1211,14 +1218,8 @@ impl Network {
                     );
                 }
             }
-            self.queue.push(
-                now + replay,
-                Event::TxDone {
-                    sw,
-                    port,
-                    pkt: *pkt,
-                },
-            );
+            self.queue
+                .push(now + replay, Event::TxDone { sw, port, pkt: h });
             TxVerdict::Replayed
         } else {
             // Replay budget exhausted: declare the link bad, destroy the
@@ -1226,7 +1227,7 @@ impl Network {
             // recover.
             rt.stats.llr_escalations += 1;
             self.kernel.llr_escalations += 1;
-            self.drop_at_port(sw, port, pkt, DropReason::LlrExhausted, now);
+            self.drop_at_port(sw, port, h, DropReason::LlrExhausted, now);
             self.take_link_down(ch, now, true);
             TxVerdict::Dropped
         }
@@ -1235,7 +1236,15 @@ impl Network {
     /// Destroy a packet already taken from `(sw, port)`'s queue: release
     /// the port, roll back its downstream-buffer reservation and transmit
     /// accounting, and record the loss.
-    fn drop_at_port(&mut self, sw: u32, port: u32, pkt: &Packet, reason: DropReason, now: SimTime) {
+    fn drop_at_port(
+        &mut self,
+        sw: u32,
+        port: u32,
+        h: PacketHandle,
+        reason: DropReason,
+        now: SimTime,
+    ) {
+        let pkt = &self.pkts[h];
         let p = &mut self.switches[sw as usize].ports[port as usize];
         p.busy = false;
         let rollback = p.credit_return(pkt.tc as usize, vc_of(pkt.route.hops), pkt.wire);
@@ -1244,7 +1253,7 @@ impl Network {
             let vc = vc_of(pkt.route.hops) as u8;
             self.record_credit_underflow(sw, port, pkt.tc, vc, pkt.wire, outstanding);
         }
-        self.record_drop(pkt, reason, now);
+        self.record_drop(h, reason, now);
     }
 
     /// Latch the first credit-underflow accounting error; later ones are
@@ -1270,11 +1279,12 @@ impl Network {
         }
     }
 
-    /// Record a destroyed copy: count it by reason and return the upstream
-    /// input-buffer credit it held. The sender's in-flight window is
-    /// reclaimed later by the copy's end-to-end timer.
-    fn record_drop(&mut self, pkt: &Packet, reason: DropReason, now: SimTime) {
+    /// Record a destroyed copy: count it by reason, return the upstream
+    /// input-buffer credit it held and free its slab slot. The sender's
+    /// in-flight window is reclaimed later by the copy's end-to-end timer.
+    fn record_drop(&mut self, h: PacketHandle, reason: DropReason, now: SimTime) {
         self.kernel.packets_dropped += 1;
+        let pkt = &self.pkts[h];
         if let Some(t) = self.telemetry.as_deref_mut() {
             t.hub.on_drop(now.as_ps());
             if pkt.traced {
@@ -1297,7 +1307,8 @@ impl Network {
             DropReason::NoRoute => rt.stats.dropped_no_route += 1,
             DropReason::LlrExhausted => rt.stats.dropped_llr_exhausted += 1,
         }
-        self.return_upstream_credit(pkt, now);
+        self.return_upstream_credit(h, now);
+        self.pkts.free(h);
     }
 
     /// Drop every queued packet of `(sw, port)`: the port's buffers drain
@@ -1308,13 +1319,14 @@ impl Network {
         if !p.has_backlog() {
             return;
         }
-        let mut drained: Vec<Packet> = Vec::new();
-        for q in p.queues.iter_mut() {
-            drained.extend(q.drain(..));
-        }
+        let drained: Vec<PacketHandle> = p
+            .queues
+            .iter_mut()
+            .flat_map(|q| q.drain(..).map(|e| e.pkt))
+            .collect();
         p.queued_wire = 0;
-        for pkt in drained {
-            self.record_drop(&pkt, reason, now);
+        for h in drained {
+            self.record_drop(h, reason, now);
         }
     }
 
@@ -1485,7 +1497,8 @@ impl Network {
                 );
             }
         }
-        self.nics[src.index()].retx.push_back(pkt);
+        let h = self.pkts.alloc(pkt);
+        self.nics[src.index()].retx.push_back(h);
         self.try_inject(src.0, now);
     }
 
@@ -1510,7 +1523,8 @@ impl Network {
         }
     }
 
-    fn arrive_nic(&mut self, pkt: Packet, now: SimTime) {
+    fn arrive_nic(&mut self, h: PacketHandle, now: SimTime) {
+        let pkt = &self.pkts[h];
         if pkt.traced {
             if let Some(t) = self.telemetry.as_deref_mut() {
                 t.hub.record_event(
@@ -1533,7 +1547,7 @@ impl Network {
                 // stops retrying, but deliver nothing twice.
                 let rt = self.faults.as_mut().expect("checked");
                 rt.stats.delivered_duplicate += 1;
-                self.push_ack(&pkt, now);
+                self.push_ack(h, now);
                 return;
             }
             st.delivered_chunks[word] |= bit;
@@ -1562,41 +1576,22 @@ impl Network {
             });
         }
         // End-to-end ack on the dedicated ack plane: queue-free return.
-        self.push_ack(&pkt, now);
+        self.push_ack(h, now);
     }
 
-    /// Schedule the end-to-end ack for a delivered packet copy.
-    fn push_ack(&mut self, pkt: &Packet, now: SimTime) {
-        let congested = pkt.ep_depth >= self.cfg.ep_congestion_threshold;
-        let delay = pkt.path_delay + self.cfg.ack_overhead;
-        self.queue.push(
-            now + delay,
-            Event::AckArrive {
-                src: pkt.src.0,
-                dst: pkt.dst.0,
-                wire: pkt.wire,
-                msg: pkt.msg,
-                chunk: pkt.chunk,
-                copy: pkt.copy,
-                congested,
-                depth: pkt.ep_depth,
-            },
-        );
+    /// Schedule the end-to-end ack for a delivered packet copy; the ack
+    /// carries the copy's handle, and the slot lives until it lands.
+    fn push_ack(&mut self, h: PacketHandle, now: SimTime) {
+        let delay = self.pkts[h].path_delay + self.cfg.ack_overhead;
+        self.queue.push(now + delay, Event::AckArrive { pkt: h });
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn ack_arrive(
-        &mut self,
-        src: u32,
-        dst: u32,
-        wire: u32,
-        msg: MessageId,
-        chunk: u32,
-        copy: u32,
-        congested: bool,
-        depth: u64,
-        now: SimTime,
-    ) {
+    fn ack_arrive(&mut self, h: PacketHandle, now: SimTime) {
+        let pkt = &self.pkts[h];
+        let (src, dst, wire) = (pkt.src.0, pkt.dst.0, pkt.wire);
+        let (msg, chunk, copy, depth) = (pkt.msg, pkt.chunk, pkt.copy, pkt.ep_depth);
+        self.pkts.free(h);
+        let congested = depth >= self.cfg.ep_congestion_threshold;
         if let Some(rt) = self.faults.as_mut() {
             if rt.retry.get(&(msg.0, chunk)).map(|e| e.copy) == Some(copy) {
                 rt.retry.remove(&(msg.0, chunk));
@@ -1702,5 +1697,6 @@ impl Network {
         for (mi, m) in self.messages.iter().enumerate() {
             assert_eq!(m.remaining_to_deliver, 0, "message {mi} undelivered");
         }
+        assert_eq!(self.pkts.live(), 0, "packets leaked: slab slots still live");
     }
 }

@@ -3,7 +3,7 @@
 
 use crate::config::CcConfig;
 use crate::inflight::InFlightMap;
-use crate::packet::MessageId;
+use crate::packet::{MessageId, PacketHandle};
 use slingshot_congestion::{AckFeedback, CongestionControl, EcnCc, NoCc, SlingshotCc};
 use slingshot_des::{SimDuration, SimTime};
 use slingshot_topology::NodeId;
@@ -91,10 +91,10 @@ pub struct Nic {
     pub rate_bps: f64,
     /// Node-to-switch propagation delay.
     pub prop: SimDuration,
-    /// End-to-end retransmit staging queue: packets rebuilt after an e2e
-    /// timeout, launched ahead of new injections as credits permit.
-    /// Always empty outside fault mode.
-    pub retx: VecDeque<crate::packet::Packet>,
+    /// End-to-end retransmit staging queue: slab handles of packets rebuilt
+    /// after an e2e timeout, launched ahead of new injections as credits
+    /// permit. Always empty outside fault mode.
+    pub retx: VecDeque<PacketHandle>,
 }
 
 impl Nic {

@@ -3,6 +3,7 @@
 use slingshot_des::{SimDuration, SimTime};
 use slingshot_routing::RouteState;
 use slingshot_topology::{ChannelId, NodeId};
+use std::ops::{Index, IndexMut};
 
 /// Identifier of a message submitted to the network.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -60,6 +61,91 @@ pub struct Packet {
     /// `false` when telemetry is disabled; set once at injection from a
     /// pure hash of the packet identity).
     pub traced: bool,
+}
+
+/// Handle to a packet stored in the network's [`PacketSlab`]: events and
+/// queues carry this 4-byte index instead of moving the packet itself.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PacketHandle(pub u32);
+
+/// Owner of every packet in flight: a `Vec` of slots plus a LIFO free
+/// list. A slot is taken when a NIC injects a packet or stages an
+/// end-to-end retransmit, and given back when the packet's ack resolves or
+/// the packet is dropped. The slab starts empty and grows on demand.
+#[derive(Default)]
+pub(crate) struct PacketSlab {
+    slots: Vec<Packet>,
+    free: Vec<u32>,
+    /// Per-slot liveness, for the debug-only use-after-free check.
+    #[cfg(debug_assertions)]
+    live: Vec<bool>,
+}
+
+impl PacketSlab {
+    /// Store `pkt`, reusing the most recently freed slot if there is one.
+    pub fn alloc(&mut self, pkt: Packet) -> PacketHandle {
+        let idx = match self.free.pop() {
+            Some(idx) => {
+                self.slots[idx as usize] = pkt;
+                idx
+            }
+            None => {
+                let idx = u32::try_from(self.slots.len()).expect("packet slab full");
+                self.slots.push(pkt);
+                #[cfg(debug_assertions)]
+                self.live.push(false);
+                idx
+            }
+        };
+        #[cfg(debug_assertions)]
+        {
+            self.live[idx as usize] = true;
+        }
+        PacketHandle(idx)
+    }
+
+    /// Release the slot behind `h`; the handle must not be used again.
+    pub fn free(&mut self, h: PacketHandle) {
+        self.check(h);
+        #[cfg(debug_assertions)]
+        {
+            self.live[h.0 as usize] = false;
+        }
+        self.free.push(h.0);
+    }
+
+    /// Slots currently holding a packet (zero once the network quiesces).
+    pub fn live(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+
+    #[inline]
+    fn check(&self, _h: PacketHandle) {
+        #[cfg(debug_assertions)]
+        assert!(
+            self.live.get(_h.0 as usize).copied().unwrap_or(false),
+            "packet handle {} does not refer to a live slot",
+            _h.0
+        );
+    }
+}
+
+impl Index<PacketHandle> for PacketSlab {
+    type Output = Packet;
+
+    #[inline]
+    fn index(&self, h: PacketHandle) -> &Packet {
+        self.check(h);
+        &self.slots[h.0 as usize]
+    }
+}
+
+impl IndexMut<PacketHandle> for PacketSlab {
+    #[inline]
+    fn index_mut(&mut self, h: PacketHandle) -> &mut Packet {
+        self.check(h);
+        &mut self.slots[h.0 as usize]
+    }
 }
 
 /// A notification surfaced to the software layer.
@@ -131,6 +217,60 @@ mod tests {
     fn ids_compare() {
         assert!(MessageId(1) < MessageId(2));
         assert_eq!(MessageId(3), MessageId(3));
+    }
+
+    fn packet(chunk: u32) -> Packet {
+        Packet {
+            msg: MessageId(0),
+            src: NodeId(0),
+            dst: NodeId(1),
+            payload: 100,
+            wire: 162,
+            tc: 0,
+            routed: false,
+            route: RouteState::new(
+                slingshot_topology::SwitchId(0),
+                slingshot_routing::Via::Direct,
+            ),
+            cur_source: InSource::Node(NodeId(0)),
+            path_delay: SimDuration::ZERO,
+            ep_depth: 0,
+            born: SimTime::ZERO,
+            chunk,
+            copy: 0,
+            llr: 0,
+            traced: false,
+        }
+    }
+
+    #[test]
+    fn slab_reuses_freed_slots_lifo() {
+        let mut slab = PacketSlab::default();
+        let a = slab.alloc(packet(1));
+        let b = slab.alloc(packet(2));
+        let c = slab.alloc(packet(3));
+        assert_eq!(slab.live(), 3);
+        slab.free(a);
+        slab.free(c);
+        assert_eq!(slab.live(), 1);
+        // Last freed, first reused.
+        assert_eq!(slab.alloc(packet(4)), c);
+        assert_eq!(slab.alloc(packet(5)), a);
+        assert_eq!(slab[b].chunk, 2);
+        assert_eq!(slab[c].chunk, 4);
+        slab[a].chunk = 9;
+        assert_eq!(slab[a].chunk, 9);
+        assert_eq!(slab.live(), 3);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "does not refer to a live slot")]
+    fn slab_rejects_freed_handle_in_debug() {
+        let mut slab = PacketSlab::default();
+        let a = slab.alloc(packet(1));
+        slab.free(a);
+        let _ = slab[a].chunk;
     }
 
     #[test]

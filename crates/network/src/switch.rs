@@ -22,9 +22,9 @@
 //! propagates and delays bystanders exactly as measured on real networks
 //! without endpoint congestion control.
 
-use crate::packet::Packet;
+use crate::packet::{Packet, PacketHandle};
 use slingshot_des::{SimDuration, SimTime};
-use slingshot_qos::QosScheduler;
+use slingshot_qos::{QosScheduler, TrafficClassSet};
 use slingshot_topology::{ChannelId, NodeId};
 use std::collections::VecDeque;
 
@@ -44,6 +44,19 @@ pub enum PortKind {
 /// Per-VC escape reserve: one maximum-size packet on the wire.
 pub const VC_RESERVE: u64 = 4224;
 
+/// A VOQ entry: the packet's slab handle plus the two fields arbitration
+/// reads (wire size for credit admission, birth time for age order), so
+/// picking a packet never touches the slab.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Queued {
+    /// The queued packet.
+    pub pkt: PacketHandle,
+    /// Its bytes on the wire.
+    pub wire: u32,
+    /// When its NIC started serializing it.
+    pub born: SimTime,
+}
+
 /// One output port of a switch: per-(class, VC) virtual queues, a transmit
 /// server, and (for channel ports) occupancy accounting against the
 /// downstream input buffer (shared pool + per-VC reserves).
@@ -51,7 +64,7 @@ pub struct OutPort {
     /// What this port drives.
     pub kind: PortKind,
     /// Per-(class, VC) FIFOs, indexed `tc * NUM_VCS + vc`.
-    pub queues: Vec<VecDeque<Packet>>,
+    pub queues: Vec<VecDeque<Queued>>,
     /// Total wire bytes queued across classes (adaptive-routing signal).
     pub queued_wire: u64,
     /// Whether a packet is currently being serialized.
@@ -79,6 +92,31 @@ pub fn vc_of(hops: u8) -> usize {
 }
 
 impl OutPort {
+    /// An idle, empty port serving `classes` at `rate_bps` into a
+    /// downstream buffer of `pool` bytes per class (0 = unlimited). A QoS
+    /// scheduler is attached only when more than one class is configured.
+    pub fn new(
+        kind: PortKind,
+        classes: &TrafficClassSet,
+        pool: u64,
+        rate_bps: f64,
+        prop: SimDuration,
+    ) -> Self {
+        let n_tc = classes.len();
+        OutPort {
+            kind,
+            queues: vec![VecDeque::new(); n_tc * NUM_VCS],
+            queued_wire: 0,
+            busy: false,
+            outstanding: vec![0; n_tc * NUM_VCS],
+            pool,
+            rate_bps,
+            prop,
+            sched: (n_tc > 1).then(|| QosScheduler::new(classes.clone(), rate_bps)),
+            tx_wire_bytes: 0,
+        }
+    }
+
     /// Serialization time of `wire` bytes on this port.
     pub fn serialization(&self, wire: u32) -> SimDuration {
         SimDuration::from_secs_f64(wire as f64 / self.rate_bps)
@@ -156,7 +194,6 @@ impl OutPort {
     /// the deadlock argument). Returns `None` when nothing is eligible.
     pub fn pick(&mut self, now: SimTime) -> Option<(usize, usize)> {
         debug_assert!(!self.busy);
-        let n_tc = self.n_tc();
         let pick_vc = |port: &OutPort, tc: usize| -> Option<usize> {
             (0..NUM_VCS)
                 .filter(|&vc| port.head_eligible(tc, vc))
@@ -170,28 +207,31 @@ impl OutPort {
         match &mut self.sched {
             None => pick_vc(self, 0).map(|vc| (0, vc)),
             Some(_) => {
-                let backlog: Vec<bool> = (0..n_tc)
-                    .map(|tc| (0..NUM_VCS).any(|vc| self.head_eligible(tc, vc)))
-                    .collect();
+                let mut backlog = 0u64;
+                for tc in 0..self.n_tc() {
+                    if (0..NUM_VCS).any(|vc| self.head_eligible(tc, vc)) {
+                        backlog |= 1 << tc;
+                    }
+                }
                 let sched = self.sched.as_mut().expect("checked above");
-                let tc = sched.pick(&backlog, now)?;
+                let tc = sched.pick(backlog, now)?;
                 pick_vc(self, tc).map(|vc| (tc, vc))
             }
         }
     }
 
-    /// Dequeue the head packet of `(tc, vc)`, reserving downstream buffer
+    /// Dequeue the head entry of `(tc, vc)`, reserving downstream buffer
     /// space and updating QoS accounting.
-    pub fn take(&mut self, tc: usize, vc: usize, now: SimTime) -> Packet {
+    pub fn take(&mut self, tc: usize, vc: usize, now: SimTime) -> Queued {
         let q = tc * NUM_VCS + vc;
-        let pkt = self.queues[q].pop_front().expect("take on empty queue");
-        self.queued_wire -= pkt.wire as u64;
-        self.tx_wire_bytes += pkt.wire as u64;
-        self.outstanding[q] += pkt.wire as u64;
+        let head = self.queues[q].pop_front().expect("take on empty queue");
+        self.queued_wire -= head.wire as u64;
+        self.tx_wire_bytes += head.wire as u64;
+        self.outstanding[q] += head.wire as u64;
         if let Some(s) = &mut self.sched {
-            s.on_served(tc, pkt.wire as u64, now);
+            s.on_served(tc, head.wire as u64, now);
         }
-        pkt
+        head
     }
 
     /// A downstream credit returned for `(tc, vc)`. Returning more bytes
@@ -212,11 +252,16 @@ impl OutPort {
         }
     }
 
-    /// Enqueue a packet into its class/VC queue.
-    pub fn enqueue(&mut self, pkt: Packet) {
+    /// Enqueue the packet `pkt` (stored in the slab under `h`) into its
+    /// class/VC queue.
+    pub fn enqueue(&mut self, h: PacketHandle, pkt: &Packet) {
         self.queued_wire += pkt.wire as u64;
         let q = pkt.tc as usize * NUM_VCS + vc_of(pkt.route.hops);
-        self.queues[q].push_back(pkt);
+        self.queues[q].push_back(Queued {
+            pkt: h,
+            wire: pkt.wire,
+            born: pkt.born,
+        });
     }
 
     /// Whether any packet is queued.
@@ -261,19 +306,21 @@ mod tests {
         }
     }
 
+    /// A channel port with one class, or with fig14's two classes (and so
+    /// a QoS scheduler) when `n_tc` is 2.
     fn port(n_tc: usize, pool: u64) -> OutPort {
-        OutPort {
-            kind: PortKind::Channel(ChannelId(0)),
-            queues: vec![VecDeque::new(); n_tc * NUM_VCS],
-            queued_wire: 0,
-            busy: false,
-            outstanding: vec![0; n_tc * NUM_VCS],
+        let classes = match n_tc {
+            1 => TrafficClassSet::single(),
+            2 => TrafficClassSet::fig14(),
+            _ => unreachable!("test ports have one or two classes"),
+        };
+        OutPort::new(
+            PortKind::Channel(ChannelId(0)),
+            &classes,
             pool,
-            rate_bps: 25e9,
-            prop: SimDuration::from_ns(13),
-            sched: None,
-            tx_wire_bytes: 0,
-        }
+            25e9,
+            SimDuration::from_ns(13),
+        )
     }
 
     #[test]
@@ -294,9 +341,9 @@ mod tests {
     fn buffer_exhaustion_gates_transmission() {
         // Pool: per-VC reserves plus a shared region of ~1.2 packets.
         let mut p = port(1, NUM_VCS as u64 * VC_RESERVE + 5000);
-        p.enqueue(test_packet(4158, 0, 0));
-        p.enqueue(test_packet(4158, 0, 0));
-        p.enqueue(test_packet(4158, 0, 0));
+        p.enqueue(PacketHandle(0), &test_packet(4158, 0, 0));
+        p.enqueue(PacketHandle(0), &test_packet(4158, 0, 0));
+        p.enqueue(PacketHandle(0), &test_packet(4158, 0, 0));
         // First packet fits the reserve, second spills into shared.
         let _ = p.take(0, 0, SimTime::ZERO);
         let _ = p.take(0, 0, SimTime::ZERO);
@@ -312,13 +359,13 @@ mod tests {
         // admissible within its reserve (the escape buffer).
         let mut p = port(1, NUM_VCS as u64 * VC_RESERVE + 100_000);
         for _ in 0..30 {
-            p.enqueue(test_packet(4158, 0, 1));
+            p.enqueue(PacketHandle(0), &test_packet(4158, 0, 1));
         }
         while let Some((tc, vc)) = p.pick(SimTime::ZERO) {
             let _ = p.take(tc, vc, SimTime::ZERO);
         }
         assert!(p.downstream_held() > 100_000, "pool not saturated");
-        p.enqueue(test_packet(4158, 0, 0));
+        p.enqueue(PacketHandle(0), &test_packet(4158, 0, 0));
         assert_eq!(p.pick(SimTime::ZERO), Some((0, 0)), "escape reserve");
     }
 
@@ -329,8 +376,8 @@ mod tests {
         old.born = SimTime::from_ns(10);
         let mut young = test_packet(100, 0, 0);
         young.born = SimTime::from_ns(20);
-        p.enqueue(young);
-        p.enqueue(old);
+        p.enqueue(PacketHandle(1), &young);
+        p.enqueue(PacketHandle(2), &old);
         assert_eq!(p.pick(SimTime::ZERO), Some((0, 3)), "older vc3 head first");
         let _ = p.take(0, 3, SimTime::ZERO);
         assert_eq!(p.pick(SimTime::ZERO), Some((0, 0)));
@@ -343,8 +390,8 @@ mod tests {
         old.born = SimTime::from_ns(10);
         let mut young = test_packet(100, 0, 0);
         young.born = SimTime::from_ns(20);
-        p.enqueue(old);
-        p.enqueue(young);
+        p.enqueue(PacketHandle(2), &old);
+        p.enqueue(PacketHandle(1), &young);
         // Exhaust vc2's reserve; the shared region is zero-sized here.
         p.outstanding[2] = VC_RESERVE;
         assert_eq!(p.pick(SimTime::ZERO), Some((0, 0)), "work conservation");
@@ -354,8 +401,8 @@ mod tests {
     fn blocked_vc_does_not_starve_others() {
         // Zero shared region: each VC has only its reserve.
         let mut p = port(1, NUM_VCS as u64 * VC_RESERVE);
-        p.enqueue(test_packet(100, 0, 2));
-        p.enqueue(test_packet(100, 0, 0));
+        p.enqueue(PacketHandle(0), &test_packet(100, 0, 2));
+        p.enqueue(PacketHandle(0), &test_packet(100, 0, 0));
         p.outstanding[2] = VC_RESERVE; // vc2 blocked downstream
         assert_eq!(p.pick(SimTime::ZERO), Some((0, 0)));
     }
@@ -363,11 +410,12 @@ mod tests {
     #[test]
     fn take_maintains_accounting() {
         let mut p = port(1, 1 << 20);
-        p.enqueue(test_packet(500, 0, 1));
-        p.enqueue(test_packet(300, 0, 1));
+        p.enqueue(PacketHandle(7), &test_packet(500, 0, 1));
+        p.enqueue(PacketHandle(3), &test_packet(300, 0, 1));
         assert_eq!(p.queued_wire, 800);
-        let pkt = p.take(0, 1, SimTime::ZERO);
-        assert_eq!(pkt.wire, 500);
+        let head = p.take(0, 1, SimTime::ZERO);
+        assert_eq!(head.pkt, PacketHandle(7), "FIFO within a VOQ");
+        assert_eq!(head.wire, 500);
         assert_eq!(p.queued_wire, 300);
         assert_eq!(p.outstanding[1], 500);
         p.credit_return(0, 1, 500).unwrap();
@@ -377,7 +425,7 @@ mod tests {
     #[test]
     fn credit_underflow_reports_and_saturates() {
         let mut p = port(1, 1 << 20);
-        p.enqueue(test_packet(500, 0, 1));
+        p.enqueue(PacketHandle(0), &test_packet(500, 0, 1));
         let _ = p.take(0, 1, SimTime::ZERO);
         // Returning more than is outstanding is an underflow: the counter
         // saturates at zero and the prior outstanding comes back in `Err`.
@@ -390,7 +438,7 @@ mod tests {
     fn load_estimate_includes_downstream() {
         let mut p = port(1, 1000);
         assert_eq!(p.load_estimate(), 0);
-        p.enqueue(test_packet(100, 0, 0));
+        p.enqueue(PacketHandle(0), &test_packet(100, 0, 0));
         assert_eq!(p.load_estimate(), 100);
         let _ = p.take(0, 0, SimTime::ZERO);
         // Packet gone from the queue but its bytes are "downstream".
@@ -401,7 +449,7 @@ mod tests {
     fn eject_port_has_no_downstream_pressure() {
         let mut p = port(1, 0); // pool 0 = unlimited ejection
         p.kind = PortKind::Eject(NodeId(0));
-        p.enqueue(test_packet(100, 0, 3));
+        p.enqueue(PacketHandle(0), &test_packet(100, 0, 3));
         assert_eq!(p.pick(SimTime::ZERO), Some((0, 3)));
         let _ = p.take(0, 3, SimTime::ZERO);
         assert_eq!(p.downstream_held(), 0);
@@ -410,7 +458,7 @@ mod tests {
     #[test]
     fn head_blocked_tracks_credit_starvation() {
         let mut p = port(1, NUM_VCS as u64 * VC_RESERVE);
-        p.enqueue(test_packet(4158, 0, 2));
+        p.enqueue(PacketHandle(0), &test_packet(4158, 0, 2));
         assert!(!p.head_blocked(0, 2));
         p.outstanding[2] = VC_RESERVE; // reserve gone, shared region is zero
         assert!(p.head_blocked(0, 2));
@@ -420,13 +468,46 @@ mod tests {
     #[test]
     fn multi_tc_indexing() {
         let mut p = port(2, 1 << 20);
-        p.sched = Some(QosScheduler::new(
-            slingshot_qos::TrafficClassSet::fig14(),
-            25e9,
-        ));
-        p.enqueue(test_packet(100, 1, 2));
+        p.enqueue(PacketHandle(0), &test_packet(100, 1, 2));
         assert_eq!(p.queues[NUM_VCS + 2].len(), 1);
         let picked = p.pick(SimTime::ZERO);
         assert_eq!(picked, Some((1, 2)));
+    }
+
+    #[test]
+    fn entry_carries_what_arbitration_reads() {
+        let mut p = port(1, 1 << 20);
+        let mut pkt = test_packet(700, 0, 2);
+        pkt.born = SimTime::from_ns(42);
+        p.enqueue(PacketHandle(5), &pkt);
+        assert_eq!(
+            p.queues[2].front(),
+            Some(&Queued {
+                pkt: PacketHandle(5),
+                wire: 700,
+                born: SimTime::from_ns(42),
+            })
+        );
+        assert_eq!(std::mem::size_of::<Queued>(), 16);
+    }
+
+    #[test]
+    fn two_class_pick_serves_both_classes() {
+        let mut p = port(2, 0);
+        let mut now = SimTime::ZERO;
+        let mut served = [0u32; 2];
+        for _ in 0..200 {
+            for tc in 0..2u8 {
+                if p.queues[tc as usize * NUM_VCS].is_empty() {
+                    p.enqueue(PacketHandle(tc as u32), &test_packet(4158, tc, 0));
+                }
+            }
+            let (tc, vc) = p.pick(now).expect("both classes backlogged");
+            let head = p.take(tc, vc, now);
+            assert_eq!(head.pkt, PacketHandle(tc as u32));
+            served[tc] += 1;
+            now += p.serialization(head.wire);
+        }
+        assert!(served[0] > served[1] && served[1] > 0, "{served:?}");
     }
 }

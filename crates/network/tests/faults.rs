@@ -215,3 +215,53 @@ fn fault_scenarios_are_deterministic() {
     assert_eq!(a.fault_stats(), b.fault_stats());
     assert_eq!(a.take_notifications(), b.take_notifications());
 }
+
+#[test]
+fn every_recovery_path_quiesces_with_an_empty_packet_slab() {
+    // Error bursts hard enough to exhaust LLR on some links (drop + link
+    // retrain), plus an outage of the destination switch (drops recovered
+    // by end-to-end retransmits): every packet slot — originals, replayed
+    // packets, retransmit copies — must be freed by quiescence.
+    let mut cfg = NetworkConfig::slingshot(tiny());
+    let (n_channels, dst_switch) = {
+        let topo = cfg.topology.build();
+        (
+            topo.channels().len() as u32,
+            topo.switch_of_node(NodeId(12)),
+        )
+    };
+    let mut schedule = FaultSchedule::empty();
+    for ch in 0..n_channels {
+        schedule.push(
+            SimTime::ZERO,
+            FaultKind::TransientBurst {
+                channel: slingshot_topology::ChannelId(ch),
+                error_rate: 0.6,
+                duration: SimDuration::from_us(200),
+            },
+        );
+    }
+    schedule.push(
+        SimTime::from_us(2),
+        FaultKind::SwitchDown { switch: dst_switch },
+    );
+    schedule.push(
+        SimTime::from_us(120),
+        FaultKind::SwitchUp { switch: dst_switch },
+    );
+    cfg.faults = Some(FaultConfig::new(schedule));
+    let mut net = Network::new(cfg);
+    drive_traffic(&mut net);
+
+    let stats = net.fault_stats().expect("fault mode");
+    assert!(stats.llr_replays > 0, "no LLR replays");
+    assert!(stats.llr_escalations > 0, "no LLR exhaustion drops");
+    assert!(
+        stats.dropped_total() > stats.dropped_llr_exhausted,
+        "outage dropped nothing"
+    );
+    assert!(stats.e2e_retransmits > 0, "no end-to-end retransmissions");
+    assert_eq!(delivered_count(&net.take_notifications()), 4);
+    net.assert_fault_conservation();
+    net.assert_quiescent_invariants();
+}

@@ -77,16 +77,22 @@ impl QosScheduler {
 
     /// Pick the class to serve next among those with queued traffic.
     ///
-    /// `backlog[i]` is true when class `i` has at least one packet queued.
-    /// Returns `None` when nothing is queued.
-    pub fn pick(&mut self, backlog: &[bool], now: SimTime) -> Option<usize> {
-        assert_eq!(backlog.len(), self.state.len(), "backlog size mismatch");
+    /// Bit `i` of `backlog` is set when class `i` has at least one packet
+    /// queued (a class set holds at most 64 classes: their DSCP tags are
+    /// distinct 6-bit values). Returns `None` when nothing is queued.
+    pub fn pick(&mut self, backlog: u64, now: SimTime) -> Option<usize> {
+        debug_assert_eq!(
+            backlog.checked_shr(self.state.len() as u32).unwrap_or(0),
+            0,
+            "backlog names a class outside the set"
+        );
+        let queued = |i: usize| backlog >> i & 1 != 0;
         self.advance(now);
         // Phase 1: guaranteed bandwidth — classes holding tokens, strict
         // priority, ties to the one with most tokens.
         let mut best: Option<usize> = None;
         for (i, st) in self.state.iter().enumerate() {
-            if !backlog[i] || st.tokens < 1.0 {
+            if !queued(i) || st.tokens < 1.0 {
                 continue;
             }
             if self.exceeds_cap(i) {
@@ -114,7 +120,7 @@ impl QosScheduler {
         // the lowest bandwidth share").
         let mut best: Option<usize> = None;
         for (i, st) in self.state.iter().enumerate() {
-            if !backlog[i] || self.exceeds_cap(i) {
+            if !queued(i) || self.exceeds_cap(i) {
                 continue;
             }
             match best {
@@ -167,19 +173,20 @@ mod tests {
     const LINK: f64 = 25e9; // 200 Gb/s in bytes/s
     const PKT: u64 = 4158; // one MTU packet on the wire
 
-    /// Serve `n` packets with the given backlog pattern; returns bytes per
+    /// Serve `n` packets with the given backlog bitmask; returns bytes per
     /// class.
-    fn run(sched: &mut QosScheduler, backlog: &[bool], n: usize) -> Vec<u64> {
+    fn run(sched: &mut QosScheduler, backlog: u64, n: usize) -> Vec<u64> {
         let mut now = SimTime::ZERO;
         let per_pkt = SimDuration::from_secs_f64(PKT as f64 / LINK);
-        let before: Vec<u64> = (0..backlog.len()).map(|i| sched.served_bytes(i)).collect();
+        let n_tc = sched.classes().len();
+        let before: Vec<u64> = (0..n_tc).map(|i| sched.served_bytes(i)).collect();
         for _ in 0..n {
             if let Some(tc) = sched.pick(backlog, now) {
                 sched.on_served(tc, PKT, now);
             }
             now += per_pkt;
         }
-        (0..backlog.len())
+        (0..n_tc)
             .map(|i| sched.served_bytes(i) - before[i])
             .collect()
     }
@@ -187,7 +194,7 @@ mod tests {
     #[test]
     fn lone_class_gets_everything() {
         let mut s = QosScheduler::new(TrafficClassSet::fig14(), LINK);
-        let served = run(&mut s, &[true, false], 2000);
+        let served = run(&mut s, 0b01, 2000);
         assert!(served[0] > 0);
         assert_eq!(served[1], 0);
     }
@@ -197,7 +204,7 @@ mod tests {
         // Both classes saturating: TC1 (min 80 %) gets ~80 %, TC2 (min
         // 10 %) gets its 10 % plus the unallocated 10 % → ~20 %.
         let mut s = QosScheduler::new(TrafficClassSet::fig14(), LINK);
-        let served = run(&mut s, &[true, true], 20_000);
+        let served = run(&mut s, 0b11, 20_000);
         let total = (served[0] + served[1]) as f64;
         let f1 = served[0] as f64 / total;
         let f2 = served[1] as f64 / total;
@@ -211,7 +218,7 @@ mod tests {
             TrafficClassSet::new(vec![TrafficClass::bulk(1, 0.4), TrafficClass::bulk(2, 0.4)])
                 .unwrap();
         let mut s = QosScheduler::new(set, LINK);
-        let served = run(&mut s, &[true, true], 20_000);
+        let served = run(&mut s, 0b11, 20_000);
         let ratio = served[0] as f64 / served[1] as f64;
         assert!((0.9..=1.1).contains(&ratio), "ratio {ratio}");
     }
@@ -225,7 +232,7 @@ mod tests {
         .unwrap();
         let mut s = QosScheduler::new(set, LINK);
         // Single decision with both backlogged and both holding tokens.
-        let pick = s.pick(&[true, true], SimTime::ZERO).unwrap();
+        let pick = s.pick(0b11, SimTime::ZERO).unwrap();
         assert_eq!(pick, 0, "high-priority class must be served first");
     }
 
@@ -235,7 +242,7 @@ mod tests {
         capped.max_bandwidth = 0.3;
         let set = TrafficClassSet::new(vec![capped, TrafficClass::bulk(2, 0.1)]).unwrap();
         let mut s = QosScheduler::new(set, LINK);
-        let served = run(&mut s, &[true, true], 20_000);
+        let served = run(&mut s, 0b11, 20_000);
         let f_capped = served[0] as f64 / (served[0] + served[1]) as f64;
         assert!(f_capped <= 0.4, "capped class got {f_capped}");
     }
@@ -243,7 +250,7 @@ mod tests {
     #[test]
     fn empty_backlog_picks_nothing() {
         let mut s = QosScheduler::new(TrafficClassSet::fig14(), LINK);
-        assert_eq!(s.pick(&[false, false], SimTime::ZERO), None);
+        assert_eq!(s.pick(0, SimTime::ZERO), None);
     }
 
     #[test]
@@ -252,7 +259,7 @@ mod tests {
         let mut now = SimTime::ZERO;
         let per_pkt = SimDuration::from_secs_f64(PKT as f64 / LINK);
         for _ in 0..5_000 {
-            let tc = s.pick(&[true], now).unwrap();
+            let tc = s.pick(0b1, now).unwrap();
             s.on_served(tc, PKT, now);
             now += per_pkt;
         }
