@@ -2,8 +2,8 @@
 //!
 //! Times the simulator's hot kernels — next-hop table lookups, adaptive
 //! routing decisions, NIC in-flight accounting, QoS arbitration, the event
-//! queue — and one
-//! end-to-end simulation for an events/sec figure. A counting allocator
+//! queue in heap and calendar mode, the RNG, the Rosetta latency draw — and
+//! one end-to-end simulation for an events/sec figure. A counting allocator
 //! wraps the system allocator so every record carries allocs/op next to
 //! ns/op: the routing fast path's zero-allocation claim is measured here
 //! on every run, not asserted once in review.
@@ -18,6 +18,7 @@ use slingshot::network::{
     InFlightMap, InSource, MessageId, OutPort, Packet, PacketHandle, PortKind,
 };
 use slingshot::qos::TrafficClassSet;
+use slingshot::rosetta::LatencyModel;
 use slingshot::routing::{AdaptiveParams, QuietView, RouteState, Router, RoutingAlgorithm, Via};
 use slingshot::telemetry::{HopKind, TelemetryConfig, TelemetryHub};
 use slingshot::topology::{shandy, ChannelId, Liveness, NodeId, SwitchId};
@@ -293,22 +294,70 @@ fn main() {
         },
     ));
 
-    let mut queue = EventQueue::with_capacity(32_768);
-    for i in 0..32_768u64 {
-        queue.push(SimTime::from_ps(i * 997 % 1_000_000), i);
-    }
-    let mut jitter: u64 = 0x2545_F491_4F6C_DD1D;
+    // Heap mode: a population below the hybrid queue's migration
+    // threshold, filled and drained once per op. The queue is reused, so
+    // the timed region measures the heap rather than the allocator.
+    let mut queue = EventQueue::with_capacity(1024);
     benches.push(bench(
-        "event_queue_hold_32k",
-        200_000 * scale,
-        false,
+        "event_queue_push_pop_1k",
+        2_000 * scale,
+        true,
         || {
-            let (t, v) = queue.pop().expect("standing population");
-            jitter ^= jitter << 13;
-            jitter ^= jitter >> 7;
-            jitter ^= jitter << 17;
-            queue.push(SimTime::from_ps(t.as_ps() + 1_000 + jitter % 20_000), v);
-            black_box(t);
+            for i in 0..1024u64 {
+                queue.push(SimTime::from_ps(i * 37 % 5000), i);
+            }
+            let mut acc = 0u64;
+            while let Some((_, v)) = queue.pop() {
+                acc = acc.wrapping_add(v);
+            }
+            black_box(acc);
+        },
+    ));
+
+    // Calendar mode: the hold model is the queue's steady state in a
+    // running simulation, a standing event population where every pop
+    // reschedules an event a bounded jitter ahead. Both sizes sit above
+    // the migration threshold.
+    for n in [32_768u64, 262_144] {
+        let mut queue = EventQueue::with_capacity(n as usize);
+        for i in 0..n {
+            queue.push(SimTime::from_ps(i * 997 % 1_000_000), i);
+        }
+        let mut jitter: u64 = 0x2545_F491_4F6C_DD1D;
+        benches.push(bench(
+            &format!("event_queue_hold_{}k", n >> 10),
+            200_000 * scale,
+            false,
+            || {
+                let (t, v) = queue.pop().expect("standing population");
+                jitter ^= jitter << 13;
+                jitter ^= jitter >> 7;
+                jitter ^= jitter << 17;
+                queue.push(SimTime::from_ps(t.as_ps() + 1_000 + jitter % 20_000), v);
+                black_box(t);
+            },
+        ));
+    }
+
+    let mut rng = DetRng::seed_from(7);
+    benches.push(bench("det_rng_below_1k", 2_000 * scale, true, || {
+        let mut acc = 0u64;
+        for _ in 0..1000 {
+            acc = acc.wrapping_add(rng.below(64));
+        }
+        black_box(acc);
+    }));
+
+    // Fig. 2's per-traversal draw: fixed pipeline stages, the tile route
+    // for the port pair, arbitration jitter and the rare heavy tail.
+    let model = LatencyModel::rosetta();
+    let mut rng = DetRng::seed_from(8);
+    benches.push(bench(
+        "rosetta_latency_sample",
+        200_000 * scale,
+        true,
+        || {
+            black_box(model.sample(&mut rng, 19, 56));
         },
     ));
 

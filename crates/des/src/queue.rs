@@ -20,8 +20,8 @@
 //!   usually tiny) bucket; `pop` reads the cursor's current slot and only
 //!   advances when the slot's window is exhausted — amortized O(1),
 //!   which overtakes the heap once log n levels of random cache lines
-//!   dominate (the crossover sits in the thousands; see
-//!   `event_queue_hold_*` in `crates/bench`).
+//!   dominate (the crossover sits in the thousands; see `kernel_bench`'s
+//!   `event_queue_hold_*` records in `BENCH_kernel.json`).
 //!
 //! Both structures pop the identical `(time, seq)` total order, so the
 //! mode — and the instant of migration — can never change simulation

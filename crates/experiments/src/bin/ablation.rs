@@ -1,7 +1,7 @@
 //! Ablation sweeps: which design choices produce Slingshot's congestion
 //! isolation (not a paper figure; see DESIGN.md).
 
-use slingshot_experiments::report::{report_failures, save_json, Table};
+use slingshot_experiments::report::{self, save_json, Table};
 use slingshot_experiments::{ablation, runner, RunConfig};
 
 fn main() {
@@ -25,11 +25,5 @@ fn main() {
     t.print();
     let name = format!("ablation_{}", scale.label());
     save_json(&name, rows);
-    if cfg.verbose {
-        slingshot_experiments::report::print_kernel_stats();
-        slingshot_experiments::report::save_kernel_stats(&name);
-    }
-    if report_failures(&name, &out.failures) {
-        std::process::exit(1);
-    }
+    report::finish(&cfg, &name, &out.failures);
 }

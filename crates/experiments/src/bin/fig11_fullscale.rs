@@ -1,6 +1,6 @@
 //! Reproduces Fig. 11: congestion impact at full system scale.
 
-use slingshot_experiments::report::{fmt_impact, report_failures, save_json, Table};
+use slingshot_experiments::report::{self, fmt_impact, save_json, Table};
 use slingshot_experiments::{fig11, runner, RunConfig, SweepCache};
 
 fn main() {
@@ -41,11 +41,5 @@ fn main() {
     if let Some(cache) = &cache {
         cache.log_resume_summary(&name);
     }
-    if cfg.verbose {
-        slingshot_experiments::report::print_kernel_stats();
-        slingshot_experiments::report::save_kernel_stats(&name);
-    }
-    if report_failures(&name, &out.failures) {
-        std::process::exit(1);
-    }
+    report::finish(&cfg, &name, &out.failures);
 }

@@ -1,6 +1,6 @@
 //! Reproduces Fig. 12: bursty incast vs a 128 B MPI_Alltoall victim.
 
-use slingshot_experiments::report::{fmt_bytes, report_failures, save_json, Table};
+use slingshot_experiments::report::{self, fmt_bytes, save_json, Table};
 use slingshot_experiments::{fig12, runner, RunConfig};
 
 fn main() {
@@ -27,11 +27,5 @@ fn main() {
     save_json(&name, rows);
     // With --telemetry, re-run the worst bursty corner traced.
     slingshot_experiments::telemetry::trace_fig12(&cfg);
-    if cfg.verbose {
-        slingshot_experiments::report::print_kernel_stats();
-        slingshot_experiments::report::save_kernel_stats(&name);
-    }
-    if report_failures(&name, &out.failures) {
-        std::process::exit(1);
-    }
+    report::finish(&cfg, &name, &out.failures);
 }

@@ -1,6 +1,6 @@
 //! Reproduces Fig. 13: traffic-class isolation of an 8 B allreduce.
 
-use slingshot_experiments::report::{report_failures, save_json, Table};
+use slingshot_experiments::report::{self, save_json, Table};
 use slingshot_experiments::{fig13, runner, RunConfig};
 
 fn main() {
@@ -47,11 +47,5 @@ fn main() {
     println!("paper: 2.85x in the same class once the alltoall starts (~0.4 ms), 1.15x in a separate class.");
     let name = format!("fig13_{}", scale.label());
     save_json(&name, rows);
-    if cfg.verbose {
-        slingshot_experiments::report::print_kernel_stats();
-        slingshot_experiments::report::save_kernel_stats(&name);
-    }
-    if report_failures(&name, &out.failures) {
-        std::process::exit(1);
-    }
+    report::finish(&cfg, &name, &out.failures);
 }

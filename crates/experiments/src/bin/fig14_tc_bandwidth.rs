@@ -1,7 +1,7 @@
 //! Reproduces Fig. 14: bandwidth guarantees between traffic classes.
 
 use slingshot_experiments::fig14::window_mean;
-use slingshot_experiments::report::{report_failures, save_json, Table};
+use slingshot_experiments::report::{self, save_json, Table};
 use slingshot_experiments::{fig14, runner, RunConfig};
 
 fn main() {
@@ -39,11 +39,5 @@ fn main() {
     println!("~80% (its guarantee) and job2 gets ~20% (its 10% + the unallocated 10%).");
     let name = format!("fig14_{}", scale.label());
     save_json(&name, rows);
-    if cfg.verbose {
-        slingshot_experiments::report::print_kernel_stats();
-        slingshot_experiments::report::save_kernel_stats(&name);
-    }
-    if report_failures(&name, &out.failures) {
-        std::process::exit(1);
-    }
+    report::finish(&cfg, &name, &out.failures);
 }

@@ -1,6 +1,6 @@
 //! Reproduces Fig. 2: the Rosetta switch-latency distribution.
 
-use slingshot_experiments::report::{report_failures, save_json, Table};
+use slingshot_experiments::report::{self, save_json, Table};
 use slingshot_experiments::{fig2, runner, RunConfig};
 
 fn main() {
@@ -33,11 +33,5 @@ fn main() {
     t.print();
     let name = format!("fig2_{}", scale.label());
     save_json(&name, r);
-    if cfg.verbose {
-        slingshot_experiments::report::print_kernel_stats();
-        slingshot_experiments::report::save_kernel_stats(&name);
-    }
-    if report_failures(&name, &out.failures) {
-        std::process::exit(1);
-    }
+    report::finish(&cfg, &name, &out.failures);
 }

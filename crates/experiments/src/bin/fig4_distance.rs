@@ -1,6 +1,6 @@
 //! Reproduces Fig. 4: latency/bandwidth vs node distance (isolated system).
 
-use slingshot_experiments::report::{fmt_bytes, report_failures, save_json, Table};
+use slingshot_experiments::report::{self, fmt_bytes, save_json, Table};
 use slingshot_experiments::{fig4, runner, RunConfig};
 
 fn main() {
@@ -38,11 +38,5 @@ fn main() {
     t.print();
     let name = format!("fig4_{}", scale.label());
     save_json(&name, rows);
-    if cfg.verbose {
-        slingshot_experiments::report::print_kernel_stats();
-        slingshot_experiments::report::save_kernel_stats(&name);
-    }
-    if report_failures(&name, &out.failures) {
-        std::process::exit(1);
-    }
+    report::finish(&cfg, &name, &out.failures);
 }

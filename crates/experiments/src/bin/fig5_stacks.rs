@@ -1,6 +1,6 @@
 //! Reproduces Fig. 5: RTT/2 per software layer vs message size.
 
-use slingshot_experiments::report::{fmt_bytes, report_failures, save_json, Table};
+use slingshot_experiments::report::{self, fmt_bytes, save_json, Table};
 use slingshot_experiments::{fig5, runner, RunConfig};
 
 fn main() {
@@ -23,11 +23,5 @@ fn main() {
     println!("paper inset at 8 B: verbs ~1.3 us, MPI slightly above libfabric, UDP ~2.3, TCP ~3.3");
     let name = format!("fig5_{}", scale.label());
     save_json(&name, rows);
-    if cfg.verbose {
-        slingshot_experiments::report::print_kernel_stats();
-        slingshot_experiments::report::save_kernel_stats(&name);
-    }
-    if report_failures(&name, &out.failures) {
-        std::process::exit(1);
-    }
+    report::finish(&cfg, &name, &out.failures);
 }

@@ -1,6 +1,6 @@
 //! Reproduces Fig. 6: bisection and MPI_Alltoall bandwidth on Shandy.
 
-use slingshot_experiments::report::{fmt_bytes, report_failures, save_json, Table};
+use slingshot_experiments::report::{self, fmt_bytes, save_json, Table};
 use slingshot_experiments::{fig6, runner, RunConfig};
 
 fn main() {
@@ -37,11 +37,5 @@ fn main() {
     t.print();
     let name = format!("fig6_{}", scale.label());
     save_json(&name, r);
-    if cfg.verbose {
-        slingshot_experiments::report::print_kernel_stats();
-        slingshot_experiments::report::save_kernel_stats(&name);
-    }
-    if report_failures(&name, &out.failures) {
-        std::process::exit(1);
-    }
+    report::finish(&cfg, &name, &out.failures);
 }

@@ -1,6 +1,6 @@
 //! Reproduces Fig. 8: Tailbench latency distributions ± incast congestion.
 
-use slingshot_experiments::report::{report_failures, save_json, Table};
+use slingshot_experiments::report::{self, save_json, Table};
 use slingshot_experiments::{fig8, runner, RunConfig};
 
 fn main() {
@@ -39,11 +39,5 @@ fn main() {
     println!("sphinx degrades least (lowest communication/computation ratio).");
     let name = format!("fig8_{}", scale.label());
     save_json(&name, rows);
-    if cfg.verbose {
-        slingshot_experiments::report::print_kernel_stats();
-        slingshot_experiments::report::save_kernel_stats(&name);
-    }
-    if report_failures(&name, &out.failures) {
-        std::process::exit(1);
-    }
+    report::finish(&cfg, &name, &out.failures);
 }

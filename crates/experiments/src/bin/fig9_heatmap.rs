@@ -1,7 +1,7 @@
 //! Reproduces Fig. 9: the congestion-impact heatmap.
 
 use slingshot_experiments::fig9::{run_with, HeatmapOpts};
-use slingshot_experiments::report::{fmt_impact, report_failures, save_json, Table};
+use slingshot_experiments::report::{self, fmt_impact, save_json, Table};
 use slingshot_experiments::{runner, RunConfig, SweepCache};
 
 fn main() {
@@ -56,11 +56,5 @@ fn main() {
     if let Some(cache) = &cache {
         cache.log_resume_summary(&name);
     }
-    if cfg.verbose {
-        slingshot_experiments::report::print_kernel_stats();
-        slingshot_experiments::report::save_kernel_stats(&name);
-    }
-    if report_failures(&name, &out.failures) {
-        std::process::exit(1);
-    }
+    report::finish(&cfg, &name, &out.failures);
 }

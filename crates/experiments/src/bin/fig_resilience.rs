@@ -1,7 +1,7 @@
 //! Resilience sweep: throughput/latency degradation and recovery under
 //! seeded fault injection (not a paper figure; exercises §II-F).
 
-use slingshot_experiments::report::{report_failures, save_json, Table};
+use slingshot_experiments::report::{self, save_json, Table};
 use slingshot_experiments::{resilience, runner, RunConfig};
 
 fn main() {
@@ -55,11 +55,5 @@ fn main() {
     );
     let name = format!("fig_resilience_{}", scale.label());
     save_json(&name, rows);
-    if cfg.verbose {
-        slingshot_experiments::report::print_kernel_stats();
-        slingshot_experiments::report::save_kernel_stats(&name);
-    }
-    if report_failures(&name, &out.failures) {
-        std::process::exit(1);
-    }
+    report::finish(&cfg, &name, &out.failures);
 }

@@ -1,5 +1,7 @@
 //! Reporting utilities: aligned console tables and JSON result dumps.
 
+use crate::runner::CellFailure;
+use crate::RunConfig;
 use serde::Serialize;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -122,10 +124,24 @@ pub fn fmt_bytes(b: u64) -> String {
     }
 }
 
-/// Print the process-global simulation-kernel counters to stderr
-/// (`--verbose`). Stderr keeps figure stdout byte-comparable across runs
-/// whose wall time differs.
-pub fn print_kernel_stats() {
+/// The epilogue every figure binary calls last, once all of its
+/// networks (telemetry re-runs included) have been simulated and dropped:
+/// under `--verbose`, print and save the process-global kernel counters;
+/// then report failed cells and exit 1 if there were any.
+pub fn finish(cfg: &RunConfig, name: &str, failures: &[CellFailure]) {
+    if cfg.verbose {
+        print_kernel_stats();
+        save_kernel_stats(name);
+    }
+    if report_failures(name, failures) {
+        std::process::exit(1);
+    }
+}
+
+/// Print the process-global simulation-kernel counters to stderr.
+/// Stderr keeps figure stdout byte-comparable across runs whose wall time
+/// differs.
+fn print_kernel_stats() {
     let (k, networks) = slingshot_network::global_kernel_stats();
     eprintln!();
     eprintln!("kernel counters ({networks} networks simulated):");
@@ -154,11 +170,10 @@ pub fn print_kernel_stats() {
 }
 
 /// Persist the process-global kernel counters as
-/// `results/<name>_kernelstats.json` — the machine-readable companion to
-/// [`print_kernel_stats`], written by every figure binary under
-/// `--verbose` so perf investigations can diff counter totals across
-/// runs without scraping stderr.
-pub fn save_kernel_stats(name: &str) {
+/// `results/<name>_kernelstats.json`, the machine-readable companion to
+/// [`print_kernel_stats`], so perf investigations can diff counter totals
+/// across runs without scraping stderr.
+fn save_kernel_stats(name: &str) {
     #[derive(Serialize)]
     struct KernelStatsFile {
         /// Networks simulated by this process (counters are summed over
@@ -175,10 +190,9 @@ pub fn save_kernel_stats(name: &str) {
 
 /// Print failed sweep cells as an error table, persist them to
 /// `results/<name>_errors.json`, and return whether there were any.
-/// Callers exit non-zero on `true`. Fault-free sweeps print nothing and
-/// write nothing, so the primary `<name>.json` stays byte-identical to
-/// the pre-quarantine harness.
-pub fn report_failures(name: &str, failures: &[crate::runner::CellFailure]) -> bool {
+/// Fault-free sweeps print nothing and write nothing, so the primary
+/// `<name>.json` stays byte-identical to the pre-quarantine harness.
+fn report_failures(name: &str, failures: &[CellFailure]) -> bool {
     if failures.is_empty() {
         return false;
     }

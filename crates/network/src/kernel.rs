@@ -3,15 +3,15 @@
 //! A [`KernelStats`] block lives inside every [`crate::Network`]: plain
 //! `u64` counters bumped on the event dispatch path (one add each — cheap
 //! enough to leave on unconditionally), plus queue-occupancy high-water
-//! tracking. When a `Network` is dropped its counters are flushed into a
-//! process-global atomic block, so experiment binaries — which build and
+//! tracking. When a `Network` is dropped its counters are merged into a
+//! process-global block, so experiment binaries — which build and
 //! discard thousands of networks across worker threads — can report
 //! aggregate kernel activity under `--verbose` without threading state
 //! through every figure module. Totals are sums, so the global snapshot is
 //! deterministic at any `--jobs` width.
 
 use serde::Serialize;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{LazyLock, Mutex, MutexGuard, PoisonError};
 
 /// Per-network event and routing counters.
 ///
@@ -81,101 +81,51 @@ impl KernelStats {
             + self.events_fault
             + self.events_e2e_timeout
     }
+
+    /// Add `other`'s counters into `self`; `queue_hwm` takes the larger
+    /// of the two high-water marks.
+    pub fn merge(&mut self, other: &KernelStats) {
+        self.events_nic_tx += other.events_nic_tx;
+        self.events_arrive_switch += other.events_arrive_switch;
+        self.events_enqueue_out += other.events_enqueue_out;
+        self.events_tx_done += other.events_tx_done;
+        self.events_credit += other.events_credit;
+        self.events_arrive_nic += other.events_arrive_nic;
+        self.events_ack += other.events_ack;
+        self.events_loopback += other.events_loopback;
+        self.events_wakeup += other.events_wakeup;
+        self.events_fault += other.events_fault;
+        self.events_e2e_timeout += other.events_e2e_timeout;
+        self.routing_decisions += other.routing_decisions;
+        self.adaptive_minimal += other.adaptive_minimal;
+        self.adaptive_nonminimal += other.adaptive_nonminimal;
+        self.next_hop_lookups += other.next_hop_lookups;
+        self.llr_replays += other.llr_replays;
+        self.llr_escalations += other.llr_escalations;
+        self.e2e_retransmits += other.e2e_retransmits;
+        self.packets_dropped += other.packets_dropped;
+        self.route_heals += other.route_heals;
+        self.queue_hwm = self.queue_hwm.max(other.queue_hwm);
+    }
 }
 
-/// Process-global aggregate of every dropped network's [`KernelStats`].
-struct GlobalKernelStats {
-    events_nic_tx: AtomicU64,
-    events_arrive_switch: AtomicU64,
-    events_enqueue_out: AtomicU64,
-    events_tx_done: AtomicU64,
-    events_credit: AtomicU64,
-    events_arrive_nic: AtomicU64,
-    events_ack: AtomicU64,
-    events_loopback: AtomicU64,
-    events_wakeup: AtomicU64,
-    events_fault: AtomicU64,
-    events_e2e_timeout: AtomicU64,
-    routing_decisions: AtomicU64,
-    adaptive_minimal: AtomicU64,
-    adaptive_nonminimal: AtomicU64,
-    next_hop_lookups: AtomicU64,
-    llr_replays: AtomicU64,
-    llr_escalations: AtomicU64,
-    e2e_retransmits: AtomicU64,
-    packets_dropped: AtomicU64,
-    route_heals: AtomicU64,
-    queue_hwm: AtomicU64,
-    networks: AtomicU64,
+/// Process-global aggregate of every dropped network's [`KernelStats`],
+/// with the number of networks flushed into it.
+static GLOBAL: LazyLock<Mutex<(KernelStats, u64)>> = LazyLock::new(Default::default);
+
+/// The global aggregate, recovered if a thread panicked while holding it.
+/// Quarantined sweep cells drop their networks while unwinding, where a
+/// second panic from a poisoned lock would abort the process.
+fn global() -> MutexGuard<'static, (KernelStats, u64)> {
+    GLOBAL.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-static GLOBAL: GlobalKernelStats = GlobalKernelStats {
-    events_nic_tx: AtomicU64::new(0),
-    events_arrive_switch: AtomicU64::new(0),
-    events_enqueue_out: AtomicU64::new(0),
-    events_tx_done: AtomicU64::new(0),
-    events_credit: AtomicU64::new(0),
-    events_arrive_nic: AtomicU64::new(0),
-    events_ack: AtomicU64::new(0),
-    events_loopback: AtomicU64::new(0),
-    events_wakeup: AtomicU64::new(0),
-    events_fault: AtomicU64::new(0),
-    events_e2e_timeout: AtomicU64::new(0),
-    routing_decisions: AtomicU64::new(0),
-    adaptive_minimal: AtomicU64::new(0),
-    adaptive_nonminimal: AtomicU64::new(0),
-    next_hop_lookups: AtomicU64::new(0),
-    llr_replays: AtomicU64::new(0),
-    llr_escalations: AtomicU64::new(0),
-    e2e_retransmits: AtomicU64::new(0),
-    packets_dropped: AtomicU64::new(0),
-    route_heals: AtomicU64::new(0),
-    queue_hwm: AtomicU64::new(0),
-    networks: AtomicU64::new(0),
-};
-
-/// Fold one network's counters into the global aggregate (called on
-/// `Network` drop).
+/// Fold one network's counters into the global aggregate (called once per
+/// `Network` drop, so the lock is off the hot path).
 pub(crate) fn flush_to_global(s: &KernelStats) {
-    let g = &GLOBAL;
-    g.events_nic_tx
-        .fetch_add(s.events_nic_tx, Ordering::Relaxed);
-    g.events_arrive_switch
-        .fetch_add(s.events_arrive_switch, Ordering::Relaxed);
-    g.events_enqueue_out
-        .fetch_add(s.events_enqueue_out, Ordering::Relaxed);
-    g.events_tx_done
-        .fetch_add(s.events_tx_done, Ordering::Relaxed);
-    g.events_credit
-        .fetch_add(s.events_credit, Ordering::Relaxed);
-    g.events_arrive_nic
-        .fetch_add(s.events_arrive_nic, Ordering::Relaxed);
-    g.events_ack.fetch_add(s.events_ack, Ordering::Relaxed);
-    g.events_loopback
-        .fetch_add(s.events_loopback, Ordering::Relaxed);
-    g.events_wakeup
-        .fetch_add(s.events_wakeup, Ordering::Relaxed);
-    g.events_fault.fetch_add(s.events_fault, Ordering::Relaxed);
-    g.events_e2e_timeout
-        .fetch_add(s.events_e2e_timeout, Ordering::Relaxed);
-    g.routing_decisions
-        .fetch_add(s.routing_decisions, Ordering::Relaxed);
-    g.adaptive_minimal
-        .fetch_add(s.adaptive_minimal, Ordering::Relaxed);
-    g.adaptive_nonminimal
-        .fetch_add(s.adaptive_nonminimal, Ordering::Relaxed);
-    g.next_hop_lookups
-        .fetch_add(s.next_hop_lookups, Ordering::Relaxed);
-    g.llr_replays.fetch_add(s.llr_replays, Ordering::Relaxed);
-    g.llr_escalations
-        .fetch_add(s.llr_escalations, Ordering::Relaxed);
-    g.e2e_retransmits
-        .fetch_add(s.e2e_retransmits, Ordering::Relaxed);
-    g.packets_dropped
-        .fetch_add(s.packets_dropped, Ordering::Relaxed);
-    g.route_heals.fetch_add(s.route_heals, Ordering::Relaxed);
-    g.queue_hwm.fetch_max(s.queue_hwm, Ordering::Relaxed);
-    g.networks.fetch_add(1, Ordering::Relaxed);
+    let mut g = global();
+    g.0.merge(s);
+    g.1 += 1;
 }
 
 /// Snapshot of the global aggregate: `(stats, networks_flushed)`.
@@ -184,33 +134,7 @@ pub(crate) fn flush_to_global(s: &KernelStats) {
 /// `queue_hwm` a max), so the snapshot is identical at any worker-thread
 /// count once the same set of networks has been flushed.
 pub fn global_kernel_stats() -> (KernelStats, u64) {
-    let g = &GLOBAL;
-    (
-        KernelStats {
-            events_nic_tx: g.events_nic_tx.load(Ordering::Relaxed),
-            events_arrive_switch: g.events_arrive_switch.load(Ordering::Relaxed),
-            events_enqueue_out: g.events_enqueue_out.load(Ordering::Relaxed),
-            events_tx_done: g.events_tx_done.load(Ordering::Relaxed),
-            events_credit: g.events_credit.load(Ordering::Relaxed),
-            events_arrive_nic: g.events_arrive_nic.load(Ordering::Relaxed),
-            events_ack: g.events_ack.load(Ordering::Relaxed),
-            events_loopback: g.events_loopback.load(Ordering::Relaxed),
-            events_wakeup: g.events_wakeup.load(Ordering::Relaxed),
-            events_fault: g.events_fault.load(Ordering::Relaxed),
-            events_e2e_timeout: g.events_e2e_timeout.load(Ordering::Relaxed),
-            routing_decisions: g.routing_decisions.load(Ordering::Relaxed),
-            adaptive_minimal: g.adaptive_minimal.load(Ordering::Relaxed),
-            adaptive_nonminimal: g.adaptive_nonminimal.load(Ordering::Relaxed),
-            next_hop_lookups: g.next_hop_lookups.load(Ordering::Relaxed),
-            llr_replays: g.llr_replays.load(Ordering::Relaxed),
-            llr_escalations: g.llr_escalations.load(Ordering::Relaxed),
-            e2e_retransmits: g.e2e_retransmits.load(Ordering::Relaxed),
-            packets_dropped: g.packets_dropped.load(Ordering::Relaxed),
-            route_heals: g.route_heals.load(Ordering::Relaxed),
-            queue_hwm: g.queue_hwm.load(Ordering::Relaxed),
-        },
-        g.networks.load(Ordering::Relaxed),
-    )
+    *global()
 }
 
 #[cfg(test)]
@@ -234,19 +158,69 @@ mod tests {
         assert_eq!(s.events_total(), 45);
     }
 
+    /// The only test in this binary that flushes, so the global delta it
+    /// reads is exactly its own two flushes.
     #[test]
-    fn flush_accumulates_and_hwm_maxes() {
-        let before = global_kernel_stats();
+    fn flush_merges_every_field() {
         let s = KernelStats {
-            events_ack: 11,
-            queue_hwm: 3,
-            ..Default::default()
+            events_nic_tx: 1,
+            events_arrive_switch: 2,
+            events_enqueue_out: 3,
+            events_tx_done: 4,
+            events_credit: 5,
+            events_arrive_nic: 6,
+            events_ack: 7,
+            events_loopback: 8,
+            events_wakeup: 9,
+            events_fault: 10,
+            events_e2e_timeout: 11,
+            routing_decisions: 12,
+            adaptive_minimal: 13,
+            adaptive_nonminimal: 14,
+            next_hop_lookups: 15,
+            llr_replays: 16,
+            llr_escalations: 17,
+            e2e_retransmits: 18,
+            packets_dropped: 19,
+            route_heals: 20,
+            queue_hwm: 1 << 40,
         };
+        let before = global_kernel_stats();
         flush_to_global(&s);
         flush_to_global(&s);
         let after = global_kernel_stats();
-        assert_eq!(after.0.events_ack, before.0.events_ack + 22);
-        assert!(after.0.queue_hwm >= 3);
         assert_eq!(after.1, before.1 + 2);
+
+        macro_rules! summed {
+            ($($f:ident),*) => {
+                // Exhaustive pattern: a counter missing from this list is
+                // a compile error, not an unchecked field.
+                let KernelStats { $($f: _,)* queue_hwm: _ } = s;
+                $(assert_eq!(after.0.$f - before.0.$f, 2 * s.$f, stringify!($f));)*
+            };
+        }
+        summed!(
+            events_nic_tx,
+            events_arrive_switch,
+            events_enqueue_out,
+            events_tx_done,
+            events_credit,
+            events_arrive_nic,
+            events_ack,
+            events_loopback,
+            events_wakeup,
+            events_fault,
+            events_e2e_timeout,
+            routing_decisions,
+            adaptive_minimal,
+            adaptive_nonminimal,
+            next_hop_lookups,
+            llr_replays,
+            llr_escalations,
+            e2e_retransmits,
+            packets_dropped,
+            route_heals
+        );
+        assert_eq!(after.0.queue_hwm, before.0.queue_hwm.max(s.queue_hwm));
     }
 }

@@ -1,7 +1,7 @@
 //! Property-based tests for statistics invariants.
 
 use proptest::prelude::*;
-use slingshot_stats::{median_confidence_interval, Histogram, OnlineStats, RateSeries, Sample};
+use slingshot_stats::{median_confidence_interval, Histogram, RateSeries, Sample};
 
 proptest! {
     /// Quantiles are monotone in q and bounded by the extrema.
@@ -38,38 +38,6 @@ proptest! {
         prop_assert!(b.s >= b.q1 - 1.5 * iqr - 1e-6);
         prop_assert!(b.l <= b.q3 + 1.5 * iqr + 1e-6);
         prop_assert!(b.s <= b.l + 1e-9);
-    }
-
-    /// Online stats agree with naive two-pass computation.
-    #[test]
-    fn online_matches_naive(values in proptest::collection::vec(-1e3f64..1e3, 2..200)) {
-        let mut o = OnlineStats::new();
-        for &v in &values {
-            o.push(v);
-        }
-        let n = values.len() as f64;
-        let mean = values.iter().sum::<f64>() / n;
-        let var = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / (n - 1.0);
-        prop_assert!((o.mean() - mean).abs() < 1e-6);
-        prop_assert!((o.variance() - var).abs() < 1e-4);
-    }
-
-    /// Merging two accumulators equals accumulating the concatenation.
-    #[test]
-    fn online_merge_associative(
-        a in proptest::collection::vec(-1e3f64..1e3, 1..100),
-        b in proptest::collection::vec(-1e3f64..1e3, 1..100),
-    ) {
-        let mut sa = OnlineStats::new();
-        for &v in &a { sa.push(v); }
-        let mut sb = OnlineStats::new();
-        for &v in &b { sb.push(v); }
-        sa.merge(&sb);
-        let mut whole = OnlineStats::new();
-        for &v in a.iter().chain(b.iter()) { whole.push(v); }
-        prop_assert_eq!(sa.count(), whole.count());
-        prop_assert!((sa.mean() - whole.mean()).abs() < 1e-6);
-        prop_assert!((sa.variance() - whole.variance()).abs() < 1e-4);
     }
 
     /// Histogram conserves every observation.
