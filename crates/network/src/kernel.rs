@@ -84,7 +84,7 @@ impl KernelStats {
 
     /// Add `other`'s counters into `self`; `queue_hwm` takes the larger
     /// of the two high-water marks.
-    pub fn merge(&mut self, other: &KernelStats) {
+    pub(crate) fn merge(&mut self, other: &KernelStats) {
         self.events_nic_tx += other.events_nic_tx;
         self.events_arrive_switch += other.events_arrive_switch;
         self.events_enqueue_out += other.events_enqueue_out;
