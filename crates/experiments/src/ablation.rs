@@ -7,8 +7,10 @@
 //! aggressiveness.
 
 use crate::congestion::{machine_for, Victim, WARMUP};
+use crate::report::Table;
 use crate::runner::{self, CellMeta, Outcome};
 use crate::scale::Scale;
+use crate::{driver::Figure, SweepCache};
 use serde::Serialize;
 use slingshot::congestion::SlingshotCcParams;
 use slingshot::network::{CcConfig, Network};
@@ -32,11 +34,12 @@ pub struct AblationRow {
     pub incast_impact: f64,
 }
 
-fn impact_with(
-    net_builder: impl Fn() -> Network,
-    iters: u32,
-    budget: u64,
-) -> Result<f64, SimError> {
+/// Machine size of every ablation.
+const NODES: u32 = 32;
+
+fn impact_with(net_builder: impl Fn() -> Network, scale: Scale) -> Result<f64, SimError> {
+    let iters = scale.iterations().clamp(3, 6);
+    let budget = scale.event_budget();
     let measure = |with_aggressor: bool| -> Result<f64, SimError> {
         let net = net_builder();
         let nodes = net.node_count();
@@ -60,6 +63,15 @@ fn impact_with(
         Ok(s.mean())
     };
     Ok(measure(true)? / measure(false)?)
+}
+
+/// The Slingshot profile with its congestion control swapped for `cc`.
+fn slingshot_with_cc(seed: u64, cc: CcConfig) -> Network {
+    let mut cfg = SystemBuilder::new(System::Custom(machine_for(NODES)), Profile::Slingshot)
+        .seed(seed)
+        .config();
+    cfg.cc = cc;
+    Network::new(cfg)
 }
 
 /// Quarantined sweep over ablation variants: one stalled or panicking
@@ -94,9 +106,6 @@ fn sweep<T: Sync>(
 
 /// Sweep the congestion-control algorithm.
 pub fn cc_algorithms(scale: Scale) -> Outcome<Vec<AblationRow>> {
-    let nodes = 32;
-    let iters = scale.iterations().clamp(3, 6);
-    let budget = scale.event_budget();
     let variants = [
         ("none (Aries-style)", Profile::Aries),
         ("ECN-like slow loop", Profile::SlingshotEcn),
@@ -110,17 +119,10 @@ pub fn cc_algorithms(scale: Scale) -> Outcome<Vec<AblationRow>> {
         |&(_, profile)| {
             // Keep everything but CC constant: use the Slingshot
             // link/latency profile with the CC swapped in.
-            let builder = move || {
-                let mut cfg =
-                    SystemBuilder::new(System::Custom(machine_for(nodes)), Profile::Slingshot)
-                        .seed(21)
-                        .config();
-                cfg.cc = SystemBuilder::new(System::Custom(machine_for(nodes)), profile)
-                    .config()
-                    .cc;
-                Network::new(cfg)
-            };
-            impact_with(builder, iters, budget)
+            let cc = SystemBuilder::new(System::Custom(machine_for(NODES)), profile)
+                .config()
+                .cc;
+            impact_with(|| slingshot_with_cc(21, cc), scale)
         },
     )
 }
@@ -128,9 +130,6 @@ pub fn cc_algorithms(scale: Scale) -> Outcome<Vec<AblationRow>> {
 /// Sweep the routing algorithm (under an all-to-all aggressor, where
 /// routing matters most).
 pub fn routing_algorithms(scale: Scale) -> Outcome<Vec<AblationRow>> {
-    let nodes = 32;
-    let iters = scale.iterations().clamp(3, 6);
-    let budget = scale.event_budget();
     let variants = [
         ("minimal only", RoutingAlgorithm::Minimal),
         ("Valiant always", RoutingAlgorithm::Valiant),
@@ -143,12 +142,12 @@ pub fn routing_algorithms(scale: Scale) -> Outcome<Vec<AblationRow>> {
         |&(label, _)| label.to_string(),
         |&(_, routing)| {
             let builder = move || {
-                SystemBuilder::new(System::Custom(machine_for(nodes)), Profile::Slingshot)
+                SystemBuilder::new(System::Custom(machine_for(NODES)), Profile::Slingshot)
                     .routing(routing)
                     .seed(22)
                     .build()
             };
-            impact_with(builder, iters, budget)
+            impact_with(builder, scale)
         },
     )
 }
@@ -156,72 +155,75 @@ pub fn routing_algorithms(scale: Scale) -> Outcome<Vec<AblationRow>> {
 /// Sweep the CC stiffness: the multiplicative decrease applied on a
 /// congested ack.
 pub fn cc_stiffness(scale: Scale) -> Outcome<Vec<AblationRow>> {
-    let nodes = 32;
-    let iters = scale.iterations().clamp(3, 6);
-    let budget = scale.event_budget();
-    let variants = [0.9, 0.5, 0.25];
     sweep(
         "cc decrease factor",
-        &variants,
+        &[0.9, 0.5, 0.25],
         23,
         |&factor| format!("x{factor}"),
         |&factor| {
-            let builder = move || {
-                let mut cfg =
-                    SystemBuilder::new(System::Custom(machine_for(nodes)), Profile::Slingshot)
-                        .seed(23)
-                        .config();
-                cfg.cc = CcConfig::Slingshot(SlingshotCcParams {
-                    decrease_factor: factor,
-                    ..SlingshotCcParams::default()
-                });
-                Network::new(cfg)
-            };
-            impact_with(builder, iters, budget)
+            let cc = CcConfig::Slingshot(SlingshotCcParams {
+                decrease_factor: factor,
+                ..SlingshotCcParams::default()
+            });
+            impact_with(|| slingshot_with_cc(23, cc), scale)
         },
     )
 }
 
 /// Sweep the CC recovery hold-off (how fast throttled flows probe back).
 pub fn cc_recovery(scale: Scale) -> Outcome<Vec<AblationRow>> {
-    let nodes = 32;
-    let iters = scale.iterations().clamp(3, 6);
-    let budget = scale.event_budget();
-    let variants = [1u64, 5, 50];
     sweep(
         "cc recovery holdoff",
-        &variants,
+        &[1u64, 5, 50],
         24,
         |&holdoff_us| format!("{holdoff_us}us"),
         |&holdoff_us| {
-            let builder = move || {
-                let mut cfg =
-                    SystemBuilder::new(System::Custom(machine_for(nodes)), Profile::Slingshot)
-                        .seed(24)
-                        .config();
-                cfg.cc = CcConfig::Slingshot(SlingshotCcParams {
-                    recovery_holdoff: SimDuration::from_us(holdoff_us),
-                    ..SlingshotCcParams::default()
-                });
-                Network::new(cfg)
-            };
-            impact_with(builder, iters, budget)
+            let cc = CcConfig::Slingshot(SlingshotCcParams {
+                recovery_holdoff: SimDuration::from_us(holdoff_us),
+                ..SlingshotCcParams::default()
+            });
+            impact_with(|| slingshot_with_cc(24, cc), scale)
         },
     )
 }
 
-/// Run every ablation, merging rows and error rows across the sweeps.
-pub fn run(scale: Scale) -> Outcome<Vec<AblationRow>> {
-    let mut out = cc_algorithms(scale);
-    for part in [
-        routing_algorithms(scale),
-        cc_stiffness(scale),
-        cc_recovery(scale),
-    ] {
-        out.output.extend(part.output);
-        out.failures.extend(part.failures);
+/// The ablation sweeps for the figure driver.
+pub struct Ablation;
+
+impl Figure for Ablation {
+    const STEM: &'static str = "ablation";
+    type Output = Vec<AblationRow>;
+
+    /// Run every ablation, merging rows and error rows across the sweeps.
+    fn run(scale: Scale, _: Option<&SweepCache>) -> Outcome<Vec<AblationRow>> {
+        let mut out = cc_algorithms(scale);
+        for part in [
+            routing_algorithms(scale),
+            cc_stiffness(scale),
+            cc_recovery(scale),
+        ] {
+            out.output.extend(part.output);
+            out.failures.extend(part.failures);
+        }
+        out
     }
-    out
+
+    fn render(scale: Scale, rows: &Vec<AblationRow>) {
+        println!(
+            "Ablations — 8B allreduce victim vs 50% incast, interleaved ({})",
+            scale.label()
+        );
+        println!();
+        let mut t = Table::new(["dimension", "variant", "incast impact"]);
+        for r in rows {
+            t.row([
+                r.dimension.to_string(),
+                r.variant.clone(),
+                format!("{:.2}", r.incast_impact),
+            ]);
+        }
+        t.print();
+    }
 }
 
 #[cfg(test)]

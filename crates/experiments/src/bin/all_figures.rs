@@ -1,82 +1,6 @@
-//! Runs every figure reproduction at the selected scale, in order,
-//! forwarding `--jobs` (and `--resume`) to each figure binary.
-//!
-//! A failing figure does not abort the batch: the remaining figures still
-//! run, the failures are listed at the end, and the process exits
-//! non-zero.
-
-use slingshot_experiments::RunConfig;
-use std::process::Command;
-
-const FIGS: [&str; 11] = [
-    "fig2_switch_latency",
-    "fig4_distance",
-    "fig5_stacks",
-    "fig6_alltoall",
-    "fig8_tailbench",
-    "fig9_heatmap",
-    "fig10_distributions",
-    "fig11_fullscale",
-    "fig12_bursty",
-    "fig13_tc_allreduce",
-    "fig14_tc_bandwidth",
-];
+//! Runs every paper figure at the selected scale, in order, in this
+//! process; a failing figure does not abort the batch.
 
 fn main() {
-    let cfg = RunConfig::from_args();
-    let exe_dir = match std::env::current_exe() {
-        Ok(p) => match p.parent() {
-            Some(d) => d.to_path_buf(),
-            None => {
-                eprintln!(
-                    "error: executable path {} has no parent directory",
-                    p.display()
-                );
-                std::process::exit(1);
-            }
-        },
-        Err(e) => {
-            eprintln!("error: cannot locate this executable: {e}");
-            std::process::exit(1);
-        }
-    };
-    let mut failed: Vec<&str> = Vec::new();
-    for fig in FIGS {
-        println!("\n================ {fig} ================\n");
-        let mut cmd = Command::new(exe_dir.join(fig));
-        cmd.arg(format!("--{}", cfg.scale.label()))
-            .arg(format!("--jobs={}", cfg.jobs));
-        if cfg.resume {
-            cmd.arg("--resume");
-        }
-        if cfg.verbose {
-            cmd.arg("--verbose");
-        }
-        if let Some(dir) = &cfg.telemetry {
-            cmd.arg(format!("--telemetry={dir}"));
-        }
-        if let Some(n) = cfg.trace_sample {
-            cmd.arg(format!("--trace-sample={n}"));
-        }
-        match cmd.status() {
-            Ok(status) if status.success() => {}
-            Ok(status) => {
-                eprintln!("error: {fig} exited with {status}");
-                failed.push(fig);
-            }
-            Err(e) => {
-                eprintln!("error: cannot run {}: {e}", exe_dir.join(fig).display());
-                failed.push(fig);
-            }
-        }
-    }
-    if !failed.is_empty() {
-        eprintln!(
-            "\n{} of {} figures failed: {}",
-            failed.len(),
-            FIGS.len(),
-            failed.join(", ")
-        );
-        std::process::exit(1);
-    }
+    slingshot_experiments::driver::all_figures();
 }

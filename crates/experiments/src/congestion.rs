@@ -5,6 +5,8 @@
 //! execution time with the aggressor over its mean time in isolation
 //! (GPCNet's metric, Equation 1 of the paper).
 
+use crate::cache::{CellKey, SweepCache};
+use crate::runner::{self, CellFailure, CellMeta, Outcome};
 use crate::scale::Scale;
 use serde::Serialize;
 use slingshot::{Profile, System, SystemBuilder, TelemetryConfig, TelemetryReport};
@@ -15,6 +17,7 @@ use slingshot_stats::Sample;
 use slingshot_topology::{shandy, Allocation, AllocationPolicy, DragonflyParams};
 use slingshot_workloads::ember;
 use slingshot_workloads::{Congestor, HpcApp, Microbench, TailApp};
+use std::collections::HashMap;
 
 /// A victim workload of the paper's heatmaps.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -236,7 +239,7 @@ pub fn run_cell(cell: &Cell, victim: Victim, iters: u32, event_budget: u64) -> C
 
 /// Congestion impact `C = Tc / Ti` from a loaded and an isolated result
 /// (means, as in the paper's Equation 1).
-pub fn congestion_impact(loaded: &CellResult, isolated: &CellResult) -> f64 {
+fn congestion_impact(loaded: &CellResult, isolated: &CellResult) -> f64 {
     loaded.mean_secs / isolated.mean_secs
 }
 
@@ -258,10 +261,84 @@ pub fn run_pair(
     (isolated, loaded, impact)
 }
 
-/// The victim/aggressor node splits of the paper at a machine size
-/// (10 % / 50 % / 90 % of nodes to the victim; 53/256/460 at 512 nodes).
-pub fn paper_victim_splits(nodes: u32) -> [u32; 3] {
-    Allocation::paper_split_counts(nodes)
+/// One sweep point of a congestion figure as the cell runner and the
+/// resume cache see it.
+pub struct SweepCell {
+    /// The simulated cell.
+    pub cell: Cell,
+    /// Its victim workload.
+    pub victim: Victim,
+    /// Its resume-cache key.
+    pub key: CellKey,
+    /// Its error-row identity.
+    pub meta: CellMeta,
+}
+
+/// The congestion-impact sweep of Figs. 9 and 11: each loaded point
+/// `(b, aggressor)` is paired with its isolated baseline, the same point
+/// with no aggressor, and becomes `row(b, aggressor, Tc / Ti)`.
+///
+/// `at(b, aggressor)` describes a point. Baselines run first, once per
+/// distinct cache key in first-use order, then every loaded point in
+/// `points` order; both phases fan across the installed worker pool,
+/// quarantined and (with `cache`) resumable. A loaded cell whose
+/// baseline failed becomes an error row of its own.
+pub fn impact_sweep<B: Sync, R>(
+    cache: Option<&SweepCache>,
+    points: &[(B, Congestor)],
+    (iters, budget): (u32, u64),
+    at: impl Fn(&B, Option<Congestor>) -> SweepCell + Sync,
+    row: impl Fn(&B, Congestor, f64) -> R,
+) -> Outcome<Vec<R>> {
+    let run = |p: SweepCell| try_run_cell(&p.cell, p.victim, iters, budget).map(|r| r.mean_secs);
+    let mut baselines: Vec<&B> = Vec::new();
+    let mut first_use: HashMap<String, usize> = HashMap::new();
+    let baseline_of: Vec<usize> = points
+        .iter()
+        .map(|(b, _)| {
+            *first_use
+                .entry(at(b, None).key.hash_hex())
+                .or_insert_with(|| {
+                    baselines.push(b);
+                    baselines.len() - 1
+                })
+        })
+        .collect();
+    let (isolated, mut failures) = runner::split_results(runner::resumable_map(
+        cache,
+        &baselines,
+        |b| at(b, None).meta,
+        |b| at(b, None).key,
+        |b| run(at(b, None)),
+    ));
+    let (loaded, loaded_failures) = runner::split_results(runner::resumable_map(
+        cache,
+        points,
+        |(b, a)| at(b, Some(*a)).meta,
+        |(b, a)| at(b, Some(*a)).key,
+        |(b, a)| run(at(b, Some(*a))),
+    ));
+    failures.extend(loaded_failures);
+    let mut rows = Vec::new();
+    for (((b, a), mean), &base) in points.iter().zip(loaded).zip(&baseline_of) {
+        let Some(mean) = mean else { continue };
+        match isolated[base] {
+            Some(isolated_mean) => rows.push(row(b, *a, mean / isolated_mean)),
+            None => {
+                let meta = at(b, Some(*a)).meta;
+                failures.push(CellFailure {
+                    cell: meta.label,
+                    seed: meta.seed,
+                    error: "isolated baseline unavailable (its cell failed)".into(),
+                    stall: None,
+                });
+            }
+        }
+    }
+    Outcome {
+        output: rows,
+        failures,
+    }
 }
 
 /// Default victim set for heatmap figures at a given scale.
@@ -369,6 +446,50 @@ mod tests {
         );
         assert!(ss_impact < 1.8, "slingshot impact {ss_impact:.2}");
         assert!(aries_impact > 1.5 * ss_impact);
+    }
+
+    /// Two loaded cells share one baseline, which runs once; a loaded
+    /// cell whose baseline fails (a one-node victim panics) becomes an
+    /// error row even though its own value came from the cache.
+    #[test]
+    fn impact_sweep_shares_baselines_and_reports_missing_ones() {
+        use Congestor::{AllToAll, Incast};
+        let dir = std::env::temp_dir().join(format!("slingshot-pairing-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = SweepCache::at(dir.clone());
+        let at = |&victim_nodes: &u32, aggressor: Option<Congestor>| {
+            let label = format!("{victim_nodes} vs {aggressor:?}");
+            SweepCell {
+                cell: Cell {
+                    profile: Profile::Slingshot,
+                    nodes: 32,
+                    victim_nodes,
+                    policy: AllocationPolicy::Interleaved,
+                    aggressor,
+                    aggressor_ppn: 1,
+                    seed: 3,
+                },
+                victim: Victim::Micro(Microbench::Pingpong, 8),
+                key: CellKey::new("pairing-test").field("cell", &label),
+                meta: CellMeta { label, seed: 3 },
+            }
+        };
+        cache.store(&at(&1, Some(Incast)).key, &1.0);
+        let points = [(16, AllToAll), (16, Incast), (1, Incast)];
+        let out = impact_sweep(Some(&cache), &points, (3, 50_000_000), at, |&n, a, c| {
+            (n, a, c)
+        });
+        let rows: Vec<_> = out.output.iter().map(|&(n, a, _)| (n, a)).collect();
+        assert_eq!(rows, [(16, AllToAll), (16, Incast)]);
+        assert!(out.output.iter().all(|r| r.2 > 0.5 && r.2 < 10.0));
+        // The pre-stored cell, one shared baseline and two loaded cells.
+        assert_eq!((cache.stored(), cache.hits()), (4, 1));
+        let errors: Vec<_> = out.failures.iter().map(|f| (&*f.cell, &*f.error)).collect();
+        assert_eq!(errors.len(), 2, "{errors:?}");
+        assert!(errors[0].1.starts_with("panic"), "{errors:?}");
+        let unavailable = "isolated baseline unavailable (its cell failed)";
+        assert_eq!(errors[1], ("1 vs Some(Incast)", unavailable));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

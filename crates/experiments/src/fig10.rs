@@ -6,10 +6,11 @@
 //! Panel B: the same with 24 aggressor PPN (Aries max 424; Slingshot barely
 //! moves). Panel C: 128 nodes (Aries max drops to ~40, Slingshot to 1.5).
 
-use crate::cache::SweepCache;
-use crate::fig9::{run_with as run_heatmap_with, summarize, HeatmapOpts, ImpactSummary};
+use crate::fig9::{self, profile_name, summarize, HeatmapOpts, ImpactSummary};
+use crate::report::{fmt_impact, Table};
 use crate::runner::{self, Outcome};
 use crate::scale::Scale;
+use crate::{driver::Figure, SweepCache};
 use serde::Serialize;
 use slingshot::Profile;
 use slingshot_topology::AllocationPolicy;
@@ -49,64 +50,97 @@ fn panel_opts(scale: Scale, panel: char) -> (HeatmapOpts, u32) {
     (opts, ppn)
 }
 
-/// Run all three panels without a cell cache (see [`run_with`]).
-pub fn run(scale: Scale) -> Outcome<Vec<Fig10Row>> {
-    run_with(scale, None)
-}
+/// Fig. 10 for the figure driver.
+pub struct Fig10;
 
-/// Run all three panels. Each (panel, policy) heatmap is independent, so
-/// the 3 × 3 grid fans across the installed worker threads; each grid
-/// point's inner sweep then runs serially on its worker. Underlying
-/// heatmap cells run quarantined (and cached, when `cache` is given);
-/// their error rows are merged across the grid.
-pub fn run_with(scale: Scale, cache: Option<&SweepCache>) -> Outcome<Vec<Fig10Row>> {
-    let mut grid = Vec::new();
-    for panel in ['A', 'B', 'C'] {
-        for policy in AllocationPolicy::ALL {
-            grid.push((panel, policy));
+impl Figure for Fig10 {
+    const STEM: &'static str = "fig10";
+    const RESUMABLE: bool = true;
+    type Output = Vec<Fig10Row>;
+
+    /// Run all three panels. Each (panel, policy) heatmap is independent, so
+    /// the 3 × 3 grid fans across the installed worker threads; each grid
+    /// point's inner sweep then runs serially on its worker. Underlying
+    /// heatmap cells run quarantined (and cached, when `cache` is given);
+    /// their error rows are merged across the grid.
+    fn run(scale: Scale, cache: Option<&SweepCache>) -> Outcome<Vec<Fig10Row>> {
+        let mut grid = Vec::new();
+        for panel in ['A', 'B', 'C'] {
+            for policy in AllocationPolicy::ALL {
+                grid.push((panel, policy));
+            }
+        }
+        let per_point = runner::par_map(&grid, |&(panel, policy)| {
+            let (mut opts, _ppn) = panel_opts(scale, panel);
+            opts.policy = policy;
+            let heat = fig9::run(&opts, cache);
+            let rows: Vec<Fig10Row> = [Profile::Aries, Profile::Slingshot]
+                .into_iter()
+                .filter_map(|profile| {
+                    let name = profile_name(profile);
+                    let impacts: Vec<f64> = heat
+                        .output
+                        .iter()
+                        .filter(|c| c.profile == name)
+                        .map(|c| c.impact)
+                        .collect();
+                    // Every cell of this violin failed: its absence is already
+                    // recorded as error rows, so don't summarize nothing.
+                    if impacts.is_empty() {
+                        return None;
+                    }
+                    Some(Fig10Row {
+                        panel,
+                        profile: name,
+                        policy: policy.label(),
+                        summary: summarize(&impacts),
+                    })
+                })
+                .collect();
+            (rows, heat.failures)
+        });
+        let mut rows = Vec::new();
+        let mut failures = Vec::new();
+        for (point_rows, point_failures) in per_point {
+            rows.extend(point_rows);
+            failures.extend(point_failures);
+        }
+        Outcome {
+            output: rows,
+            failures,
         }
     }
-    let per_point = runner::par_map(&grid, |&(panel, policy)| {
-        let (mut opts, _ppn) = panel_opts(scale, panel);
-        opts.policy = policy;
-        let heat = run_heatmap_with(&opts, cache);
-        let rows: Vec<Fig10Row> = [Profile::Aries, Profile::Slingshot]
-            .into_iter()
-            .filter_map(|profile| {
-                let name = match profile {
-                    Profile::Aries => "Aries",
-                    _ => "Slingshot",
-                };
-                let impacts: Vec<f64> = heat
-                    .output
-                    .iter()
-                    .filter(|c| c.profile == name)
-                    .map(|c| c.impact)
-                    .collect();
-                // Every cell of this violin failed: its absence is already
-                // recorded as error rows, so don't summarize nothing.
-                if impacts.is_empty() {
-                    return None;
-                }
-                Some(Fig10Row {
-                    panel,
-                    profile: name,
-                    policy: policy.label(),
-                    summary: summarize(&impacts),
-                })
-            })
-            .collect();
-        (rows, heat.failures)
-    });
-    let mut rows = Vec::new();
-    let mut failures = Vec::new();
-    for (point_rows, point_failures) in per_point {
-        rows.extend(point_rows);
-        failures.extend(point_failures);
-    }
-    Outcome {
-        output: rows,
-        failures,
+
+    fn render(scale: Scale, rows: &Vec<Fig10Row>) {
+        println!(
+            "Fig. 10 — congestion-impact distributions ({})",
+            scale.label()
+        );
+        println!();
+        let mut t = Table::new([
+            "panel",
+            "network",
+            "allocation",
+            "min",
+            "median",
+            "max",
+            "cells",
+        ]);
+        for r in rows {
+            t.row([
+                r.panel.to_string(),
+                r.profile.to_string(),
+                r.policy.to_string(),
+                fmt_impact(r.summary.min),
+                fmt_impact(r.summary.median),
+                fmt_impact(r.summary.max),
+                r.summary.count.to_string(),
+            ]);
+        }
+        t.print();
+        println!();
+        println!("paper maxima — A: Aries 92/144/154 (lin/int/rand) vs Slingshot ≤2.3;");
+        println!("B (24 PPN): Aries up to 424; C (128 nodes): Aries ~40, Slingshot ≤1.5.");
     }
 }
 
@@ -124,7 +158,7 @@ mod tests {
         opts.shares = vec![90];
         opts.policy = AllocationPolicy::Interleaved;
         opts.victims.truncate(5);
-        let out = run_heatmap_with(&opts, None);
+        let out = fig9::run(&opts, None);
         assert!(!out.failed(), "fault-free sweep has no error rows");
         let cells = out.output;
         let max_of = |name: &str| -> f64 {

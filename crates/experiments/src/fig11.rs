@@ -7,14 +7,16 @@
 //! nodes are N.A. (power-of-two requirement).
 
 use crate::cache::{CellKey, SweepCache};
-use crate::congestion::{try_run_cell, Cell, Victim};
-use crate::runner::{self, CellFailure, CellMeta, Outcome};
+use crate::congestion::{impact_sweep, Cell, SweepCell, Victim};
+use crate::driver::{Figure, TraceHook};
+use crate::report::{fmt_impact, Table};
+use crate::runner::{CellMeta, Outcome};
 use crate::scale::Scale;
+use crate::telemetry::trace_cell;
 use serde::Serialize;
-use slingshot::Profile;
+use slingshot::{Profile, TelemetryConfig};
 use slingshot_topology::AllocationPolicy;
 use slingshot_workloads::{Congestor, HpcApp, Microbench, TailApp};
-use std::collections::HashMap;
 
 /// One heatmap cell of the figure.
 #[derive(Clone, Debug, Serialize)]
@@ -53,152 +55,139 @@ pub fn victims(scale: Scale) -> Vec<Victim> {
     v
 }
 
-/// Run the figure without a cell cache (see [`run_with`]).
-pub fn run(scale: Scale) -> Outcome<Vec<Fig11Row>> {
-    run_with(scale, None)
-}
-
-/// Run the figure on the largest system the scale allows. Cells run
-/// quarantined (one stalled or panicking cell yields an error row, the
-/// rest complete); with a cache, previously completed cells are loaded
-/// from disk so a killed sweep resumes where it stopped.
-pub fn run_with(scale: Scale, cache: Option<&SweepCache>) -> Outcome<Vec<Fig11Row>> {
+/// The sweep's cell at aggressor node share `share` (percent): Slingshot
+/// on the largest system the scale allows, random allocation.
+pub fn cell(scale: Scale, share: u32, aggressor: Option<Congestor>) -> Cell {
     let nodes = match scale {
         Scale::Tiny => 64,
         Scale::Quick => 128,
         Scale::Paper => 1024,
     };
-    let shares: &[u32] = match scale {
-        Scale::Tiny => &[75],
-        _ => &[25, 50, 75],
-    };
-    let base_cell = |victim_nodes| Cell {
+    Cell {
         profile: Profile::Slingshot,
         nodes,
-        victim_nodes,
+        victim_nodes: nodes - nodes * share / 100,
         policy: AllocationPolicy::Random,
-        aggressor: None,
+        aggressor,
         aggressor_ppn: 1,
         seed: 11,
-    };
+    }
+}
 
-    // Unique isolated baselines: different shares can collapse onto the
-    // same (victim, victim_nodes) baseline, so dedup before fanning out.
-    let vs = victims(scale);
-    let mut iso_points: Vec<(Victim, u32)> = Vec::new();
-    for &share in shares {
-        let victim_nodes = nodes - nodes * share / 100;
-        for &victim in &vs {
-            let key = (victim.label(), victim_nodes);
-            if !iso_points.iter().any(|&(v, n)| (v.label(), n) == key) {
-                iso_points.push((victim, victim_nodes));
+/// Fig. 11 for the figure driver.
+pub struct Fig11;
+
+impl Figure for Fig11 {
+    const STEM: &'static str = "fig11";
+    const RESUMABLE: bool = true;
+    const TRACE: Option<TraceHook> = Some(trace);
+    type Output = Vec<Fig11Row>;
+
+    /// Run the figure on the largest system the scale allows. Different
+    /// shares can collapse onto the same isolated baseline, which then runs
+    /// once. Cells run quarantined (one stalled or panicking cell yields an
+    /// error row, the rest complete); with a cache, previously completed
+    /// cells are loaded from disk so a killed sweep resumes where it
+    /// stopped.
+    fn run(scale: Scale, cache: Option<&SweepCache>) -> Outcome<Vec<Fig11Row>> {
+        let shares: &[u32] = match scale {
+            Scale::Tiny => &[75],
+            _ => &[25, 50, 75],
+        };
+        let mut points = Vec::new();
+        for &share in shares {
+            for victim in victims(scale) {
+                for aggressor in [Congestor::AllToAll, Congestor::Incast] {
+                    points.push(((share, victim), aggressor));
+                }
             }
         }
-    }
-    let cell_key = |victim: Victim, victim_nodes: u32, aggressor: Option<Congestor>| {
-        CellKey::new("fig11")
-            .field("victim", victim.label())
-            .field("victim_nodes", victim_nodes)
-            .field(
-                "aggressor",
-                aggressor.map_or("none", |a| a.label()).to_string(),
-            )
-            .field("nodes", nodes)
-            .field("iters", scale.iterations())
-            .field("budget", scale.event_budget())
-            .field("seed", 11)
-    };
-    let cell_meta = |victim: Victim, victim_nodes: u32, aggressor: Option<Congestor>| CellMeta {
-        label: format!(
-            "{} @ {} victim nodes vs {}",
-            victim.label(),
-            victim_nodes,
-            aggressor.map_or("isolated", |a| a.label()),
-        ),
-        seed: 11,
-    };
-
-    let iso_results = runner::resumable_map(
-        cache,
-        &iso_points,
-        |&(victim, victim_nodes)| cell_meta(victim, victim_nodes, None),
-        |&(victim, victim_nodes)| cell_key(victim, victim_nodes, None),
-        |&(victim, victim_nodes)| {
-            try_run_cell(
-                &base_cell(victim_nodes),
-                victim,
-                scale.iterations(),
-                scale.event_budget(),
-            )
-            .map(|r| r.mean_secs)
-        },
-    );
-    let (iso_means, mut failures) = runner::split_results(iso_results);
-    let isolated: HashMap<(String, u32), f64> = iso_points
-        .iter()
-        .zip(&iso_means)
-        .filter_map(|(&(victim, victim_nodes), mean)| {
-            mean.map(|m| ((victim.label(), victim_nodes), m))
-        })
-        .collect();
-
-    // Loaded cells in the figure's row order.
-    let mut loaded_points: Vec<(u32, u32, Victim, Congestor)> = Vec::new();
-    for &share in shares {
-        let victim_nodes = nodes - nodes * share / 100;
-        for &victim in &vs {
-            for aggressor in [Congestor::AllToAll, Congestor::Incast] {
-                loaded_points.push((share, victim_nodes, victim, aggressor));
-            }
-        }
-    }
-    let loaded_results = runner::resumable_map(
-        cache,
-        &loaded_points,
-        |&(_, victim_nodes, victim, aggressor)| cell_meta(victim, victim_nodes, Some(aggressor)),
-        |&(_, victim_nodes, victim, aggressor)| cell_key(victim, victim_nodes, Some(aggressor)),
-        |&(_, victim_nodes, victim, aggressor)| {
-            let cell = Cell {
-                aggressor: Some(aggressor),
-                ..base_cell(victim_nodes)
-            };
-            try_run_cell(&cell, victim, scale.iterations(), scale.event_budget())
-                .map(|r| r.mean_secs)
-        },
-    );
-    let (loaded_means, loaded_failures) = runner::split_results(loaded_results);
-    failures.extend(loaded_failures);
-    let rows = loaded_points
-        .iter()
-        .zip(&loaded_means)
-        .filter_map(|(&(share, victim_nodes, victim, aggressor), mean)| {
-            let mean = (*mean)?;
-            let rounded = victim.ranks_for(victim_nodes) != victim_nodes
-                && !matches!(victim, Victim::Tail(_));
-            match isolated.get(&(victim.label(), victim_nodes)) {
-                Some(base) => Some(Fig11Row {
+        impact_sweep(
+            cache,
+            &points,
+            (scale.iterations(), scale.event_budget()),
+            |&(share, victim), aggressor| {
+                let cell = cell(scale, share, aggressor);
+                SweepCell {
+                    key: CellKey::new("fig11")
+                        .field("victim", victim.label())
+                        .field("victim_nodes", cell.victim_nodes)
+                        .field(
+                            "aggressor",
+                            aggressor.map_or("none", |a| a.label()).to_string(),
+                        )
+                        .field("nodes", cell.nodes)
+                        .field("iters", scale.iterations())
+                        .field("budget", scale.event_budget())
+                        .field("seed", cell.seed),
+                    meta: CellMeta {
+                        label: format!(
+                            "{} @ {} victim nodes vs {}",
+                            victim.label(),
+                            cell.victim_nodes,
+                            aggressor.map_or("isolated", |a| a.label()),
+                        ),
+                        seed: cell.seed,
+                    },
+                    cell,
+                    victim,
+                }
+            },
+            |&(share, victim), aggressor, impact| {
+                let victim_nodes = cell(scale, share, None).victim_nodes;
+                Fig11Row {
                     aggressor: aggressor.label(),
                     share,
                     victim: victim.label(),
-                    impact: Some(mean / base),
-                    rounded,
-                }),
-                None => {
-                    failures.push(CellFailure {
-                        cell: cell_meta(victim, victim_nodes, Some(aggressor)).label,
-                        seed: 11,
-                        error: "isolated baseline unavailable (its cell failed)".into(),
-                        stall: None,
-                    });
-                    None
+                    impact: Some(impact),
+                    rounded: victim.ranks_for(victim_nodes) != victim_nodes
+                        && !matches!(victim, Victim::Tail(_)),
                 }
-            }
-        })
-        .collect();
-    Outcome {
-        output: rows,
-        failures,
+            },
+        )
     }
+
+    fn render(scale: Scale, rows: &Vec<Fig11Row>) {
+        println!(
+            "Fig. 11 — full-scale congestion impact, random allocation ({})",
+            scale.label()
+        );
+        println!();
+        let mut t = Table::new(["aggressor", "share", "victim", "impact"]);
+        for r in rows {
+            let val = match r.impact {
+                Some(i) if r.rounded => format!("{}*", fmt_impact(i)),
+                Some(i) => fmt_impact(i),
+                None => "N.A.".to_string(),
+            };
+            t.row([
+                r.aggressor.to_string(),
+                format!("{}%", r.share),
+                r.victim.clone(),
+                val,
+            ]);
+        }
+        t.print();
+        println!();
+        println!("(* victim rank count rounded down to a power of two; the paper lists N.A.)");
+        println!(
+            "paper: worst case 3.55x (LAMMPS, 75% incast); congestion control holds at 1024 nodes."
+        );
+    }
+}
+
+/// The figure's traced cell: the paper's worst full-scale cell
+/// (LAMMPS-sized victim under a 75 % incast, random allocation).
+pub fn trace(scale: Scale, dir: &str, tcfg: TelemetryConfig) {
+    trace_cell(
+        dir,
+        &format!("fig11_{}_worst", scale.label()),
+        &cell(scale, 75, Some(Congestor::Incast)),
+        Victim::App(HpcApp::Lammps),
+        scale.iterations(),
+        scale.event_budget(),
+        tcfg,
+    );
 }
 
 #[cfg(test)]
@@ -207,7 +196,7 @@ mod tests {
 
     #[test]
     fn full_scale_slingshot_stays_protected() {
-        let out = run(Scale::Tiny);
+        let out = Fig11::run(Scale::Tiny, None);
         assert!(!out.failed(), "fault-free sweep has no error rows");
         let rows = out.output;
         assert!(!rows.is_empty());

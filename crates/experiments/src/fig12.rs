@@ -9,11 +9,15 @@
 //! loop reacts, worst for long bursts and short gaps; a 10⁶-message burst
 //! behaves like persistent congestion.
 
+use crate::cache::SweepCache;
 use crate::congestion::{machine_for, Victim, WARMUP};
+use crate::driver::{Figure, TraceHook};
+use crate::report::{fmt_bytes, Table};
 use crate::runner::{self, CellFailure, CellMeta, Outcome};
 use crate::scale::Scale;
+use crate::telemetry::export_report;
 use serde::Serialize;
-use slingshot::{Profile, System, SystemBuilder, TelemetryReport};
+use slingshot::{Profile, System, SystemBuilder, TelemetryConfig, TelemetryReport};
 use slingshot_des::SimDuration;
 use slingshot_mpi::{Engine, Job, ProtocolStack, Script};
 use slingshot_network::SimError;
@@ -52,101 +56,116 @@ pub fn axes(scale: Scale) -> (Vec<u64>, Vec<u64>, Vec<u64>) {
     }
 }
 
-/// Run the sweep. Each cell runs quarantined; if the isolated baseline
-/// itself fails, no impact can be formed and the whole figure becomes
-/// error rows.
-pub fn run(scale: Scale) -> Outcome<Vec<Fig12Row>> {
-    let nodes = scale.congestion_nodes();
-    let iters = scale.iterations().max(4);
-    let (sizes, bursts, gaps) = axes(scale);
-    let mut points = Vec::new();
-    for &bytes in &sizes {
-        for &burst in &bursts {
-            for &gap in &gaps {
-                points.push((bytes, burst, gap));
+/// Fig. 12 for the figure driver.
+pub struct Fig12;
+
+impl Figure for Fig12 {
+    const STEM: &'static str = "fig12";
+    const TRACE: Option<TraceHook> = Some(trace);
+    type Output = Vec<Fig12Row>;
+
+    /// Run the sweep. Each cell runs quarantined; if the isolated baseline
+    /// itself fails, no impact can be formed and the whole figure becomes
+    /// error rows.
+    fn run(scale: Scale, _: Option<&SweepCache>) -> Outcome<Vec<Fig12Row>> {
+        let nodes = scale.congestion_nodes();
+        let iters = scale.iterations().max(4);
+        let (sizes, bursts, gaps) = axes(scale);
+        let mut points = Vec::new();
+        for &bytes in &sizes {
+            for &burst in &bursts {
+                for &gap in &gaps {
+                    points.push((bytes, burst, gap));
+                }
             }
         }
-    }
-    let (iso_results, loaded_results) = runner::join(
-        || {
-            runner::quarantine_map(
-                &[()],
-                |_| CellMeta {
-                    label: "isolated 128B alltoall baseline".into(),
-                    seed: 12,
-                },
-                |_| measure(nodes, None, iters, scale),
-            )
-        },
-        || {
-            runner::quarantine_map(
-                &points,
-                |&(bytes, burst, gap)| CellMeta {
-                    label: format!(
-                        "bursty incast {} burst={burst} gap={gap}us",
-                        crate::report::fmt_bytes(bytes)
-                    ),
-                    seed: 12,
-                },
-                |&(bytes, burst, gap)| measure(nodes, Some((bytes, burst, gap)), iters, scale),
-            )
-        },
-    );
-    let (iso, mut failures) = runner::split_results(iso_results);
-    let (loaded, loaded_failures) = runner::split_results(loaded_results);
-    failures.extend(loaded_failures);
-    let Some(isolated) = iso.into_iter().next().flatten() else {
-        failures.push(CellFailure {
-            cell: "all loaded cells".into(),
-            seed: 12,
-            error: format!(
-                "isolated baseline failed; {} completed cells dropped (no impact denominator)",
-                loaded.iter().flatten().count()
-            ),
-            stall: None,
-        });
-        return Outcome {
-            output: Vec::new(),
-            failures,
+        let (iso_results, loaded_results) = runner::join(
+            || {
+                runner::quarantine_map(
+                    &[()],
+                    |_| CellMeta {
+                        label: "isolated 128B alltoall baseline".into(),
+                        seed: 12,
+                    },
+                    |_| measure(nodes, None, iters, scale, None).map(|(mean, _)| mean),
+                )
+            },
+            || {
+                runner::quarantine_map(
+                    &points,
+                    |&(bytes, burst, gap)| CellMeta {
+                        label: format!(
+                            "bursty incast {} burst={burst} gap={gap}us",
+                            fmt_bytes(bytes)
+                        ),
+                        seed: 12,
+                    },
+                    |&(bytes, burst, gap)| {
+                        measure(nodes, Some((bytes, burst, gap)), iters, scale, None)
+                            .map(|(mean, _)| mean)
+                    },
+                )
+            },
+        );
+        let (iso, mut failures) = runner::split_results(iso_results);
+        let (loaded, loaded_failures) = runner::split_results(loaded_results);
+        failures.extend(loaded_failures);
+        let Some(isolated) = iso.into_iter().next().flatten() else {
+            failures.push(CellFailure {
+                cell: "all loaded cells".into(),
+                seed: 12,
+                error: format!(
+                    "isolated baseline failed; {} completed cells dropped (no impact denominator)",
+                    loaded.iter().flatten().count()
+                ),
+                stall: None,
+            });
+            return Outcome {
+                output: Vec::new(),
+                failures,
+            };
         };
-    };
-    let rows = points
-        .iter()
-        .zip(&loaded)
-        .filter_map(|(&(bytes, burst, gap), time)| {
-            time.map(|time| Fig12Row {
-                aggressor_bytes: bytes,
-                burst_size: burst,
-                gap_us: gap,
-                impact: time / isolated,
+        let rows = points
+            .iter()
+            .zip(&loaded)
+            .filter_map(|(&(bytes, burst, gap), time)| {
+                time.map(|time| Fig12Row {
+                    aggressor_bytes: bytes,
+                    burst_size: burst,
+                    gap_us: gap,
+                    impact: time / isolated,
+                })
             })
-        })
-        .collect();
-    Outcome {
-        output: rows,
-        failures,
+            .collect();
+        Outcome {
+            output: rows,
+            failures,
+        }
+    }
+
+    fn render(scale: Scale, rows: &Vec<Fig12Row>) {
+        println!("Fig. 12 — bursty incast congestion ({})", scale.label());
+        println!();
+        let mut t = Table::new(["aggr size", "burst (msgs)", "gap (us)", "impact"]);
+        for r in rows {
+            t.row([
+                fmt_bytes(r.aggressor_bytes),
+                r.burst_size.to_string(),
+                r.gap_us.to_string(),
+                format!("{:.2}", r.impact),
+            ]);
+        }
+        t.print();
+        println!();
+        println!("paper: ≤1.10 at 16 KiB, ≤1.21 at 128 KiB (worst: big bursts, small gaps),");
+        println!("1.00 at 1 MiB (congestion control throttles immediately).");
     }
 }
 
-/// Mean victim iteration time with an optional bursty aggressor
-/// `(bytes, burst, gap_us)`.
-fn measure(
-    nodes: u32,
-    aggressor: Option<(u64, u64, u64)>,
-    iters: u32,
-    scale: Scale,
-) -> Result<f64, SimError> {
-    measure_traced(nodes, aggressor, iters, scale, None).map(|(mean, _)| mean)
-}
-
-/// Run one bursty cell under the flight recorder: the 128 KiB /
-/// long-burst / short-gap corner the paper highlights as the worst bursty
-/// case (the control loop is slow enough for the burst to squeeze in).
-/// Returns the telemetry report for export.
-pub fn traced_cell(
-    scale: Scale,
-    tcfg: slingshot::TelemetryConfig,
-) -> Result<TelemetryReport, SimError> {
+/// The figure's traced cell: the 128 KiB / long-burst / short-gap corner
+/// the paper highlights as the worst bursty case (the control loop is
+/// slow enough for the burst to squeeze in).
+pub fn trace(scale: Scale, dir: &str, tcfg: TelemetryConfig) {
     let (sizes, bursts, gaps) = axes(scale);
     let bytes = if sizes.contains(&(128 << 10)) {
         128 << 10
@@ -155,24 +174,29 @@ pub fn traced_cell(
     };
     let aggressor = Some((bytes, *bursts.last().unwrap(), gaps[0]));
     let iters = scale.iterations().max(4);
-    let (_, report) = measure_traced(
+    let name = format!("fig12_{}_bursty", scale.label());
+    match measure(
         scale.congestion_nodes(),
         aggressor,
         iters,
         scale,
         Some(tcfg),
-    )?;
-    Ok(report.expect("telemetry was enabled"))
+    ) {
+        Ok((_, report)) => export_report(dir, &name, &report.expect("telemetry was enabled")),
+        Err(e) => eprintln!("warning: traced cell {name} failed: {e}"),
+    }
 }
 
-/// [`measure`] with optional telemetry (never perturbs the measurement —
-/// the recorder draws no RNG and the mean is identical either way).
-fn measure_traced(
+/// Mean victim iteration time with an optional bursty aggressor
+/// `(bytes, burst, gap_us)`, and the telemetry report when `tcfg` is
+/// given (telemetry never perturbs the measurement — the recorder draws
+/// no RNG and the mean is identical either way).
+fn measure(
     nodes: u32,
     aggressor: Option<(u64, u64, u64)>,
     iters: u32,
     scale: Scale,
-    tcfg: Option<slingshot::TelemetryConfig>,
+    tcfg: Option<TelemetryConfig>,
 ) -> Result<(f64, Option<TelemetryReport>), SimError> {
     let machine = machine_for(nodes);
     let mut builder = SystemBuilder::new(System::Custom(machine), Profile::Slingshot).seed(12);
@@ -207,7 +231,7 @@ mod tests {
 
     #[test]
     fn bursty_impact_is_bounded_on_slingshot() {
-        let out = run(Scale::Tiny);
+        let out = Fig12::run(Scale::Tiny, None);
         assert!(!out.failed(), "fault-free sweep has no error rows");
         let rows = out.output;
         assert!(!rows.is_empty());
@@ -226,7 +250,7 @@ mod tests {
 
     #[test]
     fn long_bursts_hurt_at_least_as_much_as_short_ones() {
-        let rows = run(Scale::Tiny).output;
+        let rows = Fig12::run(Scale::Tiny, None).output;
         let impact = |burst: u64, gap: u64| -> f64 {
             rows.iter()
                 .find(|r| r.burst_size == burst && r.gap_us == gap)

@@ -8,8 +8,10 @@
 //! unallocated 10 %, which Slingshot hands to the class with the lowest
 //! share.
 
+use crate::report::Table;
 use crate::runner::{self, Outcome};
 use crate::scale::Scale;
+use crate::{driver::Figure, SweepCache};
 use serde::Serialize;
 use slingshot::{Profile, System, SystemBuilder};
 use slingshot_des::SimTime;
@@ -149,13 +151,53 @@ fn run_case(scale: Scale, same_class: bool) -> Vec<Fig14Row> {
     rows
 }
 
-/// Run both cases, potentially in parallel. The cases run to a fixed
-/// horizon rather than a budget-bounded quiescence, so the figure cannot
-/// stall and the `Outcome` is always failure-free.
-pub fn run(scale: Scale) -> Outcome<Vec<Fig14Row>> {
-    let (mut rows, separate) = runner::join(|| run_case(scale, true), || run_case(scale, false));
-    rows.extend(separate);
-    Outcome::ok(rows)
+/// Fig. 14 for the figure driver.
+pub struct Fig14;
+
+impl Figure for Fig14 {
+    const STEM: &'static str = "fig14";
+    type Output = Vec<Fig14Row>;
+
+    /// Run both cases, potentially in parallel. The cases run to a fixed
+    /// horizon rather than a budget-bounded quiescence, so the figure cannot
+    /// stall and the `Outcome` is always failure-free.
+    fn run(scale: Scale, _: Option<&SweepCache>) -> Outcome<Vec<Fig14Row>> {
+        let (mut rows, separate) =
+            runner::join(|| run_case(scale, true), || run_case(scale, false));
+        rows.extend(separate);
+        Outcome::ok(rows)
+    }
+
+    fn render(scale: Scale, rows: &Vec<Fig14Row>) {
+        println!(
+            "Fig. 14 — two bisection jobs, same vs separate TCs ({})",
+            scale.label()
+        );
+        println!();
+        let mut t = Table::new(["classes", "time (ms)", "job1 Gb/s/node", "job2 Gb/s/node"]);
+        for same in [true, false] {
+            let label = if same { "same" } else { "separate" };
+            let mut times: Vec<f64> = rows
+                .iter()
+                .filter(|r| r.same_class == same && r.job == 1)
+                .map(|r| r.time_ms)
+                .collect();
+            times.dedup();
+            for chunk in times.chunks(4) {
+                let (from, to) = (chunk[0] - 0.1, *chunk.last().unwrap());
+                t.row([
+                    label.to_string(),
+                    format!("{:.1}-{:.1}", from.max(0.0), to),
+                    format!("{:.2}", window_mean(rows, same, 1, from, to)),
+                    format!("{:.2}", window_mean(rows, same, 2, from, to)),
+                ]);
+            }
+        }
+        t.print();
+        println!();
+        println!("paper: same class → fair 50/50 during overlap; separate classes → job1 holds");
+        println!("~80% (its guarantee) and job2 gets ~20% (its 10% + the unallocated 10%).");
+    }
 }
 
 /// Mean per-node bandwidth of a job over a time window (test/report
@@ -181,7 +223,7 @@ mod tests {
 
     #[test]
     fn guarantees_shape_matches_paper() {
-        let rows = run(Scale::Tiny).output;
+        let rows = Fig14::run(Scale::Tiny, None).output;
         // Phase windows: solo [0.2, 0.8], overlap [1.2, 2.0] ms.
         let solo_same = window_mean(&rows, true, 1, 0.2, 0.8);
         let overlap_same_1 = window_mean(&rows, true, 1, 1.2, 2.0);

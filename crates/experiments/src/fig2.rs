@@ -6,8 +6,10 @@
 //! both the direct model distribution and the paper's differential
 //! measurement methodology on the simulated network.
 
+use crate::report::Table;
 use crate::runner::{self, Outcome};
 use crate::scale::Scale;
+use crate::{driver::Figure, SweepCache};
 use serde::Serialize;
 use slingshot::{Profile, System, SystemBuilder};
 use slingshot_des::DetRng;
@@ -44,24 +46,58 @@ fn samples_for(scale: Scale) -> usize {
     }
 }
 
-/// Run the figure. The direct model distribution and the differential
-/// network measurement are independent (separate RNG streams), so they
-/// run as a parallel pair. The figure has no budget-bounded quiescence
-/// run, so it cannot stall; the `Outcome` is always failure-free.
-pub fn run(scale: Scale) -> Outcome<Fig2Result> {
-    let ((hist, mut sample), differential_ns) = runner::join(
-        || direct_distribution(scale),
-        || differential_switch_latency(scale),
-    );
-    Outcome::ok(Fig2Result {
-        density: hist.density(),
-        mean_ns: sample.mean(),
-        median_ns: sample.median(),
-        p1_ns: sample.percentile(1.0),
-        p99_ns: sample.percentile(99.0),
-        bulk_fraction: hist.mass_between(300.0, 400.0),
-        differential_ns,
-    })
+/// Fig. 2 for the figure driver.
+pub struct Fig2;
+
+impl Figure for Fig2 {
+    const STEM: &'static str = "fig2";
+    type Output = Fig2Result;
+
+    /// Run the figure. The direct model distribution and the differential
+    /// network measurement are independent (separate RNG streams), so they
+    /// run as a parallel pair. The figure has no budget-bounded quiescence
+    /// run, so it cannot stall; the `Outcome` is always failure-free.
+    fn run(scale: Scale, _: Option<&SweepCache>) -> Outcome<Fig2Result> {
+        let ((hist, mut sample), differential_ns) = runner::join(
+            || direct_distribution(scale),
+            || differential_switch_latency(scale),
+        );
+        Outcome::ok(Fig2Result {
+            density: hist.density(),
+            mean_ns: sample.mean(),
+            median_ns: sample.median(),
+            p1_ns: sample.percentile(1.0),
+            p99_ns: sample.percentile(99.0),
+            bulk_fraction: hist.mass_between(300.0, 400.0),
+            differential_ns,
+        })
+    }
+
+    fn render(scale: Scale, r: &Fig2Result) {
+        println!(
+            "Fig. 2 — Rosetta switch latency distribution ({})",
+            scale.label()
+        );
+        println!();
+        println!("mean   = {:>7.1} ns   (paper: ~350 ns)", r.mean_ns);
+        println!("median = {:>7.1} ns   (paper: ~350 ns)", r.median_ns);
+        println!("p1     = {:>7.1} ns", r.p1_ns);
+        println!("p99    = {:>7.1} ns", r.p99_ns);
+        println!(
+            "bulk within 300-400 ns: {:.1} %   (paper: ~all of the distribution)",
+            r.bulk_fraction * 100.0
+        );
+        println!(
+            "2-hop minus 1-hop differential on the network: {:.1} ns",
+            r.differential_ns
+        );
+        println!();
+        let mut t = Table::new(["latency (ns)", "density"]);
+        for (ns, d) in r.density.iter().filter(|(_, d)| *d > 0.0005) {
+            t.row([format!("{ns:.0}"), format!("{d:.4}")]);
+        }
+        t.print();
+    }
 }
 
 /// Direct distribution of the calibrated latency model over random port
@@ -138,7 +174,7 @@ mod tests {
 
     #[test]
     fn distribution_matches_paper() {
-        let r = run(Scale::Tiny).output;
+        let r = Fig2::run(Scale::Tiny, None).output;
         assert!((330.0..=370.0).contains(&r.mean_ns), "mean {}", r.mean_ns);
         assert!(
             (330.0..=370.0).contains(&r.median_ns),
@@ -151,7 +187,7 @@ mod tests {
 
     #[test]
     fn differential_methodology_recovers_switch_latency() {
-        let r = run(Scale::Tiny).output;
+        let r = Fig2::run(Scale::Tiny, None).output;
         // One extra traversal + one local-copper propagation (~13 ns):
         // expect ~350-380 ns, matching the model mean within jitter.
         assert!(

@@ -5,8 +5,10 @@
 //! worst-case ~40 % latency penalty at 8 B, < 10-15 % differences beyond
 //! 16 KiB, and occasionally *higher* bandwidth across groups (more paths).
 
+use crate::report::{fmt_bytes, Table};
 use crate::runner::{self, CellMeta, Outcome};
 use crate::scale::Scale;
+use crate::{driver::Figure, SweepCache};
 use serde::Serialize;
 use slingshot::{Profile, System, SystemBuilder};
 use slingshot_des::SimTime;
@@ -71,31 +73,70 @@ pub struct Fig4Row {
 /// The message sizes of the figure.
 pub const SIZES: [u64; 4] = [8, 1 << 10, 128 << 10, 4 << 20];
 
-/// Run the figure on an isolated Malbec. Each (distance, size) point runs
-/// quarantined: a stalled or panicking point becomes an error row while
-/// the others complete.
-pub fn run(scale: Scale) -> Outcome<Vec<Fig4Row>> {
-    let iters = match scale {
-        Scale::Tiny => 5,
-        Scale::Quick => 30,
-        Scale::Paper => 200,
-    };
-    let points: Vec<(Distance, u64)> = Distance::ALL
-        .into_iter()
-        .flat_map(|d| SIZES.into_iter().map(move |b| (d, b)))
-        .collect();
-    let results = runner::quarantine_map(
-        &points,
-        |&(distance, bytes)| CellMeta {
-            label: format!("{} {}", distance.label(), crate::report::fmt_bytes(bytes)),
-            seed: 4,
-        },
-        |&(distance, bytes)| measure(distance, bytes, iters),
-    );
-    let (rows, failures) = runner::split_results(results);
-    Outcome {
-        output: rows.into_iter().flatten().collect(),
-        failures,
+/// Fig. 4 for the figure driver.
+pub struct Fig4;
+
+impl Figure for Fig4 {
+    const STEM: &'static str = "fig4";
+    type Output = Vec<Fig4Row>;
+
+    /// Run the figure on an isolated Malbec. Each (distance, size) point runs
+    /// quarantined: a stalled or panicking point becomes an error row while
+    /// the others complete.
+    fn run(scale: Scale, _: Option<&SweepCache>) -> Outcome<Vec<Fig4Row>> {
+        let iters = match scale {
+            Scale::Tiny => 5,
+            Scale::Quick => 30,
+            Scale::Paper => 200,
+        };
+        let points: Vec<(Distance, u64)> = Distance::ALL
+            .into_iter()
+            .flat_map(|d| SIZES.into_iter().map(move |b| (d, b)))
+            .collect();
+        let results = runner::quarantine_map(
+            &points,
+            |&(distance, bytes)| CellMeta {
+                label: format!("{} {}", distance.label(), crate::report::fmt_bytes(bytes)),
+                seed: 4,
+            },
+            |&(distance, bytes)| measure(distance, bytes, iters),
+        );
+        let (rows, failures) = runner::split_results(results);
+        Outcome {
+            output: rows.into_iter().flatten().collect(),
+            failures,
+        }
+    }
+
+    fn render(scale: Scale, rows: &Vec<Fig4Row>) {
+        println!(
+            "Fig. 4 — node distance vs latency/bandwidth ({})",
+            scale.label()
+        );
+        println!();
+        let mut t = Table::new([
+            "distance",
+            "size",
+            "S(us)",
+            "Q1(us)",
+            "median(us)",
+            "Q3(us)",
+            "L(us)",
+            "bw (Gb/s)",
+        ]);
+        for r in rows {
+            t.row([
+                r.distance.label().to_string(),
+                fmt_bytes(r.bytes),
+                format!("{:.3}", r.latency_us.s),
+                format!("{:.3}", r.latency_us.q1),
+                format!("{:.3}", r.latency_us.median),
+                format!("{:.3}", r.latency_us.q3),
+                format!("{:.3}", r.latency_us.l),
+                format!("{:.3}", r.bandwidth_gbps),
+            ]);
+        }
+        t.print();
     }
 }
 
@@ -143,7 +184,7 @@ mod tests {
 
     #[test]
     fn shape_matches_paper() {
-        let out = run(Scale::Tiny);
+        let out = Fig4::run(Scale::Tiny, None);
         assert!(!out.failed(), "fault-free sweep has no error rows");
         let rows = out.output;
         assert_eq!(rows.len(), 12);

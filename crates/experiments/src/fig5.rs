@@ -5,8 +5,10 @@
 //! ~3.3 µs TCP at 8 B); large messages converge toward wire bandwidth,
 //! with the kernel stacks penalized by their memory copies.
 
+use crate::report::{fmt_bytes, Table};
 use crate::runner::{self, CellMeta, Outcome};
 use crate::scale::Scale;
+use crate::{driver::Figure, SweepCache};
 use serde::Serialize;
 use slingshot::{Profile, System, SystemBuilder};
 use slingshot_des::SimTime;
@@ -45,41 +47,67 @@ pub fn sizes(scale: Scale) -> Vec<u64> {
     }
 }
 
-/// Run the figure. Each (stack, size) point runs quarantined: a stalled
-/// or panicking point becomes an error row while the others complete.
-pub fn run(scale: Scale) -> Outcome<Vec<Fig5Row>> {
-    let iters = match scale {
-        Scale::Tiny => 4,
-        Scale::Quick => 20,
-        Scale::Paper => 200,
-    };
-    let points: Vec<(ProtocolStack, u64)> = ProtocolStack::ALL
-        .into_iter()
-        .flat_map(|stack| sizes(scale).into_iter().map(move |bytes| (stack, bytes)))
-        .collect();
-    let results = runner::quarantine_map(
-        &points,
-        |&(stack, bytes)| CellMeta {
-            label: format!("{} {}", stack.name, crate::report::fmt_bytes(bytes)),
-            seed: 5,
-        },
-        |&(stack, bytes)| median_half_rtt(stack, bytes, iters),
-    );
-    let (medians, failures) = runner::split_results(results);
-    let rows = points
-        .iter()
-        .zip(medians)
-        .filter_map(|(&(stack, bytes), median)| {
-            median.map(|half_rtt_us| Fig5Row {
-                stack: stack.name,
-                bytes,
-                half_rtt_us,
+/// Fig. 5 for the figure driver.
+pub struct Fig5;
+
+impl Figure for Fig5 {
+    const STEM: &'static str = "fig5";
+    type Output = Vec<Fig5Row>;
+
+    /// Run the figure. Each (stack, size) point runs quarantined: a stalled
+    /// or panicking point becomes an error row while the others complete.
+    fn run(scale: Scale, _: Option<&SweepCache>) -> Outcome<Vec<Fig5Row>> {
+        let iters = match scale {
+            Scale::Tiny => 4,
+            Scale::Quick => 20,
+            Scale::Paper => 200,
+        };
+        let points: Vec<(ProtocolStack, u64)> = ProtocolStack::ALL
+            .into_iter()
+            .flat_map(|stack| sizes(scale).into_iter().map(move |bytes| (stack, bytes)))
+            .collect();
+        let results = runner::quarantine_map(
+            &points,
+            |&(stack, bytes)| CellMeta {
+                label: format!("{} {}", stack.name, crate::report::fmt_bytes(bytes)),
+                seed: 5,
+            },
+            |&(stack, bytes)| median_half_rtt(stack, bytes, iters),
+        );
+        let (medians, failures) = runner::split_results(results);
+        let rows = points
+            .iter()
+            .zip(medians)
+            .filter_map(|(&(stack, bytes), median)| {
+                median.map(|half_rtt_us| Fig5Row {
+                    stack: stack.name,
+                    bytes,
+                    half_rtt_us,
+                })
             })
-        })
-        .collect();
-    Outcome {
-        output: rows,
-        failures,
+            .collect();
+        Outcome {
+            output: rows,
+            failures,
+        }
+    }
+
+    fn render(scale: Scale, rows: &Vec<Fig5Row>) {
+        println!("Fig. 5 — RTT/2 by software layer ({})", scale.label());
+        println!();
+        let mut t = Table::new(["stack", "size", "RTT/2 (us)"]);
+        for r in rows {
+            t.row([
+                r.stack.to_string(),
+                fmt_bytes(r.bytes),
+                format!("{:.3}", r.half_rtt_us),
+            ]);
+        }
+        t.print();
+        println!();
+        println!(
+            "paper inset at 8 B: verbs ~1.3 us, MPI slightly above libfabric, UDP ~2.3, TCP ~3.3"
+        );
     }
 }
 
@@ -133,7 +161,7 @@ mod tests {
 
     #[test]
     fn small_message_ordering_matches_paper() {
-        let out = run(Scale::Tiny);
+        let out = Fig5::run(Scale::Tiny, None);
         assert!(!out.failed(), "fault-free sweep has no error rows");
         let rows = out.output;
         let at = |stack: &str, bytes: u64| -> f64 {
@@ -158,7 +186,7 @@ mod tests {
 
     #[test]
     fn large_messages_converge_but_kernel_copies_cost() {
-        let rows = run(Scale::Tiny).output;
+        let rows = Fig5::run(Scale::Tiny, None).output;
         let at = |stack: &str, bytes: u64| -> f64 {
             rows.iter()
                 .find(|r| r.stack == stack && r.bytes == bytes)

@@ -7,8 +7,10 @@
 //! for large messages and a throughput dip at 256 B where the MPI
 //! algorithm switches from Bruck to pairwise.
 
+use crate::report::{fmt_bytes, Table};
 use crate::runner::{self, CellMeta, Outcome};
 use crate::scale::Scale;
+use crate::{driver::Figure, SweepCache};
 use serde::Serialize;
 use slingshot::{Profile, System, SystemBuilder};
 use slingshot_des::{SimDuration, SimTime};
@@ -67,71 +69,109 @@ pub fn sizes(scale: Scale) -> Vec<u64> {
     }
 }
 
-/// Run the figure. Each bandwidth point runs quarantined: a stalled or
-/// panicking point becomes an error row while the others complete.
-pub fn run(scale: Scale) -> Outcome<Fig6Result> {
-    let params = shandy_scaled(scale.shandy_groups());
-    let nodes = params.total_nodes();
-    let (theo_bis, theo_a2a) = theoretical_gbps(&params, 200.0);
-    let ppn = match scale {
-        Scale::Tiny => 1,
-        Scale::Quick => 2,
-        Scale::Paper => 16,
-    };
-    let a2a_sizes = sizes(scale);
-    let bis_sizes: Vec<u64> = a2a_sizes.iter().copied().filter(|&b| b >= 256).collect();
-    let (a2a_results, bis_results) = runner::join(
-        || {
-            runner::quarantine_map(
-                &a2a_sizes,
-                |&bytes| CellMeta {
-                    label: format!("alltoall ppn={ppn} {}", crate::report::fmt_bytes(bytes)),
-                    seed: 6,
-                },
-                |&bytes| try_alltoall_gbps(params, bytes, ppn, scale),
-            )
-        },
-        || {
-            runner::quarantine_map(
-                &bis_sizes,
-                |&bytes| CellMeta {
-                    label: format!("bisection {}", crate::report::fmt_bytes(bytes)),
-                    seed: 66,
-                },
-                |&bytes| try_bisection_gbps(params, bytes, scale),
-            )
-        },
-    );
-    let (a2a_gbps, mut failures) = runner::split_results(a2a_results);
-    let (bis_gbps, bis_failures) = runner::split_results(bis_results);
-    failures.extend(bis_failures);
-    let mut rows: Vec<Fig6Row> = a2a_sizes
-        .iter()
-        .zip(a2a_gbps)
-        .filter_map(|(&bytes, gbps)| {
+/// Fig. 6 for the figure driver.
+pub struct Fig6;
+
+impl Figure for Fig6 {
+    const STEM: &'static str = "fig6";
+    type Output = Fig6Result;
+
+    /// Run the figure. Each bandwidth point runs quarantined: a stalled or
+    /// panicking point becomes an error row while the others complete.
+    fn run(scale: Scale, _: Option<&SweepCache>) -> Outcome<Fig6Result> {
+        let params = shandy_scaled(scale.shandy_groups());
+        let nodes = params.total_nodes();
+        let (theo_bis, theo_a2a) = theoretical_gbps(&params, 200.0);
+        let ppn = match scale {
+            Scale::Tiny => 1,
+            Scale::Quick => 2,
+            Scale::Paper => 16,
+        };
+        let a2a_sizes = sizes(scale);
+        let bis_sizes: Vec<u64> = a2a_sizes.iter().copied().filter(|&b| b >= 256).collect();
+        let (a2a_results, bis_results) = runner::join(
+            || {
+                runner::quarantine_map(
+                    &a2a_sizes,
+                    |&bytes| CellMeta {
+                        label: format!("alltoall ppn={ppn} {}", crate::report::fmt_bytes(bytes)),
+                        seed: 6,
+                    },
+                    |&bytes| try_alltoall_gbps(params, bytes, ppn, scale),
+                )
+            },
+            || {
+                runner::quarantine_map(
+                    &bis_sizes,
+                    |&bytes| CellMeta {
+                        label: format!("bisection {}", crate::report::fmt_bytes(bytes)),
+                        seed: 66,
+                    },
+                    |&bytes| try_bisection_gbps(params, bytes, scale),
+                )
+            },
+        );
+        let (a2a_gbps, mut failures) = runner::split_results(a2a_results);
+        let (bis_gbps, bis_failures) = runner::split_results(bis_results);
+        failures.extend(bis_failures);
+        let mut rows: Vec<Fig6Row> = a2a_sizes
+            .iter()
+            .zip(a2a_gbps)
+            .filter_map(|(&bytes, gbps)| {
+                gbps.map(|gbps| Fig6Row {
+                    series: format!("alltoall ppn={ppn}"),
+                    bytes,
+                    gbps,
+                })
+            })
+            .collect();
+        rows.extend(bis_sizes.iter().zip(bis_gbps).filter_map(|(&bytes, gbps)| {
             gbps.map(|gbps| Fig6Row {
-                series: format!("alltoall ppn={ppn}"),
+                series: "bisection".to_string(),
                 bytes,
                 gbps,
             })
-        })
-        .collect();
-    rows.extend(bis_sizes.iter().zip(bis_gbps).filter_map(|(&bytes, gbps)| {
-        gbps.map(|gbps| Fig6Row {
-            series: "bisection".to_string(),
-            bytes,
-            gbps,
-        })
-    }));
-    Outcome {
-        output: Fig6Result {
-            groups: params.groups,
-            nodes,
-            theoretical_bisection_gbps: theo_bis,
-            theoretical_alltoall_gbps: theo_a2a,
-            rows,
-        },
-        failures,
+        }));
+        Outcome {
+            output: Fig6Result {
+                groups: params.groups,
+                nodes,
+                theoretical_bisection_gbps: theo_bis,
+                theoretical_alltoall_gbps: theo_a2a,
+                rows,
+            },
+            failures,
+        }
+    }
+
+    fn render(scale: Scale, r: &Fig6Result) {
+        println!(
+            "Fig. 6 — bisection & alltoall bandwidth, {} groups / {} nodes ({})",
+            r.groups,
+            r.nodes,
+            scale.label()
+        );
+        println!(
+            "theoretical: bisection {:.1} Gb/s, alltoall {:.1} Gb/s",
+            r.theoretical_bisection_gbps, r.theoretical_alltoall_gbps
+        );
+        println!("(full Shandy: 6.4 TB/s bisection, 12.8 TB/s alltoall — Fig. 6)");
+        println!();
+        let mut t = Table::new(["series", "size", "Gb/s", "% of theoretical"]);
+        for row in &r.rows {
+            let theo = if row.series.starts_with("alltoall") {
+                r.theoretical_alltoall_gbps
+            } else {
+                r.theoretical_bisection_gbps
+            };
+            t.row([
+                row.series.clone(),
+                fmt_bytes(row.bytes),
+                format!("{:.1}", row.gbps),
+                format!("{:.1}%", row.gbps / theo * 100.0),
+            ]);
+        }
+        t.print();
     }
 }
 

@@ -7,8 +7,10 @@
 //! computation ratio is tiny; tails (95p/99p) stretch most on Aries.
 
 use crate::congestion::{machine_for, WARMUP};
+use crate::report::Table;
 use crate::runner::{self, CellMeta, Outcome};
 use crate::scale::Scale;
+use crate::{driver::Figure, SweepCache};
 use serde::Serialize;
 use slingshot::{Profile, System, SystemBuilder};
 use slingshot_mpi::{Engine, Job, ProtocolStack};
@@ -60,42 +62,82 @@ pub fn sphinx_service_scale(scale: Scale) -> f64 {
     }
 }
 
-/// Run the figure. Each (app, profile, congestion) point runs
-/// quarantined: a stalled or panicking point becomes an error row while
-/// the others complete.
-pub fn run(scale: Scale) -> Outcome<Vec<Fig8Row>> {
-    let apps: &[TailApp] = match scale {
-        Scale::Tiny => &[TailApp::Silo, TailApp::ImgDnn],
-        _ => &TailApp::ALL,
-    };
-    let mut points = Vec::new();
-    for &app in apps {
-        for profile in [Profile::Aries, Profile::Slingshot] {
-            for congested in [false, true] {
-                points.push((app, profile, congested));
+/// Fig. 8 for the figure driver.
+pub struct Fig8;
+
+impl Figure for Fig8 {
+    const STEM: &'static str = "fig8";
+    type Output = Vec<Fig8Row>;
+
+    /// Run the figure. Each (app, profile, congestion) point runs
+    /// quarantined: a stalled or panicking point becomes an error row while
+    /// the others complete.
+    fn run(scale: Scale, _: Option<&SweepCache>) -> Outcome<Vec<Fig8Row>> {
+        let apps: &[TailApp] = match scale {
+            Scale::Tiny => &[TailApp::Silo, TailApp::ImgDnn],
+            _ => &TailApp::ALL,
+        };
+        let mut points = Vec::new();
+        for &app in apps {
+            for profile in [Profile::Aries, Profile::Slingshot] {
+                for congested in [false, true] {
+                    points.push((app, profile, congested));
+                }
             }
         }
+        let results = runner::quarantine_map(
+            &points,
+            |&(app, profile, congested)| CellMeta {
+                label: format!(
+                    "{} on {} ({})",
+                    app.label(),
+                    match profile {
+                        Profile::Aries => "Aries",
+                        _ => "Slingshot",
+                    },
+                    if congested { "congested" } else { "idle" },
+                ),
+                seed: 8,
+            },
+            |&(app, profile, congested)| measure(app, profile, congested, scale),
+        );
+        let (rows, failures) = runner::split_results(results);
+        Outcome {
+            output: rows.into_iter().flatten().collect(),
+            failures,
+        }
     }
-    let results = runner::quarantine_map(
-        &points,
-        |&(app, profile, congested)| CellMeta {
-            label: format!(
-                "{} on {} ({})",
-                app.label(),
-                match profile {
-                    Profile::Aries => "Aries",
-                    _ => "Slingshot",
-                },
-                if congested { "congested" } else { "idle" },
-            ),
-            seed: 8,
-        },
-        |&(app, profile, congested)| measure(app, profile, congested, scale),
-    );
-    let (rows, failures) = runner::split_results(results);
-    Outcome {
-        output: rows.into_iter().flatten().collect(),
-        failures,
+
+    fn render(scale: Scale, rows: &Vec<Fig8Row>) {
+        println!(
+            "Fig. 8 — Tailbench under endpoint congestion ({})",
+            scale.label()
+        );
+        println!();
+        let mut t = Table::new([
+            "app",
+            "network",
+            "congested",
+            "median(ms)",
+            "mean(ms)",
+            "95p(ms)",
+            "99p(ms)",
+        ]);
+        for r in rows {
+            t.row([
+                r.app.to_string(),
+                r.profile.to_string(),
+                if r.congested { "yes" } else { "no" }.to_string(),
+                format!("{:.3}", r.median_ms),
+                format!("{:.3}", r.mean_ms),
+                format!("{:.3}", r.p95_ms),
+                format!("{:.3}", r.p99_ms),
+            ]);
+        }
+        t.print();
+        println!();
+        println!("paper: severe degradation on Aries for silo/xapian/img-dnn, none on Slingshot;");
+        println!("sphinx degrades least (lowest communication/computation ratio).");
     }
 }
 
@@ -165,7 +207,7 @@ mod tests {
 
     #[test]
     fn aries_degrades_slingshot_does_not() {
-        let out = run(Scale::Tiny);
+        let out = Fig8::run(Scale::Tiny, None);
         assert!(!out.failed(), "fault-free sweep has no error rows");
         let rows = out.output;
         let find = |app: &str, profile: &str, congested: bool| -> &Fig8Row {
@@ -196,7 +238,7 @@ mod tests {
 
     #[test]
     fn tails_exceed_medians() {
-        let rows = run(Scale::Tiny).output;
+        let rows = Fig8::run(Scale::Tiny, None).output;
         for r in &rows {
             assert!(r.p99_ms >= r.p95_ms);
             assert!(r.p95_ms >= r.median_ms * 0.99);

@@ -8,14 +8,16 @@
 //! aggressor share and hits small messages hardest.
 
 use crate::cache::{CellKey, SweepCache};
-use crate::congestion::{default_victims, try_run_cell, Cell, Victim};
-use crate::runner::{self, CellFailure, CellMeta, Outcome};
+use crate::congestion::{default_victims, impact_sweep, machine_for, Cell, SweepCell, Victim};
+use crate::driver::{Figure, TraceHook};
+use crate::report::{fmt_impact, Table};
+use crate::runner::{CellMeta, Outcome};
 use crate::scale::Scale;
+use crate::telemetry::trace_cell;
 use serde::Serialize;
-use slingshot::Profile;
+use slingshot::{Profile, TelemetryConfig};
 use slingshot_topology::AllocationPolicy;
-use slingshot_workloads::Congestor;
-use std::collections::HashMap;
+use slingshot_workloads::{Congestor, Microbench};
 
 /// One heatmap cell.
 #[derive(Clone, Debug, Serialize)]
@@ -82,19 +84,31 @@ impl HeatmapOpts {
             seed: 9,
         }
     }
+
+    /// The sweep's cell for `profile` at aggressor node share `share`
+    /// (percent). The victim spans at least two switches: at paper scale
+    /// a 10 % victim covers ~4 switches, and scaled-down machines keep
+    /// that property.
+    pub fn cell(&self, profile: Profile, share: u32, aggressor: Option<Congestor>) -> Cell {
+        let eps = machine_for(self.nodes).endpoints_per_switch;
+        Cell {
+            profile,
+            nodes: self.nodes,
+            victim_nodes: (self.nodes - self.nodes * share / 100).max(eps + 2),
+            policy: self.policy,
+            aggressor,
+            aggressor_ppn: self.aggressor_ppn,
+            seed: self.seed,
+        }
+    }
 }
 
-fn profile_name(profile: Profile) -> &'static str {
+pub(crate) fn profile_name(profile: Profile) -> &'static str {
     match profile {
         Profile::Aries => "Aries",
         Profile::Slingshot => "Slingshot",
         Profile::SlingshotEcn => "Slingshot+ECN",
     }
-}
-
-/// Run the heatmap sweep without a cell cache (see [`run_with`]).
-pub fn run(opts: &HeatmapOpts) -> Outcome<Vec<HeatmapCell>> {
-    run_with(opts, None)
 }
 
 /// Run the heatmap sweep: every isolated baseline first (they are shared
@@ -104,136 +118,133 @@ pub fn run(opts: &HeatmapOpts) -> Outcome<Vec<HeatmapCell>> {
 /// cell becomes an error row while the rest complete — and, with a
 /// cache, cells completed by a previous (possibly killed) run are
 /// served from disk instead of recomputed.
-pub fn run_with(opts: &HeatmapOpts, cache: Option<&SweepCache>) -> Outcome<Vec<HeatmapCell>> {
-    // The victim must span at least two switches (at paper scale a 10 %
-    // victim covers ~4 switches; keep that property when the machine is
-    // scaled down).
-    let eps = crate::congestion::machine_for(opts.nodes).endpoints_per_switch;
-    let victim_nodes = |share: u32| (opts.nodes - opts.nodes * share / 100).max(eps + 2);
-    let cell = |profile, share, aggressor| Cell {
-        profile,
-        nodes: opts.nodes,
-        victim_nodes: victim_nodes(share),
-        policy: opts.policy,
-        aggressor,
-        aggressor_ppn: opts.aggressor_ppn,
-        seed: opts.seed,
-    };
-
-    // Isolated baselines, shared across aggressor patterns.
-    let mut iso_points = Vec::new();
-    for &profile in &opts.profiles {
-        for &share in &opts.shares {
-            for &victim in &opts.victims {
-                iso_points.push((profile, share, victim));
-            }
-        }
-    }
-    let cell_key = |profile, share, victim: Victim, aggressor: Option<Congestor>| {
-        CellKey::new("fig9")
-            .field("profile", profile_name(profile))
-            .field("share", share)
-            .field("victim", victim.label())
-            .field(
-                "aggressor",
-                aggressor.map_or("none", |a| a.label()).to_string(),
-            )
-            .field("nodes", opts.nodes)
-            .field("policy", format!("{:?}", opts.policy))
-            .field("ppn", opts.aggressor_ppn)
-            .field("iters", opts.iters)
-            .field("budget", opts.budget)
-            .field("seed", opts.seed)
-    };
-    let cell_meta = |profile, share, victim: Victim, aggressor: Option<Congestor>| CellMeta {
-        label: format!(
-            "{} {}% {} vs {}",
-            profile_name(profile),
-            share,
-            victim.label(),
-            aggressor.map_or("isolated", |a| a.label()),
-        ),
-        seed: opts.seed,
-    };
-
-    let iso_results = runner::resumable_map(
-        cache,
-        &iso_points,
-        |&(profile, share, victim)| cell_meta(profile, share, victim, None),
-        |&(profile, share, victim)| cell_key(profile, share, victim, None),
-        |&(profile, share, victim)| {
-            try_run_cell(&cell(profile, share, None), victim, opts.iters, opts.budget)
-                .map(|r| r.mean_secs)
-        },
-    );
-    let (iso_means, mut failures) = runner::split_results(iso_results);
-    let isolated: HashMap<(&'static str, u32, String), f64> = iso_points
-        .iter()
-        .zip(&iso_means)
-        .filter_map(|(&(profile, share, victim), mean)| {
-            mean.map(|m| ((profile_name(profile), share, victim.label()), m))
-        })
-        .collect();
-
-    // Loaded cells, in the figure's row order.
-    let mut loaded_points = Vec::new();
+pub fn run(opts: &HeatmapOpts, cache: Option<&SweepCache>) -> Outcome<Vec<HeatmapCell>> {
+    let mut points = Vec::new();
     for &profile in &opts.profiles {
         for &share in &opts.shares {
             for aggressor in [Congestor::AllToAll, Congestor::Incast] {
                 for &victim in &opts.victims {
-                    loaded_points.push((profile, share, aggressor, victim));
+                    points.push(((profile, share, victim), aggressor));
                 }
             }
         }
     }
-    let loaded_results = runner::resumable_map(
+    impact_sweep(
         cache,
-        &loaded_points,
-        |&(profile, share, aggressor, victim)| cell_meta(profile, share, victim, Some(aggressor)),
-        |&(profile, share, aggressor, victim)| cell_key(profile, share, victim, Some(aggressor)),
-        |&(profile, share, aggressor, victim)| {
-            try_run_cell(
-                &cell(profile, share, Some(aggressor)),
-                victim,
-                opts.iters,
-                opts.budget,
-            )
-            .map(|r| r.mean_secs)
+        &points,
+        (opts.iters, opts.budget),
+        |&(profile, share, victim), aggressor| SweepCell {
+            cell: opts.cell(profile, share, aggressor),
+            victim,
+            key: CellKey::new("fig9")
+                .field("profile", profile_name(profile))
+                .field("share", share)
+                .field("victim", victim.label())
+                .field(
+                    "aggressor",
+                    aggressor.map_or("none", |a| a.label()).to_string(),
+                )
+                .field("nodes", opts.nodes)
+                .field("policy", format!("{:?}", opts.policy))
+                .field("ppn", opts.aggressor_ppn)
+                .field("iters", opts.iters)
+                .field("budget", opts.budget)
+                .field("seed", opts.seed),
+            meta: CellMeta {
+                label: format!(
+                    "{} {}% {} vs {}",
+                    profile_name(profile),
+                    share,
+                    victim.label(),
+                    aggressor.map_or("isolated", |a| a.label()),
+                ),
+                seed: opts.seed,
+            },
         },
-    );
-    let (loaded_means, loaded_failures) = runner::split_results(loaded_results);
-    failures.extend(loaded_failures);
-    let rows = loaded_points
-        .iter()
-        .zip(&loaded_means)
-        .filter_map(|(&(profile, share, aggressor, victim), mean)| {
-            let mean = (*mean)?;
-            match isolated.get(&(profile_name(profile), share, victim.label())) {
-                Some(base) => Some(HeatmapCell {
-                    profile: profile_name(profile),
-                    aggressor: aggressor.label(),
-                    aggressor_share: share,
-                    victim: victim.label(),
-                    impact: mean / base,
-                }),
-                None => {
-                    // The loaded cell finished but its isolated baseline
-                    // failed: no impact can be formed, so the row becomes
-                    // an error row too.
-                    failures.push(CellFailure {
-                        cell: cell_meta(profile, share, victim, Some(aggressor)).label,
-                        seed: opts.seed,
-                        error: "isolated baseline unavailable (its cell failed)".into(),
-                        stall: None,
-                    });
-                    None
+        |&(profile, share, victim), aggressor, impact| HeatmapCell {
+            profile: profile_name(profile),
+            aggressor: aggressor.label(),
+            aggressor_share: share,
+            victim: victim.label(),
+            impact,
+        },
+    )
+}
+
+/// Fig. 9 for the figure driver.
+pub struct Fig9;
+
+impl Figure for Fig9 {
+    const STEM: &'static str = "fig9";
+    const RESUMABLE: bool = true;
+    const TRACE: Option<TraceHook> = Some(trace);
+    type Output = Vec<HeatmapCell>;
+
+    fn run(scale: Scale, cache: Option<&SweepCache>) -> Outcome<Vec<HeatmapCell>> {
+        run(&HeatmapOpts::fig9(scale), cache)
+    }
+
+    fn render(scale: Scale, cells: &Vec<HeatmapCell>) {
+        let shares = HeatmapOpts::fig9(scale).shares;
+        println!("Fig. 9 — congestion impact heatmap ({})", scale.label());
+        println!();
+        for profile in ["Aries", "Slingshot"] {
+            println!("== {profile} ==");
+            let mut victims: Vec<String> = Vec::new();
+            for c in cells {
+                if c.profile == profile && !victims.contains(&c.victim) {
+                    victims.push(c.victim.clone());
                 }
             }
-        })
-        .collect();
-    Outcome {
-        output: rows,
-        failures,
+            let mut header = vec!["aggressor".to_string(), "share".to_string()];
+            header.extend(victims.iter().cloned());
+            let mut t = Table::new(header);
+            for aggr in ["all-to-all", "incast"] {
+                for &share in &shares {
+                    let mut row = vec![aggr.to_string(), format!("{share}%")];
+                    for v in &victims {
+                        let impact = cells
+                            .iter()
+                            .find(|c| {
+                                c.profile == profile
+                                    && c.aggressor == aggr
+                                    && c.aggressor_share == share
+                                    && &c.victim == v
+                            })
+                            .map(|c| fmt_impact(c.impact))
+                            .unwrap_or_else(|| "-".into());
+                        row.push(impact);
+                    }
+                    t.row(row);
+                }
+            }
+            t.print();
+            println!();
+        }
+        println!("paper: max 93x on Aries vs 1.3x on Slingshot; incast >> all-to-all;");
+        println!("impact grows with aggressor share and hits small messages hardest.");
+    }
+}
+
+/// The figure's traced cells: the small-message all-to-all victim at the
+/// largest aggressor share, once isolated and once under an incast
+/// aggressor. Comparing the two traces in Perfetto shows the victim's
+/// `voq-wait` spans widening under load — the packet-level mechanism
+/// behind the heatmap's impact numbers.
+pub fn trace(scale: Scale, dir: &str, tcfg: TelemetryConfig) {
+    let opts = HeatmapOpts::fig9(scale);
+    let share = *opts.shares.last().expect("fig9 has at least one share");
+    let victim = Victim::Micro(Microbench::Alltoall, 128);
+    for (aggressor, case) in [(None, "isolated"), (Some(Congestor::Incast), "congested")] {
+        trace_cell(
+            dir,
+            &format!("fig9_{}_{case}", scale.label()),
+            &opts.cell(Profile::Slingshot, share, aggressor),
+            victim,
+            opts.iters,
+            opts.budget,
+            tcfg,
+        );
     }
 }
 
@@ -265,7 +276,6 @@ pub fn summarize(impacts: &[f64]) -> ImpactSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use slingshot_workloads::Microbench;
 
     /// A minimal heatmap that still shows the paper's headline contrast.
     #[test]
@@ -284,7 +294,7 @@ mod tests {
             budget: 500_000_000,
             seed: 42,
         };
-        let out = run(&opts);
+        let out = run(&opts, None);
         assert!(!out.failed(), "fault-free sweep has no error rows");
         let cells = out.output;
         assert_eq!(cells.len(), 2 * 2 * 2); // profiles × aggressors × victims

@@ -1,9 +1,10 @@
 //! # slingshot-experiments
 //!
 //! The experiment harness reproducing every table and figure of the paper's
-//! evaluation. Each `figN` module exposes a `run(scale) -> rows` function;
-//! the `src/bin/figN_*.rs` binaries print the same rows/series the paper
-//! reports and drop JSON under `results/`.
+//! evaluation. Each `figN` module exposes a [`Figure`] whose `run`
+//! computes the rows/series the paper reports and whose `render` prints
+//! them; the `src/bin/figN_*.rs` binaries and `all_figures` run them
+//! through [`driver::drive`], which drops JSON under `results/`.
 //!
 //! Sweeps fan their independent simulation points across worker threads
 //! (see [`runner`]); pass `--jobs N` to any binary. Output is
@@ -15,6 +16,7 @@
 pub mod ablation;
 pub mod cache;
 pub mod congestion;
+pub mod driver;
 pub mod fig10;
 pub mod fig11;
 pub mod fig12;
@@ -34,8 +36,9 @@ pub mod telemetry;
 
 pub use cache::{CacheValue, CellKey, SweepCache};
 pub use congestion::{
-    congestion_impact, default_victims, machine_for, paper_victim_splits, run_cell, run_pair,
-    try_run_cell, try_run_cell_traced, Cell, CellResult, Victim,
+    default_victims, machine_for, run_cell, run_pair, try_run_cell, try_run_cell_traced, Cell,
+    CellResult, Victim,
 };
+pub use driver::Figure;
 pub use runner::{CellFailure, CellMeta, Outcome};
 pub use scale::{RunConfig, Scale};

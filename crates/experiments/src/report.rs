@@ -1,10 +1,9 @@
 //! Reporting utilities: aligned console tables and JSON result dumps.
 
 use crate::runner::CellFailure;
-use crate::RunConfig;
 use serde::Serialize;
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// A simple aligned text table.
 #[derive(Clone, Debug, Default)]
@@ -27,16 +26,6 @@ impl Table {
         let row: Vec<String> = cells.into_iter().map(Into::into).collect();
         assert_eq!(row.len(), self.header.len(), "row width mismatch");
         self.rows.push(row);
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 
     /// Render with padded columns.
@@ -124,25 +113,18 @@ pub fn fmt_bytes(b: u64) -> String {
     }
 }
 
-/// The epilogue every figure binary calls last, once all of its
-/// networks (telemetry re-runs included) have been simulated and dropped:
-/// under `--verbose`, print and save the process-global kernel counters;
-/// then report failed cells and exit 1 if there were any.
-pub fn finish(cfg: &RunConfig, name: &str, failures: &[CellFailure]) {
-    if cfg.verbose {
-        print_kernel_stats();
-        save_kernel_stats(name);
+/// Take the kernel counters of every network dropped since the last take,
+/// print them to stderr (keeping stdout byte-comparable) and save them as
+/// `results/<name>_kernelstats.json` for diffing across runs.
+pub(crate) fn kernel_stats(name: &str) {
+    #[derive(Serialize)]
+    struct KernelStatsFile {
+        /// Networks simulated by this figure (counters are summed over
+        /// all of them).
+        networks: u64,
+        stats: slingshot_network::KernelStats,
     }
-    if report_failures(name, failures) {
-        std::process::exit(1);
-    }
-}
-
-/// Print the process-global simulation-kernel counters to stderr.
-/// Stderr keeps figure stdout byte-comparable across runs whose wall time
-/// differs.
-fn print_kernel_stats() {
-    let (k, networks) = slingshot_network::global_kernel_stats();
+    let (k, networks) = slingshot_network::take_global_kernel_stats();
     eprintln!();
     eprintln!("kernel counters ({networks} networks simulated):");
     eprintln!("  events dispatched      {:>16}", k.events_total());
@@ -167,24 +149,9 @@ fn print_kernel_stats() {
     eprintln!("  e2e retransmits        {:>16}", k.e2e_retransmits);
     eprintln!("  packets dropped        {:>16}", k.packets_dropped);
     eprintln!("  event-queue high water {:>16}", k.queue_hwm);
-}
-
-/// Persist the process-global kernel counters as
-/// `results/<name>_kernelstats.json`, the machine-readable companion to
-/// [`print_kernel_stats`], so perf investigations can diff counter totals
-/// across runs without scraping stderr.
-fn save_kernel_stats(name: &str) {
-    #[derive(Serialize)]
-    struct KernelStatsFile {
-        /// Networks simulated by this process (counters are summed over
-        /// all of them).
-        networks: u64,
-        stats: slingshot_network::KernelStats,
-    }
-    let (stats, networks) = slingshot_network::global_kernel_stats();
     save_json(
         &format!("{name}_kernelstats"),
-        &KernelStatsFile { networks, stats },
+        &KernelStatsFile { networks, stats: k },
     );
 }
 
@@ -192,7 +159,7 @@ fn save_kernel_stats(name: &str) {
 /// `results/<name>_errors.json`, and return whether there were any.
 /// Fault-free sweeps print nothing and write nothing, so the primary
 /// `<name>.json` stays byte-identical to the pre-quarantine harness.
-fn report_failures(name: &str, failures: &[CellFailure]) -> bool {
+pub(crate) fn failures(name: &str, failures: &[CellFailure]) -> bool {
     if failures.is_empty() {
         return false;
     }
@@ -211,13 +178,6 @@ fn report_failures(name: &str, failures: &[CellFailure]) -> bool {
     }
     save_json(&format!("{name}_errors"), &failures);
     true
-}
-
-/// Check whether `path` exists under the results dir (test helper).
-pub fn result_exists(name: &str) -> bool {
-    Path::new(&results_dir())
-        .join(format!("{name}.json"))
-        .exists()
 }
 
 #[cfg(test)]

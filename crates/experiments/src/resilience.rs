@@ -17,8 +17,10 @@
 //! fault mode": that row takes the exact fault-free code path, so the
 //! baseline is byte-identical to a run without any fault machinery.
 
+use crate::report::Table;
 use crate::runner::{self, CellMeta, Outcome};
 use crate::scale::Scale;
+use crate::{driver::Figure, SweepCache};
 use serde::Serialize;
 use slingshot_des::{SimDuration, SimTime};
 use slingshot_faults::{FaultConfig, FaultRates, FaultSchedule};
@@ -245,37 +247,92 @@ fn simulate(scale: Scale, idx: usize, intensity: f64) -> Result<ResilienceRow, S
     })
 }
 
-/// Run the sweep: one row per intensity, baseline first. Each intensity
-/// runs quarantined; a stalled or panicking cell becomes an error row
-/// (relative throughput is left 0.0 for every row if the baseline cell
-/// itself failed).
-pub fn run(scale: Scale) -> Outcome<Vec<ResilienceRow>> {
-    let cells: Vec<(usize, f64)> = INTENSITIES.iter().copied().enumerate().collect();
-    let results = runner::quarantine_map(
-        &cells,
-        |&(idx, intensity)| CellMeta {
-            label: format!("fault intensity x{intensity}"),
-            seed: 0xFA17_0000 + idx as u64,
-        },
-        |&(idx, intensity)| simulate(scale, idx, intensity),
-    );
-    let (rows, failures) = runner::split_results(results);
-    let mut rows: Vec<ResilienceRow> = rows.into_iter().flatten().collect();
-    let baseline = rows
-        .first()
-        .filter(|r| r.intensity == 0.0)
-        .map(|r| r.throughput_gbps)
-        .unwrap_or(0.0);
-    for r in &mut rows {
-        r.relative_throughput = if baseline > 0.0 {
-            r.throughput_gbps / baseline
-        } else {
-            0.0
-        };
+/// The resilience sweep for the figure driver.
+pub struct Resilience;
+
+impl Figure for Resilience {
+    const STEM: &'static str = "fig_resilience";
+    type Output = Vec<ResilienceRow>;
+
+    /// Run the sweep: one row per intensity, baseline first. Each intensity
+    /// runs quarantined; a stalled or panicking cell becomes an error row
+    /// (relative throughput is left 0.0 for every row if the baseline cell
+    /// itself failed).
+    fn run(scale: Scale, _: Option<&SweepCache>) -> Outcome<Vec<ResilienceRow>> {
+        let cells: Vec<(usize, f64)> = INTENSITIES.iter().copied().enumerate().collect();
+        let results = runner::quarantine_map(
+            &cells,
+            |&(idx, intensity)| CellMeta {
+                label: format!("fault intensity x{intensity}"),
+                seed: 0xFA17_0000 + idx as u64,
+            },
+            |&(idx, intensity)| simulate(scale, idx, intensity),
+        );
+        let (rows, failures) = runner::split_results(results);
+        let mut rows: Vec<ResilienceRow> = rows.into_iter().flatten().collect();
+        let baseline = rows
+            .first()
+            .filter(|r| r.intensity == 0.0)
+            .map(|r| r.throughput_gbps)
+            .unwrap_or(0.0);
+        for r in &mut rows {
+            r.relative_throughput = if baseline > 0.0 {
+                r.throughput_gbps / baseline
+            } else {
+                0.0
+            };
+        }
+        Outcome {
+            output: rows,
+            failures,
+        }
     }
-    Outcome {
-        output: rows,
-        failures,
+
+    fn render(scale: Scale, rows: &Vec<ResilienceRow>) {
+        println!(
+            "Resilience — shift pattern under injected faults ({})",
+            scale.label()
+        );
+        println!();
+        let mut t = Table::new([
+            "intensity",
+            "faults",
+            "delivered",
+            "dropped",
+            "llr",
+            "retx",
+            "giveups",
+            "Gb/s",
+            "rel",
+            "p50 us",
+            "p99 us",
+        ]);
+        for r in rows {
+            t.row([
+                format!("{}x", r.intensity),
+                r.faults.faults_applied.to_string(),
+                format!("{}/{}", r.delivered_messages, r.messages),
+                r.faults.dropped_total().to_string(),
+                r.faults.llr_replays.to_string(),
+                r.faults.e2e_retransmits.to_string(),
+                r.faults.e2e_giveups.to_string(),
+                format!("{:.1}", r.throughput_gbps),
+                format!("{:.2}", r.relative_throughput),
+                format!("{:.2}", r.latency_p50_ns / 1000.0),
+                format!("{:.2}", r.latency_p99_ns / 1000.0),
+            ]);
+        }
+        t.print();
+        println!();
+        let leaked: i64 = rows.iter().map(|r| r.unaccounted).sum();
+        println!(
+            "conservation: injected == delivered + dropped-with-reason on every row \
+             (residue {leaked})"
+        );
+        println!(
+            "ladder: LLR replay -> lane degrade -> link down -> reroute -> e2e retry; \
+             intensity 0 is the byte-identical fault-free path."
+        );
     }
 }
 

@@ -10,26 +10,18 @@
 //! with a non-zero status rather than silently running the wrong sweep.
 
 /// How big to run an experiment.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Scale {
     /// Smoke test: the smallest configuration that still shows the effect.
     Tiny,
     /// Default: scaled-down systems, minutes of wall time.
+    #[default]
     Quick,
     /// The paper's node counts and iteration budgets.
     Paper,
 }
 
 impl Scale {
-    /// Parse from process args (`--tiny` / `--paper`, default quick).
-    ///
-    /// Unknown options abort the process with a non-zero exit; `--jobs`
-    /// is accepted and discarded (use [`RunConfig::from_args`] to keep
-    /// it).
-    pub fn from_args() -> Scale {
-        RunConfig::from_args().scale
-    }
-
     /// Number of nodes for the congestion experiments (paper: 512).
     pub fn congestion_nodes(self) -> u32 {
         match self {
@@ -85,8 +77,9 @@ impl Scale {
     }
 }
 
-/// Full harness configuration parsed from a figure binary's arguments.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// Full harness configuration parsed from a figure binary's arguments;
+/// the default is what no arguments mean.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RunConfig {
     /// Sweep size.
     pub scale: Scale,
@@ -135,14 +128,7 @@ impl RunConfig {
     fn parse(
         mut args: impl Iterator<Item = String>,
     ) -> Result<Result<RunConfig, String>, HelpRequested> {
-        let mut cfg = RunConfig {
-            scale: Scale::Quick,
-            jobs: 0,
-            verbose: false,
-            resume: false,
-            telemetry: None,
-            trace_sample: None,
-        };
+        let mut cfg = RunConfig::default();
         let parse_sample = |v: &str| -> Result<u32, String> {
             match v.parse::<u32>() {
                 Ok(n) if n > 0 => Ok(n),
@@ -241,10 +227,7 @@ mod tests {
             RunConfig {
                 scale: Scale::Paper,
                 jobs: 2,
-                verbose: false,
-                resume: false,
-                telemetry: None,
-                trace_sample: None,
+                ..RunConfig::default()
             }
         );
     }

@@ -11,29 +11,25 @@
 //! identical to its untraced twin and the trace files are byte-identical
 //! at any `--jobs` level.
 
-use crate::congestion::{machine_for, try_run_cell_traced, Cell, Victim};
-use crate::fig12;
-use crate::fig9::HeatmapOpts;
+use crate::congestion::{try_run_cell_traced, Cell, Victim};
 use crate::scale::RunConfig;
 use slingshot::telemetry::{jsonl, perfetto, HopKind};
-use slingshot::{Profile, TelemetryConfig, TelemetryReport};
-use slingshot_topology::AllocationPolicy;
-use slingshot_workloads::{Congestor, Microbench};
+use slingshot::{TelemetryConfig, TelemetryReport};
 use std::path::Path;
 
 /// Default flight-recorder sampling interval (1 in N packets) when
 /// `--telemetry` is given without `--trace-sample`.
 pub const DEFAULT_SAMPLE_EVERY: u32 = 16;
 
-/// The effective telemetry configuration of a parsed harness config:
-/// `None` unless `--telemetry DIR` was given; `--trace-sample N`
-/// overrides the default sampling interval. The sampling seed is filled
-/// in per cell by [`slingshot::SystemBuilder`] from the cell's own seed.
-pub fn config_for(run: &RunConfig) -> Option<TelemetryConfig> {
-    run.telemetry.as_ref()?;
-    Some(TelemetryConfig::sampled(
-        run.trace_sample.unwrap_or(DEFAULT_SAMPLE_EVERY),
-    ))
+/// The effective telemetry configuration of a parsed harness config: the
+/// output directory and sampling, or `None` unless `--telemetry DIR` was
+/// given; `--trace-sample N` overrides the default sampling interval. The
+/// sampling seed is filled in per cell by [`slingshot::SystemBuilder`]
+/// from the cell's own seed.
+pub fn config_for(run: &RunConfig) -> Option<(&str, TelemetryConfig)> {
+    let dir = run.telemetry.as_deref()?;
+    let every = run.trace_sample.unwrap_or(DEFAULT_SAMPLE_EVERY);
+    Some((dir, TelemetryConfig::sampled(every)))
 }
 
 /// Write `report` as `<dir>/<name>.perfetto.json` (Chrome-trace JSON for
@@ -94,7 +90,7 @@ pub fn mean_voq_wait_ps(report: &TelemetryReport) -> Option<f64> {
 /// Run one cell under the flight recorder and export its trace. Errors
 /// warn instead of failing: the traced cell is an observability add-on,
 /// not part of the figure's result set.
-fn trace_cell(
+pub(crate) fn trace_cell(
     dir: &str,
     name: &str,
     cell: &Cell,
@@ -116,102 +112,13 @@ fn trace_cell(
     }
 }
 
-/// Fig. 9 representative traces: the small-message all-to-all victim at
-/// the largest aggressor share, once isolated and once under an incast
-/// aggressor. Comparing the two traces in Perfetto shows the victim's
-/// `voq-wait` spans widening under load — the packet-level mechanism
-/// behind the heatmap's impact numbers. No-op without `--telemetry`.
-pub fn trace_fig9(run: &RunConfig) {
-    let Some(tcfg) = config_for(run) else { return };
-    let dir = run.telemetry.as_deref().expect("config_for checked");
-    let opts = HeatmapOpts::fig9(run.scale);
-    let eps = machine_for(opts.nodes).endpoints_per_switch;
-    let share = *opts.shares.last().expect("fig9 has at least one share");
-    let base = Cell {
-        profile: Profile::Slingshot,
-        nodes: opts.nodes,
-        victim_nodes: (opts.nodes - opts.nodes * share / 100).max(eps + 2),
-        policy: opts.policy,
-        aggressor: None,
-        aggressor_ppn: opts.aggressor_ppn,
-        seed: opts.seed,
-    };
-    let victim = Victim::Micro(Microbench::Alltoall, 128);
-    let label = run.scale.label();
-    trace_cell(
-        dir,
-        &format!("fig9_{label}_isolated"),
-        &base,
-        victim,
-        opts.iters,
-        opts.budget,
-        tcfg,
-    );
-    let loaded = Cell {
-        aggressor: Some(Congestor::Incast),
-        ..base
-    };
-    trace_cell(
-        dir,
-        &format!("fig9_{label}_congested"),
-        &loaded,
-        victim,
-        opts.iters,
-        opts.budget,
-        tcfg,
-    );
-}
-
-/// Fig. 11 representative trace: the paper's worst full-scale cell
-/// (LAMMPS-sized victim under a 75 % incast, random allocation). No-op
-/// without `--telemetry`.
-pub fn trace_fig11(run: &RunConfig) {
-    let Some(tcfg) = config_for(run) else { return };
-    let dir = run.telemetry.as_deref().expect("config_for checked");
-    let nodes = match run.scale {
-        crate::scale::Scale::Tiny => 64,
-        crate::scale::Scale::Quick => 128,
-        crate::scale::Scale::Paper => 1024,
-    };
-    let cell = Cell {
-        profile: Profile::Slingshot,
-        nodes,
-        victim_nodes: nodes - nodes * 75 / 100,
-        policy: AllocationPolicy::Random,
-        aggressor: Some(Congestor::Incast),
-        aggressor_ppn: 1,
-        seed: 11,
-    };
-    let victim = Victim::App(slingshot_workloads::HpcApp::Lammps);
-    trace_cell(
-        dir,
-        &format!("fig11_{}_worst", run.scale.label()),
-        &cell,
-        victim,
-        run.scale.iterations(),
-        run.scale.event_budget(),
-        tcfg,
-    );
-}
-
-/// Fig. 12 representative trace: the worst bursty corner (128 KiB
-/// aggressor messages, longest burst, shortest gap). No-op without
-/// `--telemetry`.
-pub fn trace_fig12(run: &RunConfig) {
-    let Some(tcfg) = config_for(run) else { return };
-    let dir = run.telemetry.as_deref().expect("config_for checked");
-    let name = format!("fig12_{}_bursty", run.scale.label());
-    match fig12::traced_cell(run.scale, tcfg) {
-        Ok(report) => export_report(dir, &name, &report),
-        Err(e) => eprintln!("warning: traced cell {name} failed: {e}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::runner;
-    use crate::scale::Scale;
+    use slingshot::Profile;
+    use slingshot_topology::AllocationPolicy;
+    use slingshot_workloads::{Congestor, Microbench};
 
     fn tiny_cell(aggressor: Option<Congestor>) -> Cell {
         Cell {
@@ -294,19 +201,18 @@ mod tests {
 
     #[test]
     fn config_for_respects_flags() {
-        let mut run = RunConfig {
-            scale: Scale::Tiny,
-            jobs: 1,
-            verbose: false,
-            resume: false,
-            telemetry: None,
-            trace_sample: None,
-        };
+        let mut run = RunConfig::default();
         assert!(config_for(&run).is_none());
         run.telemetry = Some("traces".into());
-        assert_eq!(config_for(&run).unwrap().sample_every, DEFAULT_SAMPLE_EVERY);
+        assert_eq!(
+            config_for(&run).unwrap().1.sample_every,
+            DEFAULT_SAMPLE_EVERY
+        );
         run.trace_sample = Some(3);
-        assert_eq!(config_for(&run).unwrap().sample_every, 3);
+        assert_eq!(
+            config_for(&run),
+            Some(("traces", TelemetryConfig::sampled(3)))
+        );
     }
 
     #[test]
@@ -315,14 +221,11 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let dir_s = dir.to_str().unwrap().to_string();
         let run = RunConfig {
-            scale: Scale::Tiny,
-            jobs: 1,
-            verbose: false,
-            resume: false,
             telemetry: Some(dir_s.clone()),
             trace_sample: Some(2),
+            ..RunConfig::default()
         };
-        let tcfg = config_for(&run).unwrap();
+        let (_, tcfg) = config_for(&run).unwrap();
         let report = trace_cell(&dir_s, "cell", &tiny_cell(None), VICTIM, 3, BUDGET, tcfg)
             .expect("traced cell runs");
         assert!(dir.join("cell.perfetto.json").exists());

@@ -1,14 +1,18 @@
-//! Figure binaries must fail loudly on arguments they do not understand:
-//! a typoed flag silently ignored means hours of simulation at the wrong
-//! configuration.
+//! Figure binaries must fail loudly on arguments they do not understand
+//! or cannot honour: a typoed or unsupported flag silently ignored means
+//! hours of simulation at the wrong configuration.
 
 use std::process::Command;
 
-fn fig2(args: &[&str]) -> std::process::Output {
-    Command::new(env!("CARGO_BIN_EXE_fig2_switch_latency"))
+fn run(exe: &str, args: &[&str]) -> std::process::Output {
+    Command::new(exe)
         .args(args)
         .output()
         .expect("run figure binary")
+}
+
+fn fig2(args: &[&str]) -> std::process::Output {
+    run(env!("CARGO_BIN_EXE_fig2_switch_latency"), args)
 }
 
 #[test]
@@ -33,4 +37,24 @@ fn help_exits_zero_without_running() {
     assert_eq!(out.status.code(), Some(0));
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("--jobs"), "usage must mention --jobs: {err}");
+}
+
+#[test]
+fn flags_the_figure_cannot_honour_exit_nonzero() {
+    const TRACED: &str = "fig9_heatmap, fig11_fullscale, fig12_bursty";
+    const RESUMABLE: &str = "fig9_heatmap, fig10_distributions, fig11_fullscale";
+    let fig10 = env!("CARGO_BIN_EXE_fig10_distributions");
+    let fig12 = env!("CARGO_BIN_EXE_fig12_bursty");
+    for (out, able) in [
+        (fig2(&["--telemetry", "/tmp/x"]), TRACED),
+        (fig2(&["--telemetry=/tmp/x"]), TRACED),
+        (fig2(&["--trace-sample", "4"]), TRACED),
+        (run(fig10, &["--tiny", "--telemetry", "/tmp/x"]), TRACED),
+        (fig2(&["--resume"]), RESUMABLE),
+        (run(fig12, &["--tiny", "--resume"]), RESUMABLE),
+    ] {
+        assert_eq!(out.status.code(), Some(2));
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(able), "stderr must name {able}: {err}");
+    }
 }

@@ -7,15 +7,16 @@
 //! from cached cells (any mix of hits and recomputes, at any thread
 //! count) serializes byte-identically to an uninterrupted run.
 
-use slingshot_experiments::{fig11, fig5, resilience, runner, Scale, SweepCache};
+use slingshot_experiments::{fig11::Fig11, fig5::Fig5, resilience::Resilience};
+use slingshot_experiments::{runner, Figure, Scale, SweepCache};
 
 fn fig5_json(jobs: usize) -> String {
-    let rows = runner::with_jobs(jobs, || fig5::run(Scale::Tiny)).output;
+    let rows = runner::with_jobs(jobs, || Fig5::run(Scale::Tiny, None)).output;
     serde_json::to_string(&rows).expect("serialize rows")
 }
 
 fn resilience_json(jobs: usize) -> String {
-    let rows = runner::with_jobs(jobs, || resilience::run(Scale::Tiny)).output;
+    let rows = runner::with_jobs(jobs, || Resilience::run(Scale::Tiny, None)).output;
     serde_json::to_string(&rows).expect("serialize rows")
 }
 
@@ -52,13 +53,13 @@ fn resumed_sweep_is_byte_identical_to_uninterrupted() {
     ));
     let _ = std::fs::remove_dir_all(&dir);
 
-    let uninterrupted = runner::with_jobs(1, || fig11::run(Scale::Tiny));
+    let uninterrupted = runner::with_jobs(1, || Fig11::run(Scale::Tiny, None));
     assert!(!uninterrupted.failed());
     let want = serde_json::to_string(&uninterrupted.output).expect("serialize rows");
 
     // Cold cache, parallel: every cell computed and stored.
     let cold = SweepCache::at(dir.clone());
-    let first = runner::with_jobs(4, || fig11::run_with(Scale::Tiny, Some(&cold)));
+    let first = runner::with_jobs(4, || Fig11::run(Scale::Tiny, Some(&cold)));
     assert_eq!(
         serde_json::to_string(&first.output).expect("serialize rows"),
         want,
@@ -69,7 +70,7 @@ fn resumed_sweep_is_byte_identical_to_uninterrupted() {
 
     // Warm cache, serial: every cell served from disk, same bytes.
     let warm = SweepCache::at(dir.clone());
-    let second = runner::with_jobs(1, || fig11::run_with(Scale::Tiny, Some(&warm)));
+    let second = runner::with_jobs(1, || Fig11::run(Scale::Tiny, Some(&warm)));
     assert_eq!(
         serde_json::to_string(&second.output).expect("serialize rows"),
         want,

@@ -128,13 +128,15 @@ pub(crate) fn flush_to_global(s: &KernelStats) {
     g.1 += 1;
 }
 
-/// Snapshot of the global aggregate: `(stats, networks_flushed)`.
+/// Take the global aggregate and zero it: `(stats, networks_flushed)`
+/// over every network dropped since the previous take.
 ///
-/// Includes only networks that have been dropped; totals are sums (and
-/// `queue_hwm` a max), so the snapshot is identical at any worker-thread
-/// count once the same set of networks has been flushed.
-pub fn global_kernel_stats() -> (KernelStats, u64) {
-    *global()
+/// Totals are sums (and `queue_hwm` a max), so the result is identical
+/// at any worker-thread count once the same set of networks has been
+/// flushed. Taking rather than reading lets several figures run in one
+/// process each report only their own networks.
+pub fn take_global_kernel_stats() -> (KernelStats, u64) {
+    std::mem::take(&mut *global())
 }
 
 #[cfg(test)]
@@ -158,8 +160,8 @@ mod tests {
         assert_eq!(s.events_total(), 45);
     }
 
-    /// The only test in this binary that flushes, so the global delta it
-    /// reads is exactly its own two flushes.
+    /// The only test in this binary that flushes, so after the drain the
+    /// global aggregate is exactly its own two flushes.
     #[test]
     fn flush_merges_every_field() {
         let s = KernelStats {
@@ -185,18 +187,18 @@ mod tests {
             route_heals: 20,
             queue_hwm: 1 << 40,
         };
-        let before = global_kernel_stats();
+        take_global_kernel_stats();
         flush_to_global(&s);
         flush_to_global(&s);
-        let after = global_kernel_stats();
-        assert_eq!(after.1, before.1 + 2);
+        let (after, networks) = take_global_kernel_stats();
+        assert_eq!(networks, 2);
 
         macro_rules! summed {
             ($($f:ident),*) => {
                 // Exhaustive pattern: a counter missing from this list is
                 // a compile error, not an unchecked field.
                 let KernelStats { $($f: _,)* queue_hwm: _ } = s;
-                $(assert_eq!(after.0.$f - before.0.$f, 2 * s.$f, stringify!($f));)*
+                $(assert_eq!(after.$f, 2 * s.$f, stringify!($f));)*
             };
         }
         summed!(
@@ -221,6 +223,7 @@ mod tests {
             packets_dropped,
             route_heals
         );
-        assert_eq!(after.0.queue_hwm, before.0.queue_hwm.max(s.queue_hwm));
+        assert_eq!(after.queue_hwm, s.queue_hwm);
+        assert_eq!(take_global_kernel_stats(), (KernelStats::default(), 0));
     }
 }

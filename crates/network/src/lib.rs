@@ -42,7 +42,7 @@ pub use error::{
 };
 pub use fault::{DropReason, FaultStats};
 pub use inflight::InFlightMap;
-pub use kernel::{global_kernel_stats, KernelStats};
+pub use kernel::{take_global_kernel_stats, KernelStats};
 pub use network::{NetStats, Network};
 pub use nic::{CcEngine, Nic};
 pub use packet::{InSource, MessageId, Notification, Packet, PacketHandle};

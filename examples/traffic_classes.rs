@@ -6,13 +6,13 @@
 //! cargo run --release --example traffic_classes
 //! ```
 
-use slingshot_experiments::fig14::{run, window_mean};
-use slingshot_experiments::Scale;
+use slingshot_experiments::fig14::{window_mean, Fig14};
+use slingshot_experiments::{Figure, Scale};
 
 fn main() {
     println!("two bisection-bandwidth jobs, network tapered to 25 %");
     println!("job 2 starts at 0.9 ms; job 1 stops at ~2.2 ms\n");
-    let rows = run(Scale::Tiny).output;
+    let rows = Fig14::run(Scale::Tiny, None).output;
     for same in [true, false] {
         let label = if same {
             "same traffic class"
