@@ -179,12 +179,6 @@ impl SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
     }
 
-    /// Multiply by an integer factor (e.g. `per_byte * bytes`).
-    #[inline]
-    pub fn mul_u64(self, factor: u64) -> SimDuration {
-        SimDuration(self.0 * factor)
-    }
-
     /// Scale by a float factor, rounding to the nearest picosecond.
     #[inline]
     pub fn mul_f64(self, factor: f64) -> SimDuration {

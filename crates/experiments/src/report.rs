@@ -126,29 +126,13 @@ pub(crate) fn kernel_stats(name: &str) {
     }
     let (k, networks) = slingshot_network::take_global_kernel_stats();
     eprintln!();
-    eprintln!("kernel counters ({networks} networks simulated):");
-    eprintln!("  events dispatched      {:>16}", k.events_total());
-    eprintln!("    nic-tx               {:>16}", k.events_nic_tx);
-    eprintln!("    arrive-switch        {:>16}", k.events_arrive_switch);
-    eprintln!("    enqueue-out          {:>16}", k.events_enqueue_out);
-    eprintln!("    tx-done              {:>16}", k.events_tx_done);
-    eprintln!("    credit               {:>16}", k.events_credit);
-    eprintln!("    arrive-nic           {:>16}", k.events_arrive_nic);
-    eprintln!("    ack                  {:>16}", k.events_ack);
-    eprintln!("    loopback             {:>16}", k.events_loopback);
-    eprintln!("    wakeup               {:>16}", k.events_wakeup);
-    eprintln!("    fault                {:>16}", k.events_fault);
-    eprintln!("    e2e-timeout          {:>16}", k.events_e2e_timeout);
-    eprintln!("  routing decisions      {:>16}", k.routing_decisions);
-    eprintln!("    minimal              {:>16}", k.adaptive_minimal);
-    eprintln!("    non-minimal          {:>16}", k.adaptive_nonminimal);
-    eprintln!("  next-hop lookups       {:>16}", k.next_hop_lookups);
-    eprintln!("  route heals            {:>16}", k.route_heals);
-    eprintln!("  llr replays            {:>16}", k.llr_replays);
-    eprintln!("  llr escalations        {:>16}", k.llr_escalations);
-    eprintln!("  e2e retransmits        {:>16}", k.e2e_retransmits);
-    eprintln!("  packets dropped        {:>16}", k.packets_dropped);
-    eprintln!("  event-queue high water {:>16}", k.queue_hwm);
+    eprintln!(
+        "kernel counters ({networks} networks simulated, {} events dispatched):",
+        k.events_total()
+    );
+    for (key, value) in k.entries() {
+        eprintln!("  {key:<22}{value:>16}");
+    }
     save_json(
         &format!("{name}_kernelstats"),
         &KernelStatsFile { networks, stats: k },

@@ -193,11 +193,6 @@ impl Engine {
         self.jobs[id.0 as usize].stop_requested = true;
     }
 
-    /// When the job started.
-    pub fn job_started_at(&self, id: JobId) -> SimTime {
-        self.jobs[id.0 as usize].started_at
-    }
-
     /// When the job's last rank finished (None while running or for
     /// background jobs).
     pub fn job_finished_at(&self, id: JobId) -> Option<SimTime> {

@@ -135,11 +135,6 @@ impl NetworkConfig {
         self.injection_gbps * 1e9 / 8.0
     }
 
-    /// Effective switch-to-switch rate in (tapered) Gb/s.
-    pub fn effective_link_gbps(&self) -> f64 {
-        self.link_gbps * self.bandwidth_taper
-    }
-
     /// Injection rate in Gb/s (not affected by the taper).
     pub fn effective_injection_gbps(&self) -> f64 {
         self.injection_gbps

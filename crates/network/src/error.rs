@@ -214,18 +214,11 @@ impl fmt::Display for StallReport {
             self.pending_events,
             self.messages_in_flight
         )?;
-        writeln!(
-            f,
-            "  events: nic_tx {} arrive_sw {} enq_out {} tx_done {} credit {} arrive_nic {} ack {} e2e_timeout {}",
-            self.kernel.events_nic_tx,
-            self.kernel.events_arrive_switch,
-            self.kernel.events_enqueue_out,
-            self.kernel.events_tx_done,
-            self.kernel.events_credit,
-            self.kernel.events_arrive_nic,
-            self.kernel.events_ack,
-            self.kernel.events_e2e_timeout,
-        )?;
+        write!(f, "  events:")?;
+        for (key, value) in self.kernel.entries().take(KernelStats::EVENT_TYPES) {
+            write!(f, " {key} {value}")?;
+        }
+        writeln!(f)?;
         for p in &self.hot_ports {
             writeln!(
                 f,
@@ -257,5 +250,36 @@ impl fmt::Display for StallReport {
             "  liveness: {} channels down, {} switches down",
             self.channels_down, self.switches_down
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn stall_report_lists_every_event_type() {
+        let report = StallReport {
+            event_budget: 10,
+            events_consumed: 10,
+            sim_time_ns: 5,
+            pending_events: 3,
+            messages_in_flight: 1,
+            kernel: KernelStats::default(),
+            hot_ports: Vec::new(),
+            hot_nics: Vec::new(),
+            credits: Vec::new(),
+            channels_down: 0,
+            switches_down: 0,
+        };
+        let text = report.to_string();
+        let event_keys: Vec<&str> = KernelStats::KEYS
+            .into_iter()
+            .filter(|k| k.starts_with("events_"))
+            .collect();
+        assert_eq!(event_keys.len(), KernelStats::EVENT_TYPES);
+        for key in event_keys {
+            assert!(text.contains(&format!(" {key} 0")), "{key} missing: {text}");
+        }
     }
 }

@@ -13,99 +13,129 @@
 use serde::Serialize;
 use std::sync::{LazyLock, Mutex, MutexGuard, PoisonError};
 
-/// Per-network event and routing counters.
+/// Declares [`KernelStats`] from one table of counters.
 ///
-/// `events_*` partition the dispatched events by type; `routing_decisions`
-/// counts source-switch route choices (once per packet at its ingress
-/// switch), split into `adaptive_minimal` / `adaptive_nonminimal` picks;
-/// `next_hop_lookups` counts per-hop output-channel selections;
-/// `queue_hwm` is the pending-event-population high-water mark.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
-pub struct KernelStats {
-    /// NIC finished serializing a packet.
-    pub events_nic_tx: u64,
-    /// Packet arrived at a switch input.
-    pub events_arrive_switch: u64,
-    /// Packet crossed the switch fabric into an output queue.
-    pub events_enqueue_out: u64,
-    /// Output port finished serializing a packet.
-    pub events_tx_done: u64,
-    /// Link-level credit returned upstream.
-    pub events_credit: u64,
-    /// Packet fully arrived at its destination node.
-    pub events_arrive_nic: u64,
-    /// End-to-end ack reached the source NIC.
-    pub events_ack: u64,
-    /// Node-local loopback completion.
-    pub events_loopback: u64,
-    /// User timer fired.
-    pub events_wakeup: u64,
-    /// Fault-machinery events (schedule strikes and link retrains).
-    pub events_fault: u64,
-    /// NIC end-to-end retransmit timer fired.
-    pub events_e2e_timeout: u64,
-    /// Source-switch routing decisions (one per packet).
-    pub routing_decisions: u64,
-    /// Adaptive decisions that picked the minimal path.
-    pub adaptive_minimal: u64,
-    /// Adaptive decisions that picked a Valiant-style detour.
-    pub adaptive_nonminimal: u64,
-    /// Per-hop output-channel selections.
-    pub next_hop_lookups: u64,
-    /// Link-level replays performed (fault mode).
-    pub llr_replays: u64,
-    /// LLR retry budgets exhausted, link declared bad (fault mode).
-    pub llr_escalations: u64,
-    /// End-to-end retransmissions issued (fault mode).
-    pub e2e_retransmits: u64,
-    /// Packet copies destroyed in the fabric, all reasons (fault mode).
-    pub packets_dropped: u64,
-    /// Mid-path route re-decisions after every planned candidate died.
-    pub route_heals: u64,
-    /// Highest pending-event population observed in the queue.
-    pub queue_hwm: u64,
+/// Each row is one `u64` field: its doc comment and its name, which is
+/// also its JSON key and its label on `--verbose` stderr and in the stall
+/// report. `events` rows partition the dispatched events by type,
+/// `totals` rows are the other summed tallies, and `high_water` rows merge
+/// as a maximum instead of a sum. Field order is row order.
+macro_rules! kernel_stats {
+    (
+        events { $($(#[doc = $event_doc:literal])* $event:ident,)* }
+        totals { $($(#[doc = $total_doc:literal])* $total:ident,)* }
+        high_water { $($(#[doc = $hwm_doc:literal])* $hwm:ident,)* }
+    ) => {
+        /// Per-network event and routing counters.
+        ///
+        /// `events_*` partition the dispatched events by type;
+        /// `routing_decisions` counts source-switch route choices (once per
+        /// packet at its ingress switch), split into `adaptive_minimal` /
+        /// `adaptive_nonminimal` picks; `next_hop_lookups` counts per-hop
+        /// output-channel selections; `queue_hwm` is the
+        /// pending-event-population high-water mark.
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
+        pub struct KernelStats {
+            $($(#[doc = $event_doc])* pub $event: u64,)*
+            $($(#[doc = $total_doc])* pub $total: u64,)*
+            $($(#[doc = $hwm_doc])* pub $hwm: u64,)*
+        }
+
+        impl KernelStats {
+            /// JSON keys of the summed counters, in field order; the first
+            /// [`Self::EVENT_TYPES`] count dispatched events by type.
+            pub const KEYS: [&'static str; SUMMED] =
+                [$(stringify!($event),)* $(stringify!($total),)*];
+
+            /// How many leading [`Self::KEYS`] are event types.
+            pub const EVENT_TYPES: usize = [$(stringify!($event)),*].len();
+
+            /// The summed counters' values, in [`Self::KEYS`] order.
+            fn counters(&self) -> [u64; SUMMED] {
+                [$(self.$event,)* $(self.$total,)*]
+            }
+
+            #[cfg(test)]
+            fn counters_mut(&mut self) -> [&mut u64; SUMMED] {
+                [$(&mut self.$event,)* $(&mut self.$total,)*]
+            }
+
+            /// Every field as `(JSON key, value)`, in field order: the summed
+            /// counters, then the high-water marks.
+            pub fn entries(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                Self::KEYS
+                    .into_iter()
+                    .zip(self.counters())
+                    .chain([$((stringify!($hwm), self.$hwm)),*])
+            }
+
+            /// Total events dispatched (sum of the event-type counters).
+            pub fn events_total(&self) -> u64 {
+                0 $(+ self.$event)*
+            }
+
+            /// Add `other`'s counters into `self`; each high-water mark
+            /// takes the larger of the two.
+            pub(crate) fn merge(&mut self, other: &KernelStats) {
+                $(self.$event += other.$event;)*
+                $(self.$total += other.$total;)*
+                $(self.$hwm = self.$hwm.max(other.$hwm);)*
+            }
+        }
+
+        /// Number of summed counters: every row but the high-water marks.
+        const SUMMED: usize = [$(stringify!($event),)* $(stringify!($total),)*].len();
+    };
 }
 
-impl KernelStats {
-    /// Total events dispatched (sum of the `events_*` counters).
-    pub fn events_total(&self) -> u64 {
-        self.events_nic_tx
-            + self.events_arrive_switch
-            + self.events_enqueue_out
-            + self.events_tx_done
-            + self.events_credit
-            + self.events_arrive_nic
-            + self.events_ack
-            + self.events_loopback
-            + self.events_wakeup
-            + self.events_fault
-            + self.events_e2e_timeout
+kernel_stats! {
+    events {
+        /// NIC finished serializing a packet.
+        events_nic_tx,
+        /// Packet arrived at a switch input.
+        events_arrive_switch,
+        /// Packet crossed the switch fabric into an output queue.
+        events_enqueue_out,
+        /// Output port finished serializing a packet.
+        events_tx_done,
+        /// Link-level credit returned upstream.
+        events_credit,
+        /// Packet fully arrived at its destination node.
+        events_arrive_nic,
+        /// End-to-end ack reached the source NIC.
+        events_ack,
+        /// Node-local loopback completion.
+        events_loopback,
+        /// User timer fired.
+        events_wakeup,
+        /// Fault-machinery events (schedule strikes and link retrains).
+        events_fault,
+        /// NIC end-to-end retransmit timer fired.
+        events_e2e_timeout,
     }
-
-    /// Add `other`'s counters into `self`; `queue_hwm` takes the larger
-    /// of the two high-water marks.
-    pub(crate) fn merge(&mut self, other: &KernelStats) {
-        self.events_nic_tx += other.events_nic_tx;
-        self.events_arrive_switch += other.events_arrive_switch;
-        self.events_enqueue_out += other.events_enqueue_out;
-        self.events_tx_done += other.events_tx_done;
-        self.events_credit += other.events_credit;
-        self.events_arrive_nic += other.events_arrive_nic;
-        self.events_ack += other.events_ack;
-        self.events_loopback += other.events_loopback;
-        self.events_wakeup += other.events_wakeup;
-        self.events_fault += other.events_fault;
-        self.events_e2e_timeout += other.events_e2e_timeout;
-        self.routing_decisions += other.routing_decisions;
-        self.adaptive_minimal += other.adaptive_minimal;
-        self.adaptive_nonminimal += other.adaptive_nonminimal;
-        self.next_hop_lookups += other.next_hop_lookups;
-        self.llr_replays += other.llr_replays;
-        self.llr_escalations += other.llr_escalations;
-        self.e2e_retransmits += other.e2e_retransmits;
-        self.packets_dropped += other.packets_dropped;
-        self.route_heals += other.route_heals;
-        self.queue_hwm = self.queue_hwm.max(other.queue_hwm);
+    totals {
+        /// Source-switch routing decisions (one per packet).
+        routing_decisions,
+        /// Adaptive decisions that picked the minimal path.
+        adaptive_minimal,
+        /// Adaptive decisions that picked a Valiant-style detour.
+        adaptive_nonminimal,
+        /// Per-hop output-channel selections.
+        next_hop_lookups,
+        /// Link-level replays performed (fault mode).
+        llr_replays,
+        /// LLR retry budgets exhausted, link declared bad (fault mode).
+        llr_escalations,
+        /// End-to-end retransmissions issued (fault mode).
+        e2e_retransmits,
+        /// Packet copies destroyed in the fabric, all reasons (fault mode).
+        packets_dropped,
+        /// Mid-path route re-decisions after every planned candidate died.
+        route_heals,
+    }
+    high_water {
+        /// Highest pending-event population observed in the queue.
+        queue_hwm,
     }
 }
 
@@ -142,22 +172,34 @@ pub fn take_global_kernel_stats() -> (KernelStats, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::{Serialize, Value};
+
+    /// Every summed counter set to its 1-based row number.
+    fn numbered() -> KernelStats {
+        let mut s = KernelStats::default();
+        for (i, c) in s.counters_mut().into_iter().enumerate() {
+            *c = i as u64 + 1;
+        }
+        s
+    }
 
     #[test]
     fn totals_sum_event_counters() {
-        let s = KernelStats {
-            events_nic_tx: 1,
-            events_arrive_switch: 2,
-            events_enqueue_out: 3,
-            events_tx_done: 4,
-            events_credit: 5,
-            events_arrive_nic: 6,
-            events_ack: 7,
-            events_loopback: 8,
-            events_wakeup: 9,
-            ..Default::default()
+        let s = numbered();
+        let events = KernelStats::EVENT_TYPES as u64;
+        assert_eq!(s.events_total(), events * (events + 1) / 2);
+    }
+
+    #[test]
+    fn serde_keys_are_the_table_keys() {
+        let Value::Object(fields) = numbered().serialize() else {
+            panic!("KernelStats serializes to an object")
         };
-        assert_eq!(s.events_total(), 45);
+        let serde_keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        let table: Vec<&str> = KernelStats::KEYS.into_iter().chain(["queue_hwm"]).collect();
+        assert_eq!(serde_keys, table);
+        let entries: Vec<&str> = numbered().entries().map(|(k, _)| k).collect();
+        assert_eq!(entries, table);
     }
 
     /// The only test in this binary that flushes, so after the drain the
@@ -165,64 +207,21 @@ mod tests {
     #[test]
     fn flush_merges_every_field() {
         let s = KernelStats {
-            events_nic_tx: 1,
-            events_arrive_switch: 2,
-            events_enqueue_out: 3,
-            events_tx_done: 4,
-            events_credit: 5,
-            events_arrive_nic: 6,
-            events_ack: 7,
-            events_loopback: 8,
-            events_wakeup: 9,
-            events_fault: 10,
-            events_e2e_timeout: 11,
-            routing_decisions: 12,
-            adaptive_minimal: 13,
-            adaptive_nonminimal: 14,
-            next_hop_lookups: 15,
-            llr_replays: 16,
-            llr_escalations: 17,
-            e2e_retransmits: 18,
-            packets_dropped: 19,
-            route_heals: 20,
             queue_hwm: 1 << 40,
+            ..numbered()
         };
         take_global_kernel_stats();
         flush_to_global(&s);
         flush_to_global(&s);
         let (after, networks) = take_global_kernel_stats();
         assert_eq!(networks, 2);
-
-        macro_rules! summed {
-            ($($f:ident),*) => {
-                // Exhaustive pattern: a counter missing from this list is
-                // a compile error, not an unchecked field.
-                let KernelStats { $($f: _,)* queue_hwm: _ } = s;
-                $(assert_eq!(after.$f, 2 * s.$f, stringify!($f));)*
-            };
+        for ((key, got), one) in KernelStats::KEYS
+            .into_iter()
+            .zip(after.counters())
+            .zip(s.counters())
+        {
+            assert_eq!(got, 2 * one, "{key}");
         }
-        summed!(
-            events_nic_tx,
-            events_arrive_switch,
-            events_enqueue_out,
-            events_tx_done,
-            events_credit,
-            events_arrive_nic,
-            events_ack,
-            events_loopback,
-            events_wakeup,
-            events_fault,
-            events_e2e_timeout,
-            routing_decisions,
-            adaptive_minimal,
-            adaptive_nonminimal,
-            next_hop_lookups,
-            llr_replays,
-            llr_escalations,
-            e2e_retransmits,
-            packets_dropped,
-            route_heals
-        );
         assert_eq!(after.queue_hwm, s.queue_hwm);
         assert_eq!(take_global_kernel_stats(), (KernelStats::default(), 0));
     }

@@ -17,7 +17,7 @@ use slingshot_des::{DetRng, EventQueue, SimDuration, SimTime};
 use slingshot_ethernet::{message_wire_bytes, PortLanes, MAX_PAYLOAD};
 use slingshot_faults::FaultKind;
 use slingshot_routing::{CongestionView, HopDecision, RouteState, Router, Via};
-use slingshot_telemetry::{HopKind, TelemetryHub, TelemetryReport};
+use slingshot_telemetry::{CountKind, HopKind, TelemetryHub, TelemetryReport};
 use slingshot_topology::{ChannelId, Dragonfly, Liveness, NodeId, SwitchId};
 use std::collections::VecDeque;
 
@@ -132,8 +132,6 @@ pub struct NetStats {
     pub packets_delivered: u64,
     /// Messages delivered.
     pub messages_delivered: u64,
-    /// Packets that took a non-minimal route.
-    pub nonminimal_packets: u64,
     /// Total payload bytes delivered.
     pub payload_delivered: u64,
 }
@@ -394,17 +392,6 @@ impl Network {
         self.switches[sw as usize].ports[port as usize].tx_wire_bytes
     }
 
-    /// Mean utilization of a channel over `[0, now]`, in `[0, 1]`.
-    pub fn channel_utilization(&self, ch: ChannelId) -> f64 {
-        let now_s = self.now().as_secs_f64();
-        if now_s <= 0.0 {
-            return 0.0;
-        }
-        let (sw, port) = self.chan_port[ch.index()];
-        let p = &self.switches[sw as usize].ports[port as usize];
-        (p.tx_wire_bytes as f64 / p.rate_bps) / now_s
-    }
-
     /// Enable per-packet one-way latency sampling (delivered packets only).
     pub fn enable_latency_sampling(&mut self) {
         if self.packet_latency.is_none() {
@@ -647,16 +634,6 @@ impl Network {
             channels_down: self.liveness().map(Liveness::channels_down).unwrap_or(0),
             switches_down: self.liveness().map(Liveness::switches_down).unwrap_or(0),
         }
-    }
-
-    /// Run until at least one notification is pending or the queue drains.
-    pub fn run_until_notified(&mut self) -> bool {
-        while self.notifications.is_empty() {
-            if !self.step() {
-                return false;
-            }
-        }
-        true
     }
 
     fn dispatch(&mut self, now: SimTime, ev: Event) {
@@ -924,15 +901,15 @@ impl Network {
             pkt.route = router.decide(cur, dst_sw, &view, &mut self.rng);
             pkt.routed = true;
             self.kernel.routing_decisions += 1;
-            if pkt.route.is_nonminimal() {
-                self.stats.nonminimal_packets += 1;
+            let kind = if pkt.route.is_nonminimal() {
                 self.kernel.adaptive_nonminimal += 1;
+                CountKind::RouteValiant
             } else {
                 self.kernel.adaptive_minimal += 1;
-            }
+                CountKind::RouteMinimal
+            };
             if let Some(t) = self.telemetry.as_deref_mut() {
-                t.hub
-                    .on_routing_decision(now.as_ps(), !pkt.route.is_nonminimal());
+                t.hub.count(kind, now.as_ps());
             }
         }
         self.kernel.next_hop_lookups += 1;
@@ -1206,7 +1183,7 @@ impl Network {
             self.kernel.llr_replays += 1;
             let replay = SimDuration::from_ns_f64(rt.recovery.reliability.llr_replay_ns);
             if let Some(t) = self.telemetry.as_deref_mut() {
-                t.hub.on_llr_replay(now.as_ps());
+                t.hub.count(CountKind::LlrReplay, now.as_ps());
                 if pkt.traced {
                     t.hub.record_event(
                         now.as_ps(),
@@ -1286,7 +1263,7 @@ impl Network {
         self.kernel.packets_dropped += 1;
         let pkt = &self.pkts[h];
         if let Some(t) = self.telemetry.as_deref_mut() {
-            t.hub.on_drop(now.as_ps());
+            t.hub.count(CountKind::Dropped, now.as_ps());
             if pkt.traced {
                 t.hub.record_event(
                     now.as_ps(),
@@ -1481,7 +1458,7 @@ impl Network {
             traced: false,
         };
         if let Some(t) = self.telemetry.as_deref_mut() {
-            t.hub.on_e2e_retransmit(now.as_ps());
+            t.hub.count(CountKind::E2eRetransmit, now.as_ps());
             // The retransmit copy inherits the chunk's sampling decision
             // (the hash ignores the copy id), so a traced flight stays
             // traced across end-to-end recovery.

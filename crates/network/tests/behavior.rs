@@ -263,9 +263,8 @@ fn adaptive_routing_uses_nonminimal_paths_under_load() {
     }
     net.run_to_quiescence(50_000_000)
         .expect("quiesces within budget");
-    let stats = net.stats();
     assert!(
-        stats.nonminimal_packets > 0,
+        net.kernel_stats().adaptive_nonminimal > 0,
         "no valiant detours under inter-group saturation"
     );
     net.assert_quiescent_invariants();
@@ -278,7 +277,7 @@ fn quiet_network_routes_minimally() {
         let _ = one_message_latency(&mut net, i, 63 - i, 4096);
     }
     assert_eq!(
-        net.stats().nonminimal_packets,
+        net.kernel_stats().adaptive_nonminimal,
         0,
         "detours on a quiet network"
     );

@@ -6,6 +6,55 @@ use slingshot_stats::{GaugeSeries, RateSeries};
 use crate::recorder::{FlightRecorder, HopKind, TraceEvent};
 use crate::TelemetryConfig;
 
+/// Declares [`CountKind`] from one table of event-count series. Each row
+/// gives a series its JSONL name, its Perfetto counter-track name and the
+/// unit of that track's samples. Row order is export order.
+macro_rules! count_kinds {
+    ($($(#[doc = $doc:literal])* $kind:ident => $jsonl:literal, $track:literal, $unit:literal;)*) => {
+        /// An event-count series: every event adds one to its time bucket.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum CountKind {
+            $($(#[doc = $doc])* $kind,)*
+        }
+
+        impl CountKind {
+            /// Every kind, in table (and export) order.
+            pub const ALL: [CountKind; COUNT_KINDS] = [$(CountKind::$kind),*];
+
+            /// Series name in the JSONL export.
+            pub fn jsonl_name(self) -> &'static str {
+                match self {
+                    $(CountKind::$kind => $jsonl,)*
+                }
+            }
+
+            /// Perfetto counter-track name and the unit of its samples.
+            pub fn perfetto_track(self) -> (&'static str, &'static str) {
+                match self {
+                    $(CountKind::$kind => ($track, $unit),)*
+                }
+            }
+        }
+
+        const COUNT_KINDS: usize = [$($jsonl),*].len();
+    };
+}
+
+count_kinds! {
+    /// Acks carrying endpoint-congestion (ECN-like) marks.
+    EcnMark => "cc.ecn_marks", "ecn marks", "acks";
+    /// Adaptive routing picked a minimal path.
+    RouteMinimal => "route.minimal", "route minimal", "decisions";
+    /// Adaptive routing picked a Valiant (non-minimal) path.
+    RouteValiant => "route.valiant", "route valiant", "decisions";
+    /// Link-level replays triggered by faults.
+    LlrReplay => "faults.llr_replays", "llr replays", "replays";
+    /// Packet copies dropped.
+    Dropped => "faults.drops", "drops", "packets";
+    /// End-to-end retransmissions scheduled.
+    E2eRetransmit => "faults.e2e_retransmits", "e2e retransmits", "packets";
+}
+
 /// Central sink for all time-resolved instrumentation.
 ///
 /// The simulator holds an `Option<Box<TelemetryHub>>`; every call below is
@@ -26,18 +75,11 @@ pub struct TelemetryHub {
     credit_stalls: Vec<RateSeries>,
     /// Smallest per-pair CC window seen in each bucket.
     cc_window: GaugeSeries,
-    /// Acks carrying endpoint-congestion (ECN-like) marks.
-    ecn_marks: RateSeries,
     /// Number of source→dest pairs currently throttled below max window.
     paused_now: u64,
     paused_pairs: GaugeSeries,
-    /// Adaptive routing decision mix.
-    decisions_minimal: RateSeries,
-    decisions_nonminimal: RateSeries,
-    /// Fault-path activity.
-    llr_replays: RateSeries,
-    drops: RateSeries,
-    e2e_retransmits: RateSeries,
+    /// Event-count series, indexed by [`CountKind`].
+    counts: [RateSeries; COUNT_KINDS],
     recorder: FlightRecorder,
 }
 
@@ -54,14 +96,9 @@ impl TelemetryHub {
             class_tx: vec![RateSeries::new(w); classes.max(1)],
             credit_stalls: vec![RateSeries::new(w); classes.max(1) * vcs.max(1)],
             cc_window: GaugeSeries::new(w),
-            ecn_marks: RateSeries::new(w),
             paused_now: 0,
             paused_pairs: GaugeSeries::new(w),
-            decisions_minimal: RateSeries::new(w),
-            decisions_nonminimal: RateSeries::new(w),
-            llr_replays: RateSeries::new(w),
-            drops: RateSeries::new(w),
-            e2e_retransmits: RateSeries::new(w),
+            counts: std::array::from_fn(|_| RateSeries::new(w)),
         }
     }
 
@@ -126,15 +163,10 @@ impl TelemetryHub {
         }
     }
 
-    /// The adaptive router chose a minimal (`true`) or Valiant (`false`)
-    /// path for a packet.
+    /// One event of series `kind` happened at `at_ps`.
     #[inline]
-    pub fn on_routing_decision(&mut self, at_ps: u64, minimal: bool) {
-        if minimal {
-            self.decisions_minimal.record(at_ps, 1.0);
-        } else {
-            self.decisions_nonminimal.record(at_ps, 1.0);
-        }
+    pub fn count(&mut self, kind: CountKind, at_ps: u64) {
+        self.counts[kind as usize].record(at_ps, 1.0);
     }
 
     /// An e2e ack was processed by the source NIC's CC engine.
@@ -154,7 +186,7 @@ impl TelemetryHub {
     ) {
         self.cc_window.record(at_ps, window as f64);
         if congested {
-            self.ecn_marks.record(at_ps, 1.0);
+            self.count(CountKind::EcnMark, at_ps);
         }
         if paused {
             self.paused_now += 1;
@@ -165,24 +197,6 @@ impl TelemetryHub {
         if paused || unpaused {
             self.paused_pairs.record(at_ps, self.paused_now as f64);
         }
-    }
-
-    /// A link-level replay was triggered by a fault.
-    #[inline]
-    pub fn on_llr_replay(&mut self, at_ps: u64) {
-        self.llr_replays.record(at_ps, 1.0);
-    }
-
-    /// A packet was dropped.
-    #[inline]
-    pub fn on_drop(&mut self, at_ps: u64) {
-        self.drops.record(at_ps, 1.0);
-    }
-
-    /// An e2e retransmission was scheduled.
-    #[inline]
-    pub fn on_e2e_retransmit(&mut self, at_ps: u64) {
-        self.e2e_retransmits.record(at_ps, 1.0);
     }
 
     /// Drain the hub into an exportable report. `port_labels[i]` names
@@ -225,13 +239,8 @@ impl TelemetryHub {
             class_tx: self.class_tx,
             credit_stalls,
             cc_window: self.cc_window,
-            ecn_marks: self.ecn_marks,
             paused_pairs: self.paused_pairs,
-            decisions_minimal: self.decisions_minimal,
-            decisions_nonminimal: self.decisions_nonminimal,
-            llr_replays: self.llr_replays,
-            drops: self.drops,
-            e2e_retransmits: self.e2e_retransmits,
+            counts: self.counts,
             events,
             events_evicted,
         }
@@ -279,24 +288,21 @@ pub struct TelemetryReport {
     pub credit_stalls: Vec<ClassVcStallReport>,
     /// CC window envelope.
     pub cc_window: GaugeSeries,
-    /// Congestion-marked acks per bucket.
-    pub ecn_marks: RateSeries,
     /// Throttled-pair count envelope.
     pub paused_pairs: GaugeSeries,
-    /// Minimal routing decisions per bucket.
-    pub decisions_minimal: RateSeries,
-    /// Valiant (non-minimal) routing decisions per bucket.
-    pub decisions_nonminimal: RateSeries,
-    /// LLR replays per bucket.
-    pub llr_replays: RateSeries,
-    /// Drops per bucket.
-    pub drops: RateSeries,
-    /// E2e retransmits per bucket.
-    pub e2e_retransmits: RateSeries,
+    /// Event-count series, indexed by [`CountKind`].
+    counts: [RateSeries; COUNT_KINDS],
     /// Flight-recorder events, oldest first.
     pub events: Vec<TraceEvent>,
     /// Events lost to ring overflow.
     pub events_evicted: u64,
+}
+
+impl TelemetryReport {
+    /// Events of `kind` per bucket.
+    pub fn count(&self, kind: CountKind) -> &RateSeries {
+        &self.counts[kind as usize]
+    }
 }
 
 #[cfg(test)]
@@ -345,12 +351,79 @@ mod tests {
         h.on_cc_ack(1, 100, false, true, false);
         h.on_cc_ack(2, 200, false, false, true);
         let r = h.into_report(&[]);
-        assert_eq!(r.ecn_marks.total(), 1.0);
+        assert_eq!(r.count(CountKind::EcnMark).total(), 1.0);
         let rows = r.paused_pairs.rows();
         assert_eq!(rows.len(), 1);
         // Two pauses then one unpause, all in bucket 0: last value is 1.
         assert_eq!(rows[0].1.last, 1.0);
         assert_eq!(rows[0].1.max, 2.0);
+    }
+
+    #[test]
+    fn count_series_export_under_fixed_names() {
+        use serde::Value;
+        fn field<'a>(v: &'a Value, key: &str) -> Option<&'a Value> {
+            let Value::Object(fields) = v else {
+                return None;
+            };
+            fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+        }
+        fn text(v: Option<&Value>) -> &str {
+            match v {
+                Some(Value::Str(s)) => s,
+                _ => "",
+            }
+        }
+
+        let mut h = hub();
+        for kind in CountKind::ALL {
+            h.count(kind, 0);
+        }
+        let r = h.into_report(&[]);
+
+        let jsonl: Vec<String> = crate::jsonl::to_jsonl(&r)
+            .lines()
+            .map(|l| serde_json::from_str(l).expect("valid json line"))
+            .filter(|v| text(field(v, "type")) == "series")
+            .map(|v| text(field(&v, "name")).to_string())
+            .collect();
+        assert_eq!(
+            jsonl,
+            [
+                "cc.ecn_marks",
+                "route.minimal",
+                "route.valiant",
+                "faults.llr_replays",
+                "faults.drops",
+                "faults.e2e_retransmits",
+            ]
+        );
+
+        let trace = serde_json::from_str(&crate::perfetto::to_chrome_trace(&r)).expect("json");
+        let Some(Value::Array(events)) = field(&trace, "traceEvents") else {
+            panic!("traceEvents array")
+        };
+        let tracks: Vec<(&str, &str)> = events
+            .iter()
+            .filter(|e| text(field(e, "ph")) == "C")
+            .map(|e| {
+                let Some(Value::Object(args)) = field(e, "args") else {
+                    panic!("counter args")
+                };
+                (text(field(e, "name")), args[0].0.as_str())
+            })
+            .collect();
+        assert_eq!(
+            tracks,
+            [
+                ("ecn marks", "acks"),
+                ("route minimal", "decisions"),
+                ("route valiant", "decisions"),
+                ("llr replays", "replays"),
+                ("drops", "packets"),
+                ("e2e retransmits", "packets"),
+            ]
+        );
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use serde::Value;
 use slingshot_stats::{GaugeSeries, RateSeries};
 
-use crate::TelemetryReport;
+use crate::{CountKind, TelemetryReport};
 
 fn obj(entries: Vec<(&str, Value)>) -> Value {
     Value::Object(
@@ -85,13 +85,13 @@ pub fn to_jsonl(report: &TelemetryReport) -> String {
         );
     }
     push_gauge(&mut out, "cc.window_bytes", &report.cc_window);
-    push_rate(&mut out, "cc.ecn_marks", &report.ecn_marks);
-    push_gauge(&mut out, "cc.paused_pairs", &report.paused_pairs);
-    push_rate(&mut out, "route.minimal", &report.decisions_minimal);
-    push_rate(&mut out, "route.valiant", &report.decisions_nonminimal);
-    push_rate(&mut out, "faults.llr_replays", &report.llr_replays);
-    push_rate(&mut out, "faults.drops", &report.drops);
-    push_rate(&mut out, "faults.e2e_retransmits", &report.e2e_retransmits);
+    for kind in CountKind::ALL {
+        push_rate(&mut out, kind.jsonl_name(), report.count(kind));
+        // The ECN marks sit between the two CC gauges.
+        if kind == CountKind::EcnMark {
+            push_gauge(&mut out, "cc.paused_pairs", &report.paused_pairs);
+        }
+    }
     for ev in &report.events {
         let mut fields = vec![
             ("type", Value::Str("event".into())),

@@ -8,10 +8,13 @@
 //! adds the missing layer:
 //!
 //! * [`TelemetryHub`]: time-bucketed collectors (per-port utilization and
-//!   queue occupancy, per-(class,VC) credit stalls, congestion-control
-//!   window / ECN marks / paused pairs, adaptive routing decision mix, and
-//!   fault/replay activity), sampled at the simulator's existing
-//!   `KernelStats` bump sites.
+//!   queue occupancy, per-(class,VC) credit stalls, and the
+//!   congestion-control window and paused-pair gauges), plus one array of
+//!   event-count series indexed by [`CountKind`] (ECN marks, minimal and
+//!   Valiant routing decisions, LLR replays, drops, e2e retransmits), fed
+//!   through [`TelemetryHub::count`] at the simulator's existing
+//!   `KernelStats` bump sites. One table declares the count kinds and
+//!   gives each its JSONL series name, Perfetto track name and unit.
 //! * [`FlightRecorder`]: a deterministic 1-in-N sampled per-packet
 //!   hop-by-hop timeline (NIC serialize → switch arrival → VOQ wait →
 //!   transmit → delivery → e2e ack/retry) in a bounded ring buffer. The
@@ -36,5 +39,5 @@ pub mod perfetto;
 mod recorder;
 
 pub use config::TelemetryConfig;
-pub use hub::{ClassVcStallReport, PortReport, TelemetryHub, TelemetryReport};
+pub use hub::{ClassVcStallReport, CountKind, PortReport, TelemetryHub, TelemetryReport};
 pub use recorder::{FlightRecorder, HopKind, TraceEvent};

@@ -18,7 +18,7 @@ use serde::Value;
 use slingshot_stats::{GaugeSeries, RateSeries};
 
 use crate::recorder::{HopKind, TraceEvent};
-use crate::TelemetryReport;
+use crate::{CountKind, TelemetryReport};
 
 const PACKET_PID: u64 = 1;
 const COUNTER_PID: u64 = 2;
@@ -212,28 +212,14 @@ pub fn to_chrome_trace(report: &TelemetryReport) -> String {
         );
     }
     push_gauge_counters(&mut events, "cc window", "bytes", &report.cc_window);
-    push_rate_counters(&mut events, "ecn marks", "acks", &report.ecn_marks);
-    push_gauge_counters(&mut events, "paused pairs", "pairs", &report.paused_pairs);
-    push_rate_counters(
-        &mut events,
-        "route minimal",
-        "decisions",
-        &report.decisions_minimal,
-    );
-    push_rate_counters(
-        &mut events,
-        "route valiant",
-        "decisions",
-        &report.decisions_nonminimal,
-    );
-    push_rate_counters(&mut events, "llr replays", "replays", &report.llr_replays);
-    push_rate_counters(&mut events, "drops", "packets", &report.drops);
-    push_rate_counters(
-        &mut events,
-        "e2e retransmits",
-        "packets",
-        &report.e2e_retransmits,
-    );
+    for kind in CountKind::ALL {
+        let (track, unit) = kind.perfetto_track();
+        push_rate_counters(&mut events, track, unit, report.count(kind));
+        // The ECN marks sit between the two CC gauges.
+        if kind == CountKind::EcnMark {
+            push_gauge_counters(&mut events, "paused pairs", "pairs", &report.paused_pairs);
+        }
+    }
 
     let root = obj(vec![
         ("displayTimeUnit", Value::Str("ns".into())),

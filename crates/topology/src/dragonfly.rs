@@ -812,6 +812,7 @@ mod tests {
     #[test]
     fn next_hops_make_progress() {
         let d = small().build();
+        let mut cross_group_fan_out = 0;
         for s in 0..16u32 {
             for t in 0..16u32 {
                 let s = SwitchId(s);
@@ -838,8 +839,15 @@ mod tests {
                     improved |= nd < dist;
                 }
                 assert!(improved, "{s:?}->{t:?}: no candidate makes progress");
+                if d.group_of(s) != d.group_of(t) {
+                    cross_group_fan_out = cross_group_fan_out.max(hops.len());
+                }
             }
         }
+        // §II-C: link redundancy gives some cross-group pair several
+        // minimal paths; with 2 global cables per group pair, some source
+        // has at least 2 minimal first hops.
+        assert!(cross_group_fan_out >= 2, "no minimal path diversity");
     }
 
     #[test]

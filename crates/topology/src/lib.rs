@@ -15,7 +15,6 @@ mod dragonfly;
 mod ids;
 mod link;
 mod liveness;
-mod paths;
 mod systems;
 
 pub use allocation::{Allocation, AllocationPolicy};
@@ -23,5 +22,4 @@ pub use dragonfly::{Channel, Dragonfly, DragonflyParams, TopologyError};
 pub use ids::{ChannelId, GroupId, NodeId, SwitchId};
 pub use link::{LinkClass, NS_PER_METRE};
 pub use liveness::Liveness;
-pub use paths::Path;
 pub use systems::{crystal, largest_slingshot, malbec, shandy, shandy_scaled, tiny, ROSETTA_RADIX};
