@@ -1,109 +1,50 @@
-//! Content-addressed per-cell result cache: crash-resumable sweeps.
+//! Content-addressed per-run result cache: crash-resumable sweeps.
 //!
 //! A killed multi-minute figure run used to restart from zero. Under
-//! `--resume` each finished cell's value is written to
-//! `results/.cache/<fig>/<cell-hash>.json` the moment it completes —
+//! `--resume` each finished run's value is written to
+//! `results/.cache/cells/<hash>.json` the moment it completes —
 //! atomically (temp file + rename), so a SIGKILL can never leave a
-//! half-written entry — and the next run loads cached cells instead of
-//! recomputing them. The hash covers the cell's *identity*: every field
-//! the figure declares (victim, nodes, policy, share, …), the seed, and a
-//! schema version bumped whenever cached semantics change. Fields are
-//! canonicalized (sorted by name) before hashing, so the key is stable
-//! across field-declaration order; the seed is a field, so distinct seeds
-//! get distinct keys.
+//! half-written entry — and the next run loads cached values instead of
+//! recomputing them. One directory serves Figs. 9–11: a run is keyed by
+//! its *identity*, which the congestion sweep derives from what the run
+//! simulates ([`crate::congestion::run_identity`]), never from which
+//! figure asked for it. So a cell `fig9 --resume` stored is a hit for
+//! `fig10 --resume`. The file name hashes the identity together with a
+//! schema version bumped whenever cached semantics change, and each
+//! entry carries its identity so a hash collision reads as a miss.
 //!
 //! Values round-trip through the JSON the run would have produced anyway
 //! (Rust's shortest-roundtrip float rendering), so a resumed aggregation
 //! is byte-identical to an uninterrupted one at any `--jobs` width.
 
 use serde::{Serialize, Value};
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Bump when the meaning of cached values changes (units, aggregation,
-/// simulator semantics): old cache entries silently become misses.
-const CACHE_SCHEMA: u32 = 1;
+/// simulator semantics, identity format): old entries silently become
+/// misses.
+const CACHE_SCHEMA: u32 = 2;
 
-/// Canonical identity of one sweep cell: named fields, order-independent.
-#[derive(Clone, Debug)]
-pub struct CellKey {
-    fields: BTreeMap<String, String>,
+/// 128-bit content hash of a run identity (and the cache schema) as 32
+/// hex characters: two FNV-1a passes with different offset bases.
+pub fn hash_hex(identity: &str) -> String {
+    let mut a: u64 = 0xcbf2_9ce4_8422_2325; // FNV-1a offset basis
+    let mut b: u64 = 0x6c62_272e_07bb_0142; // second stream, distinct basis
+    let schema = CACHE_SCHEMA.to_le_bytes();
+    for &byte in schema.iter().chain(identity.as_bytes()) {
+        a = (a ^ byte as u64).wrapping_mul(0x1000_0000_01b3);
+        // Decorrelate the streams so they are not a fixed function of
+        // each other.
+        b = (b ^ byte as u64)
+            .wrapping_mul(0x1000_0000_01b3)
+            .rotate_left(17);
+    }
+    format!("{a:016x}{b:016x}")
 }
 
-impl CellKey {
-    /// New key for a figure. The figure name and the cache schema version
-    /// are fields like any other, so distinct figures and schema bumps
-    /// never collide.
-    pub fn new(fig: &str) -> CellKey {
-        CellKey {
-            fields: BTreeMap::new(),
-        }
-        .field("__fig", fig)
-        .field("__schema", CACHE_SCHEMA)
-    }
-
-    /// Add one identity field. Later writes to the same name win, and
-    /// insertion order never matters: fields are hashed sorted by name.
-    pub fn field(mut self, name: &str, value: impl std::fmt::Display) -> CellKey {
-        self.fields.insert(name.to_string(), value.to_string());
-        self
-    }
-
-    /// 128-bit content hash as 32 hex characters: two FNV-1a passes with
-    /// different offset bases over the `name=value` pairs in sorted order.
-    pub fn hash_hex(&self) -> String {
-        let mut a: u64 = 0xcbf2_9ce4_8422_2325; // FNV-1a offset basis
-        let mut b: u64 = 0x6c62_272e_07bb_0142; // second stream, distinct basis
-        let mix = |h: &mut u64, bytes: &[u8]| {
-            for &byte in bytes {
-                *h ^= byte as u64;
-                *h = h.wrapping_mul(0x1000_0000_01b3);
-            }
-        };
-        for (name, value) in &self.fields {
-            for h in [&mut a, &mut b] {
-                mix(h, name.as_bytes());
-                mix(h, b"=");
-                mix(h, value.as_bytes());
-                mix(h, b"\0");
-            }
-            // Decorrelate the streams so they are not byte-identical.
-            b = b.rotate_left(17) ^ 0x9e37_79b9_7f4a_7c15;
-        }
-        format!("{a:016x}{b:016x}")
-    }
-
-    /// The fields, for embedding in the cache file (debuggability).
-    fn fields(&self) -> &BTreeMap<String, String> {
-        &self.fields
-    }
-}
-
-/// Values that can round-trip through a cache entry. The vendored serde
-/// is serialize-only, so reading back goes through the untyped JSON
-/// [`Value`] tree; each cacheable cell type supplies the conversion.
-/// Figure cells are scalar summaries (means, latencies), so `f64` covers
-/// the resumable sweeps.
-pub trait CacheValue: Serialize + Sized {
-    /// Rebuild the value from a parsed cache entry; `None` = treat as a
-    /// cache miss and recompute.
-    fn from_cached(v: &Value) -> Option<Self>;
-}
-
-impl CacheValue for f64 {
-    fn from_cached(v: &Value) -> Option<f64> {
-        match v {
-            Value::Float(x) => Some(*x),
-            Value::UInt(u) => Some(*u as f64),
-            Value::Int(i) => Some(*i as f64),
-            _ => None,
-        }
-    }
-}
-
-/// One figure's on-disk cell cache plus hit/computed counters for the
-/// skip log.
+/// The on-disk run cache shared by the congestion figures, plus
+/// hit/computed counters for the skip log.
 pub struct SweepCache {
     dir: PathBuf,
     hits: AtomicU64,
@@ -111,10 +52,10 @@ pub struct SweepCache {
 }
 
 impl SweepCache {
-    /// Cache under `results/.cache/<fig>` (respects
+    /// The shared cache under `results/.cache/cells` (respects
     /// `SLINGSHOT_RESULTS_DIR` like every other artifact).
-    pub fn for_figure(fig: &str) -> SweepCache {
-        SweepCache::at(crate::report::results_dir().join(".cache").join(fig))
+    pub fn shared() -> SweepCache {
+        SweepCache::at(crate::report::results_dir().join(".cache").join("cells"))
     }
 
     /// Cache at an explicit directory (tests).
@@ -126,38 +67,43 @@ impl SweepCache {
         }
     }
 
-    fn path_of(&self, key: &CellKey) -> PathBuf {
-        self.dir.join(format!("{}.json", key.hash_hex()))
+    fn path_of(&self, identity: &str) -> PathBuf {
+        self.dir.join(format!("{}.json", hash_hex(identity)))
     }
 
-    /// Load a completed cell. Anything short of a well-formed entry —
-    /// missing file, parse error, wrong shape — is a miss: the cell is
-    /// simply recomputed.
-    pub fn load<V: CacheValue>(&self, key: &CellKey) -> Option<V> {
-        let text = std::fs::read_to_string(self.path_of(key)).ok()?;
-        let parsed = serde_json::from_str(&text).ok()?;
-        let Value::Object(entries) = parsed else {
+    /// Load a completed run. Anything short of a well-formed entry for
+    /// this identity — missing file, parse error, wrong shape, another
+    /// identity — is a miss: the run is simply recomputed.
+    pub fn load(&self, identity: &str) -> Option<f64> {
+        let text = std::fs::read_to_string(self.path_of(identity)).ok()?;
+        let Ok(Value::Object(entries)) = serde_json::from_str(&text) else {
             return None;
         };
-        let value = entries.iter().find(|(k, _)| k == "value").map(|(_, v)| v)?;
-        let v = V::from_cached(value)?;
+        let field = |name: &str| entries.iter().find(|(k, _)| k == name).map(|(_, v)| v);
+        if !matches!(field("key"), Some(Value::Str(k)) if k == identity) {
+            return None;
+        }
+        let value = match field("value")? {
+            Value::Float(x) => *x,
+            Value::UInt(u) => *u as f64,
+            Value::Int(i) => *i as f64,
+            _ => return None,
+        };
         self.hits.fetch_add(1, Ordering::Relaxed);
-        Some(v)
+        Some(value)
     }
 
-    /// Persist a completed cell atomically: write a temp file in the same
+    /// Persist a completed run atomically: write a temp file in the same
     /// directory, then rename over the final path. A kill at any point
     /// leaves either no entry or a complete one. Best-effort — a cache
     /// write failure costs recomputation later, never the sweep.
-    pub fn store<V: CacheValue>(&self, key: &CellKey, value: &V) {
+    pub fn store(&self, identity: &str, value: f64) {
         if let Err(e) = std::fs::create_dir_all(&self.dir) {
             eprintln!("warning: cannot create {}: {e}", self.dir.display());
             return;
         }
-        // The vendored derive cannot handle a generic entry struct, so the
-        // `{key, value}` envelope is assembled as a Value tree directly.
         let entry = Value::Object(vec![
-            ("key".to_string(), key.fields().serialize()),
+            ("key".to_string(), Value::Str(identity.to_string())),
             ("value".to_string(), value.serialize()),
         ]);
         let text = match serde_json::to_string_pretty(&entry) {
@@ -167,10 +113,8 @@ impl SweepCache {
                 return;
             }
         };
-        let final_path = self.path_of(key);
-        let tmp = self
-            .dir
-            .join(format!("{}.tmp{}", key.hash_hex(), std::process::id()));
+        let final_path = self.path_of(identity);
+        let tmp = final_path.with_extension(format!("tmp{}", std::process::id()));
         if let Err(e) = std::fs::write(&tmp, text) {
             eprintln!("warning: cannot write {}: {e}", tmp.display());
             return;
@@ -183,12 +127,12 @@ impl SweepCache {
         self.stored.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Cells served from the cache so far.
+    /// Runs served from the cache so far.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Cells computed and written so far.
+    /// Runs computed and written so far.
     pub fn stored(&self) -> u64 {
         self.stored.load(Ordering::Relaxed)
     }
@@ -217,56 +161,36 @@ mod tests {
     }
 
     #[test]
-    fn key_is_order_independent_and_seed_sensitive() {
-        let a = CellKey::new("fig11")
-            .field("victim", "lammps")
-            .field("seed", 7);
-        let b = CellKey::new("fig11")
-            .field("seed", 7)
-            .field("victim", "lammps");
-        assert_eq!(a.hash_hex(), b.hash_hex());
-        let c = CellKey::new("fig11")
-            .field("victim", "lammps")
-            .field("seed", 8);
-        assert_ne!(a.hash_hex(), c.hash_hex());
-        let d = CellKey::new("fig9")
-            .field("victim", "lammps")
-            .field("seed", 7);
-        assert_ne!(a.hash_hex(), d.hash_hex(), "figure name is part of the key");
-    }
-
-    #[test]
     fn round_trips_f64_exactly() {
-        let cache = SweepCache::at(tmpdir("roundtrip"));
+        let dir = tmpdir("roundtrip");
+        let cache = SweepCache::at(dir.clone());
         for (i, &v) in [1.5e-6, 0.3333333333333333, 42.0, 7e300, -0.0]
             .iter()
             .enumerate()
         {
-            let key = CellKey::new("t").field("i", i);
-            assert!(cache.load::<f64>(&key).is_none(), "cold cache");
-            cache.store(&key, &v);
-            let got: f64 = cache.load(&key).expect("stored entry loads");
+            let id = format!("run {i}");
+            assert!(cache.load(&id).is_none(), "cold cache");
+            cache.store(&id, v);
+            let got = cache.load(&id).expect("stored entry loads");
             assert_eq!(got.to_bits(), v.to_bits(), "bit-exact round trip of {v}");
         }
         assert_eq!(cache.stored(), 5);
         assert_eq!(cache.hits(), 5);
-        let _ = std::fs::remove_dir_all(std::env::temp_dir().join(format!(
-            "slingshot-cache-test-roundtrip-{}",
-            std::process::id()
-        )));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn corrupt_entries_are_misses() {
+    fn corrupt_or_foreign_entries_are_misses() {
         let dir = tmpdir("corrupt");
         let cache = SweepCache::at(dir.clone());
-        let key = CellKey::new("t").field("x", 1);
-        cache.store(&key, &1.0f64);
-        let path = dir.join(format!("{}.json", key.hash_hex()));
+        cache.store("x", 1.0);
+        let path = dir.join(format!("{}.json", hash_hex("x")));
         std::fs::write(&path, "{ truncated").unwrap();
-        assert!(cache.load::<f64>(&key).is_none(), "corrupt file = miss");
+        assert!(cache.load("x").is_none(), "corrupt file = miss");
         std::fs::write(&path, "[1, 2]").unwrap();
-        assert!(cache.load::<f64>(&key).is_none(), "wrong shape = miss");
+        assert!(cache.load("x").is_none(), "wrong shape = miss");
+        std::fs::write(&path, r#"{"key": "y", "value": 1.0}"#).unwrap();
+        assert!(cache.load("x").is_none(), "another identity = miss");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -5,7 +5,7 @@
 //! execution time with the aggressor over its mean time in isolation
 //! (GPCNet's metric, Equation 1 of the paper).
 
-use crate::cache::{CellKey, SweepCache};
+use crate::cache::SweepCache;
 use crate::runner::{self, CellFailure, CellMeta, Outcome};
 use crate::scale::Scale;
 use serde::Serialize;
@@ -261,70 +261,83 @@ pub fn run_pair(
     (isolated, loaded, impact)
 }
 
-/// One sweep point of a congestion figure as the cell runner and the
-/// resume cache see it.
+/// The identity of one simulated run: everything [`try_run_cell`] reads,
+/// rendered through `Debug`, so a field added to [`Cell`] or [`Victim`]
+/// enters it without further code. An isolated run never reads
+/// `aggressor_ppn`, so it is zeroed there. Two sweep points with equal
+/// identities are one run; the resume cache stores runs under it.
+pub fn run_identity(cell: &Cell, victim: Victim, iters: u32, budget: u64) -> String {
+    let cell = Cell {
+        aggressor_ppn: cell.aggressor.map_or(0, |_| cell.aggressor_ppn),
+        ..*cell
+    };
+    format!("{:?}", (cell, victim, iters, budget))
+}
+
+/// One sweep point of a congestion figure: what [`try_run_cell`] runs,
+/// and the label its error row carries.
 pub struct SweepCell {
     /// The simulated cell.
     pub cell: Cell,
     /// Its victim workload.
     pub victim: Victim,
-    /// Its resume-cache key.
-    pub key: CellKey,
+    /// Victim iterations.
+    pub iters: u32,
+    /// Event budget of the run.
+    pub budget: u64,
     /// Its error-row identity.
     pub meta: CellMeta,
 }
 
-/// The congestion-impact sweep of Figs. 9 and 11: each loaded point
+/// The congestion-impact sweep of Figs. 9–11: each loaded point
 /// `(b, aggressor)` is paired with its isolated baseline, the same point
 /// with no aggressor, and becomes `row(b, aggressor, Tc / Ti)`.
 ///
-/// `at(b, aggressor)` describes a point. Baselines run first, once per
-/// distinct cache key in first-use order, then every loaded point in
-/// `points` order; both phases fan across the installed worker pool,
-/// quarantined and (with `cache`) resumable. A loaded cell whose
-/// baseline failed becomes an error row of its own.
+/// `at(b, aggressor)` describes a point. Every distinct run
+/// ([`run_identity`]) is simulated once, in first-use order — all
+/// baselines, then all loaded cells — fanned across the installed worker
+/// pool, quarantined and (with `cache`) resumable. A point whose loaded
+/// run or baseline failed becomes an error row under its own label.
 pub fn impact_sweep<B: Sync, R>(
     cache: Option<&SweepCache>,
     points: &[(B, Congestor)],
-    (iters, budget): (u32, u64),
     at: impl Fn(&B, Option<Congestor>) -> SweepCell + Sync,
     row: impl Fn(&B, Congestor, f64) -> R,
 ) -> Outcome<Vec<R>> {
-    let run = |p: SweepCell| try_run_cell(&p.cell, p.victim, iters, budget).map(|r| r.mean_secs);
-    let mut baselines: Vec<&B> = Vec::new();
+    let mut runs: Vec<(String, SweepCell)> = Vec::new();
     let mut first_use: HashMap<String, usize> = HashMap::new();
-    let baseline_of: Vec<usize> = points
-        .iter()
-        .map(|(b, _)| {
-            *first_use
-                .entry(at(b, None).key.hash_hex())
-                .or_insert_with(|| {
-                    baselines.push(b);
-                    baselines.len() - 1
-                })
+    let mut slot = |p: SweepCell| {
+        let id = run_identity(&p.cell, p.victim, p.iters, p.budget);
+        *first_use.entry(id.clone()).or_insert_with(|| {
+            runs.push((id, p));
+            runs.len() - 1
         })
+    };
+    let baseline: Vec<usize> = points.iter().map(|(b, _)| slot(at(b, None))).collect();
+    let loaded: Vec<usize> = points.iter().map(|(b, a)| slot(at(b, Some(*a)))).collect();
+    let means = runner::resumable_map(
+        cache,
+        &runs,
+        |p| p.meta.clone(),
+        |p| try_run_cell(&p.cell, p.victim, p.iters, p.budget).map(|r| r.mean_secs),
+    );
+    // A failed baseline is reported once; the points it leaves without a
+    // row are reported below.
+    let mut failures: Vec<CellFailure> = runs
+        .iter()
+        .zip(&means)
+        .filter(|((_, p), _)| p.cell.aggressor.is_none())
+        .filter_map(|(_, mean)| mean.as_ref().err().cloned())
         .collect();
-    let (isolated, mut failures) = runner::split_results(runner::resumable_map(
-        cache,
-        &baselines,
-        |b| at(b, None).meta,
-        |b| at(b, None).key,
-        |b| run(at(b, None)),
-    ));
-    let (loaded, loaded_failures) = runner::split_results(runner::resumable_map(
-        cache,
-        points,
-        |(b, a)| at(b, Some(*a)).meta,
-        |(b, a)| at(b, Some(*a)).key,
-        |(b, a)| run(at(b, Some(*a))),
-    ));
-    failures.extend(loaded_failures);
     let mut rows = Vec::new();
-    for (((b, a), mean), &base) in points.iter().zip(loaded).zip(&baseline_of) {
-        let Some(mean) = mean else { continue };
-        match isolated[base] {
-            Some(isolated_mean) => rows.push(row(b, *a, mean / isolated_mean)),
-            None => {
+    for (((b, a), &l), &base) in points.iter().zip(&loaded).zip(&baseline) {
+        match (&means[l], &means[base]) {
+            (Ok(tc), Ok(ti)) => rows.push(row(b, *a, tc / ti)),
+            (Err(e), _) => failures.push(CellFailure {
+                cell: at(b, Some(*a)).meta.label,
+                ..e.clone()
+            }),
+            (Ok(_), Err(_)) => {
                 let meta = at(b, Some(*a)).meta;
                 failures.push(CellFailure {
                     cell: meta.label,
@@ -448,47 +461,62 @@ mod tests {
         assert!(aries_impact > 1.5 * ss_impact);
     }
 
-    /// Two loaded cells share one baseline, which runs once; a loaded
-    /// cell whose baseline fails (a one-node victim panics) becomes an
-    /// error row even though its own value came from the cache.
+    /// Points `(victim_nodes, aggressor_ppn)`. Loaded cells at two PPNs
+    /// share one baseline (an isolated run never reads the PPN), which
+    /// runs once; a repeated loaded point runs once; a loaded cell whose
+    /// baseline fails (a one-node victim panics) becomes an error row
+    /// even though its own value came from the cache.
     #[test]
     fn impact_sweep_shares_baselines_and_reports_missing_ones() {
         use Congestor::{AllToAll, Incast};
         let dir = std::env::temp_dir().join(format!("slingshot-pairing-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cache = SweepCache::at(dir.clone());
-        let at = |&victim_nodes: &u32, aggressor: Option<Congestor>| {
-            let label = format!("{victim_nodes} vs {aggressor:?}");
-            SweepCell {
-                cell: Cell {
-                    profile: Profile::Slingshot,
-                    nodes: 32,
-                    victim_nodes,
-                    policy: AllocationPolicy::Interleaved,
-                    aggressor,
-                    aggressor_ppn: 1,
-                    seed: 3,
-                },
-                victim: Victim::Micro(Microbench::Pingpong, 8),
-                key: CellKey::new("pairing-test").field("cell", &label),
-                meta: CellMeta { label, seed: 3 },
-            }
+        let (iters, budget) = (3, 50_000_000);
+        let at = |&(victim_nodes, aggressor_ppn): &(u32, u32), aggressor| SweepCell {
+            cell: Cell {
+                profile: Profile::Slingshot,
+                nodes: 32,
+                victim_nodes,
+                policy: AllocationPolicy::Interleaved,
+                aggressor,
+                aggressor_ppn,
+                seed: 3,
+            },
+            victim: Victim::Micro(Microbench::Pingpong, 8),
+            iters,
+            budget,
+            meta: CellMeta {
+                label: format!("{victim_nodes}x{aggressor_ppn} vs {aggressor:?}"),
+                seed: 3,
+            },
         };
-        cache.store(&at(&1, Some(Incast)).key, &1.0);
-        let points = [(16, AllToAll), (16, Incast), (1, Incast)];
-        let out = impact_sweep(Some(&cache), &points, (3, 50_000_000), at, |&n, a, c| {
-            (n, a, c)
-        });
-        let rows: Vec<_> = out.output.iter().map(|&(n, a, _)| (n, a)).collect();
-        assert_eq!(rows, [(16, AllToAll), (16, Incast)]);
+        let cached = at(&(1, 1), Some(Incast));
+        cache.store(
+            &run_identity(&cached.cell, cached.victim, iters, budget),
+            1.0,
+        );
+        let points = [
+            ((16, 1), AllToAll),
+            ((16, 1), Incast),
+            ((1, 1), Incast),
+            ((16, 1), Incast),
+            ((16, 4), Incast),
+        ];
+        let out = impact_sweep(Some(&cache), &points, at, |&b, a, c| (b, a, c));
+        let rows: Vec<_> = out.output.iter().map(|&(b, a, _)| (b, a)).collect();
+        assert_eq!(rows, [points[0], points[1], points[3], points[4]]);
         assert!(out.output.iter().all(|r| r.2 > 0.5 && r.2 < 10.0));
-        // The pre-stored cell, one shared baseline and two loaded cells.
-        assert_eq!((cache.stored(), cache.hits()), (4, 1));
+        assert_eq!(out.output[1].2.to_bits(), out.output[2].2.to_bits());
+        // The pre-stored cell, one shared baseline and three distinct
+        // loaded cells; the failed baseline is not stored.
+        assert_eq!((cache.stored(), cache.hits()), (5, 1));
         let errors: Vec<_> = out.failures.iter().map(|f| (&*f.cell, &*f.error)).collect();
         assert_eq!(errors.len(), 2, "{errors:?}");
+        assert_eq!(errors[0].0, "1x1 vs None");
         assert!(errors[0].1.starts_with("panic"), "{errors:?}");
         let unavailable = "isolated baseline unavailable (its cell failed)";
-        assert_eq!(errors[1], ("1 vs Some(Incast)", unavailable));
+        assert_eq!(errors[1], ("1x1 vs Some(Incast)", unavailable));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

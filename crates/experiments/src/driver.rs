@@ -23,8 +23,9 @@ pub type TraceHook = fn(scale: Scale, dir: &str, tcfg: TelemetryConfig);
 
 /// One figure of the evaluation.
 pub trait Figure {
-    /// Result stem: the figure writes `results/<STEM>_<scale>.json` and
-    /// caches cells under `results/.cache/<STEM>/`.
+    /// Result stem: the figure writes `results/<STEM>_<scale>.json`.
+    /// (The `--resume` cache is not per figure: Figs. 9–11 share
+    /// `results/.cache/cells/`, keyed by what each run simulates.)
     const STEM: &'static str;
     /// Whether [`Figure::run`] consults the cell cache (`--resume`).
     const RESUMABLE: bool = false;
@@ -46,7 +47,7 @@ pub trait Figure {
 /// process reports only its own networks.
 pub fn drive<F: Figure>(cfg: &RunConfig) -> bool {
     let scale = cfg.scale;
-    let cache = (cfg.resume && F::RESUMABLE).then(|| SweepCache::for_figure(F::STEM));
+    let cache = (cfg.resume && F::RESUMABLE).then(SweepCache::shared);
     let out = runner::with_jobs(cfg.jobs, || F::run(scale, cache.as_ref()));
     F::render(scale, &out.output);
     let name = format!("{}_{}", F::STEM, scale.label());

@@ -8,7 +8,7 @@
 
 use crate::fig9::{self, profile_name, summarize, HeatmapOpts, ImpactSummary};
 use crate::report::{fmt_impact, Table};
-use crate::runner::{self, Outcome};
+use crate::runner::Outcome;
 use crate::scale::Scale;
 use crate::{driver::Figure, SweepCache};
 use serde::Serialize;
@@ -28,26 +28,24 @@ pub struct Fig10Row {
     pub summary: ImpactSummary,
 }
 
-fn panel_opts(scale: Scale, panel: char) -> (HeatmapOpts, u32) {
+fn panel_opts(scale: Scale, panel: char) -> HeatmapOpts {
     let mut opts = HeatmapOpts::fig9(scale);
     // Distribution panels subsample the victim grid (the full grid is
     // Fig. 9's job); shares stay as in Fig. 9.
     opts.victims = crate::congestion::default_victims(Scale::Tiny);
-    let ppn = match panel {
-        'B' => match scale {
+    if panel == 'B' {
+        opts.aggressor_ppn = match scale {
             Scale::Paper => 24,
             _ => 4,
-        },
-        _ => 1,
-    };
+        };
+    }
     if panel == 'C' {
         opts.nodes = match scale {
             Scale::Paper => 128,
             _ => 32,
         };
     }
-    opts.aggressor_ppn = ppn;
-    (opts, ppn)
+    opts
 }
 
 /// Fig. 10 for the figure driver.
@@ -58,56 +56,50 @@ impl Figure for Fig10 {
     const RESUMABLE: bool = true;
     type Output = Vec<Fig10Row>;
 
-    /// Run all three panels. Each (panel, policy) heatmap is independent, so
-    /// the 3 × 3 grid fans across the installed worker threads; each grid
-    /// point's inner sweep then runs serially on its worker. Underlying
-    /// heatmap cells run quarantined (and cached, when `cache` is given);
-    /// their error rows are merged across the grid.
+    /// Run all three panels: the nine (panel, policy) heatmap grids go
+    /// through one congestion sweep, so a run two grids share (an
+    /// isolated baseline that differs only in aggressor PPN, or at
+    /// `--tiny` all of panel C, whose machine is panel A's) is simulated
+    /// once. Cells run quarantined (and cached, when `cache` is given);
+    /// each error row names its panel and policy.
     fn run(scale: Scale, cache: Option<&SweepCache>) -> Outcome<Vec<Fig10Row>> {
-        let mut grid = Vec::new();
+        let mut violins = Vec::new();
+        let mut grids = Vec::new();
         for panel in ['A', 'B', 'C'] {
             for policy in AllocationPolicy::ALL {
-                grid.push((panel, policy));
+                let opts = HeatmapOpts {
+                    policy,
+                    ..panel_opts(scale, panel)
+                };
+                violins.push((panel, policy.label()));
+                grids.push((format!("panel {panel} {}: ", policy.label()), opts));
             }
         }
-        let per_point = runner::par_map(&grid, |&(panel, policy)| {
-            let (mut opts, _ppn) = panel_opts(scale, panel);
-            opts.policy = policy;
-            let heat = fig9::run(&opts, cache);
-            let rows: Vec<Fig10Row> = [Profile::Aries, Profile::Slingshot]
-                .into_iter()
-                .filter_map(|profile| {
-                    let name = profile_name(profile);
-                    let impacts: Vec<f64> = heat
-                        .output
-                        .iter()
-                        .filter(|c| c.profile == name)
-                        .map(|c| c.impact)
-                        .collect();
-                    // Every cell of this violin failed: its absence is already
-                    // recorded as error rows, so don't summarize nothing.
-                    if impacts.is_empty() {
-                        return None;
-                    }
-                    Some(Fig10Row {
+        let heat = fig9::run(&grids, cache);
+        let mut rows = Vec::new();
+        for ((panel, policy), cells) in violins.into_iter().zip(&heat.output) {
+            for profile in [Profile::Aries, Profile::Slingshot] {
+                let name = profile_name(profile);
+                let impacts: Vec<f64> = cells
+                    .iter()
+                    .filter(|c| c.profile == name)
+                    .map(|c| c.impact)
+                    .collect();
+                // Every cell of this violin failed: its absence is already
+                // recorded as error rows, so don't summarize nothing.
+                if !impacts.is_empty() {
+                    rows.push(Fig10Row {
                         panel,
                         profile: name,
-                        policy: policy.label(),
+                        policy,
                         summary: summarize(&impacts),
-                    })
-                })
-                .collect();
-            (rows, heat.failures)
-        });
-        let mut rows = Vec::new();
-        let mut failures = Vec::new();
-        for (point_rows, point_failures) in per_point {
-            rows.extend(point_rows);
-            failures.extend(point_failures);
+                    });
+                }
+            }
         }
         Outcome {
             output: rows,
-            failures,
+            failures: heat.failures,
         }
     }
 
@@ -152,15 +144,15 @@ mod tests {
     /// low; Aries' maximum dwarfs it.
     #[test]
     fn panel_a_contrast() {
-        let (mut opts, _) = panel_opts(Scale::Tiny, 'A');
+        let mut opts = panel_opts(Scale::Tiny, 'A');
         opts.nodes = 32;
         opts.iters = 3;
         opts.shares = vec![90];
         opts.policy = AllocationPolicy::Interleaved;
         opts.victims.truncate(5);
-        let out = fig9::run(&opts, None);
+        let out = fig9::run(&[(String::new(), opts)], None);
         assert!(!out.failed(), "fault-free sweep has no error rows");
-        let cells = out.output;
+        let cells = out.output.concat();
         let max_of = |name: &str| -> f64 {
             cells
                 .iter()

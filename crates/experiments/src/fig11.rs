@@ -6,7 +6,7 @@
 //! 3.55x (LAMMPS under a 75 % incast); MILC/HPCG cells at 768 victim
 //! nodes are N.A. (power-of-two requirement).
 
-use crate::cache::{CellKey, SweepCache};
+use crate::cache::SweepCache;
 use crate::congestion::{impact_sweep, Cell, SweepCell, Victim};
 use crate::driver::{Figure, TraceHook};
 use crate::report::{fmt_impact, Table};
@@ -105,21 +105,9 @@ impl Figure for Fig11 {
         impact_sweep(
             cache,
             &points,
-            (scale.iterations(), scale.event_budget()),
             |&(share, victim), aggressor| {
                 let cell = cell(scale, share, aggressor);
                 SweepCell {
-                    key: CellKey::new("fig11")
-                        .field("victim", victim.label())
-                        .field("victim_nodes", cell.victim_nodes)
-                        .field(
-                            "aggressor",
-                            aggressor.map_or("none", |a| a.label()).to_string(),
-                        )
-                        .field("nodes", cell.nodes)
-                        .field("iters", scale.iterations())
-                        .field("budget", scale.event_budget())
-                        .field("seed", cell.seed),
                     meta: CellMeta {
                         label: format!(
                             "{} @ {} victim nodes vs {}",
@@ -131,6 +119,8 @@ impl Figure for Fig11 {
                     },
                     cell,
                     victim,
+                    iters: scale.iterations(),
+                    budget: scale.event_budget(),
                 }
             },
             |&(share, victim), aggressor, impact| {

@@ -7,7 +7,7 @@
 //! damaging pattern, all-to-all is routed around; impact grows with the
 //! aggressor share and hits small messages hardest.
 
-use crate::cache::{CellKey, SweepCache};
+use crate::cache::SweepCache;
 use crate::congestion::{default_victims, impact_sweep, machine_for, Cell, SweepCell, Victim};
 use crate::driver::{Figure, TraceHook};
 use crate::report::{fmt_impact, Table};
@@ -34,7 +34,7 @@ pub struct HeatmapCell {
     pub impact: f64,
 }
 
-/// Options for the heatmap sweep (also reused by Figs. 10 and 11).
+/// Options for one heatmap grid (Fig. 9's, and each of Fig. 10's).
 #[derive(Clone, Debug)]
 pub struct HeatmapOpts {
     /// Machine node count.
@@ -111,64 +111,72 @@ pub(crate) fn profile_name(profile: Profile) -> &'static str {
     }
 }
 
-/// Run the heatmap sweep: every isolated baseline first (they are shared
-/// across aggressor patterns), then every loaded cell, each phase fanned
-/// across the installed worker threads. Cell order matches the serial
-/// sweep exactly. Each cell runs quarantined — a stalled or panicking
-/// cell becomes an error row while the rest complete — and, with a
-/// cache, cells completed by a previous (possibly killed) run are
-/// served from disk instead of recomputed.
-pub fn run(opts: &HeatmapOpts, cache: Option<&SweepCache>) -> Outcome<Vec<HeatmapCell>> {
+/// Run heatmap grids as one congestion sweep, so a run that two grids
+/// share is simulated once. Each grid comes with the tag its error-row
+/// labels start with. Every distinct run fans across the installed
+/// worker threads, quarantined — a stalled or panicking cell becomes an
+/// error row while the rest complete — and, with a cache, runs completed
+/// by a previous (possibly killed) sweep are served from disk. Returns
+/// each grid's cells in the serial sweep's order.
+pub fn run(
+    grids: &[(String, HeatmapOpts)],
+    cache: Option<&SweepCache>,
+) -> Outcome<Vec<Vec<HeatmapCell>>> {
     let mut points = Vec::new();
-    for &profile in &opts.profiles {
-        for &share in &opts.shares {
-            for aggressor in [Congestor::AllToAll, Congestor::Incast] {
-                for &victim in &opts.victims {
-                    points.push(((profile, share, victim), aggressor));
+    for (g, (_, opts)) in grids.iter().enumerate() {
+        for &profile in &opts.profiles {
+            for &share in &opts.shares {
+                for aggressor in [Congestor::AllToAll, Congestor::Incast] {
+                    for &victim in &opts.victims {
+                        points.push(((g, profile, share, victim), aggressor));
+                    }
                 }
             }
         }
     }
-    impact_sweep(
+    let out = impact_sweep(
         cache,
         &points,
-        (opts.iters, opts.budget),
-        |&(profile, share, victim), aggressor| SweepCell {
-            cell: opts.cell(profile, share, aggressor),
-            victim,
-            key: CellKey::new("fig9")
-                .field("profile", profile_name(profile))
-                .field("share", share)
-                .field("victim", victim.label())
-                .field(
-                    "aggressor",
-                    aggressor.map_or("none", |a| a.label()).to_string(),
-                )
-                .field("nodes", opts.nodes)
-                .field("policy", format!("{:?}", opts.policy))
-                .field("ppn", opts.aggressor_ppn)
-                .field("iters", opts.iters)
-                .field("budget", opts.budget)
-                .field("seed", opts.seed),
-            meta: CellMeta {
-                label: format!(
-                    "{} {}% {} vs {}",
-                    profile_name(profile),
-                    share,
-                    victim.label(),
-                    aggressor.map_or("isolated", |a| a.label()),
-                ),
-                seed: opts.seed,
-            },
+        |&(g, profile, share, victim), aggressor| {
+            let (tag, opts) = &grids[g];
+            SweepCell {
+                cell: opts.cell(profile, share, aggressor),
+                victim,
+                iters: opts.iters,
+                budget: opts.budget,
+                meta: CellMeta {
+                    label: format!(
+                        "{tag}{} {}% {} vs {}",
+                        profile_name(profile),
+                        share,
+                        victim.label(),
+                        aggressor.map_or("isolated", |a| a.label()),
+                    ),
+                    seed: opts.seed,
+                },
+            }
         },
-        |&(profile, share, victim), aggressor, impact| HeatmapCell {
-            profile: profile_name(profile),
-            aggressor: aggressor.label(),
-            aggressor_share: share,
-            victim: victim.label(),
-            impact,
+        |&(g, profile, share, victim), aggressor, impact| {
+            (
+                g,
+                HeatmapCell {
+                    profile: profile_name(profile),
+                    aggressor: aggressor.label(),
+                    aggressor_share: share,
+                    victim: victim.label(),
+                    impact,
+                },
+            )
         },
-    )
+    );
+    let mut per_grid = vec![Vec::new(); grids.len()];
+    for (g, cell) in out.output {
+        per_grid[g].push(cell);
+    }
+    Outcome {
+        output: per_grid,
+        failures: out.failures,
+    }
 }
 
 /// Fig. 9 for the figure driver.
@@ -181,7 +189,11 @@ impl Figure for Fig9 {
     type Output = Vec<HeatmapCell>;
 
     fn run(scale: Scale, cache: Option<&SweepCache>) -> Outcome<Vec<HeatmapCell>> {
-        run(&HeatmapOpts::fig9(scale), cache)
+        let out = run(&[(String::new(), HeatmapOpts::fig9(scale))], cache);
+        Outcome {
+            output: out.output.concat(),
+            failures: out.failures,
+        }
     }
 
     fn render(scale: Scale, cells: &Vec<HeatmapCell>) {
@@ -294,9 +306,9 @@ mod tests {
             budget: 500_000_000,
             seed: 42,
         };
-        let out = run(&opts, None);
+        let out = run(&[(String::new(), opts)], None);
         assert!(!out.failed(), "fault-free sweep has no error rows");
-        let cells = out.output;
+        let cells = out.output.concat();
         assert_eq!(cells.len(), 2 * 2 * 2); // profiles × aggressors × victims
         let max_by = |profile: &str, aggr: &str| -> f64 {
             cells

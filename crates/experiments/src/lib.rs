@@ -34,10 +34,10 @@ pub mod runner;
 pub mod scale;
 pub mod telemetry;
 
-pub use cache::{CacheValue, CellKey, SweepCache};
+pub use cache::SweepCache;
 pub use congestion::{
-    default_victims, machine_for, run_cell, run_pair, try_run_cell, try_run_cell_traced, Cell,
-    CellResult, Victim,
+    default_victims, machine_for, run_cell, run_identity, run_pair, try_run_cell,
+    try_run_cell_traced, Cell, CellResult, Victim,
 };
 pub use driver::Figure;
 pub use runner::{CellFailure, CellMeta, Outcome};

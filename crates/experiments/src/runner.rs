@@ -22,7 +22,7 @@
 //! assert_eq!(squares, vec![1, 4, 9, 16]);
 //! ```
 
-use crate::cache::{CacheValue, CellKey, SweepCache};
+use crate::cache::SweepCache;
 use rayon::prelude::*;
 use rayon::ThreadPoolBuilder;
 use serde::Serialize;
@@ -179,37 +179,26 @@ where
     par_map(items, |item| run_quarantined(&meta(item), || f(item)))
 }
 
-/// [`quarantine_map`] with crash-resume: when `cache` is `Some`, each
-/// cell first consults the content-addressed cache (key from `key(item)`)
-/// and, on a miss, stores its freshly computed value atomically the
-/// moment it completes. Failures are never cached — a previously stalled
-/// cell is retried on resume. Cached and computed values serialize
-/// identically, so aggregation is byte-identical to an uninterrupted run.
-pub fn resumable_map<T, U, M, K, F>(
+/// [`quarantine_map`] with crash-resume over `(identity, item)` pairs:
+/// when `cache` is `Some`, each item first consults the cache under its
+/// identity and, on a miss, stores its freshly computed value atomically
+/// the moment it completes. Failures are never cached — a previously
+/// stalled cell is retried on resume. Cached and computed values
+/// serialize identically, so aggregation is byte-identical to an
+/// uninterrupted run.
+pub fn resumable_map<T: Sync>(
     cache: Option<&SweepCache>,
-    items: &[T],
-    meta: M,
-    key: K,
-    f: F,
-) -> Vec<Result<U, CellFailure>>
-where
-    T: Sync,
-    U: Send + CacheValue,
-    M: Fn(&T) -> CellMeta + Sync,
-    K: Fn(&T) -> CellKey + Sync,
-    F: Fn(&T) -> Result<U, SimError> + Sync,
-{
-    par_map(items, |item| {
-        let Some(cache) = cache else {
-            return run_quarantined(&meta(item), || f(item));
-        };
-        let k = key(item);
-        if let Some(v) = cache.load(&k) {
+    items: &[(String, T)],
+    meta: impl Fn(&T) -> CellMeta + Sync,
+    f: impl Fn(&T) -> Result<f64, SimError> + Sync,
+) -> Vec<Result<f64, CellFailure>> {
+    par_map(items, |(identity, item)| {
+        if let Some(v) = cache.and_then(|c| c.load(identity)) {
             return Ok(v);
         }
         let result = run_quarantined(&meta(item), || f(item));
-        if let Ok(v) = &result {
-            cache.store(&k, v);
+        if let (Some(cache), Ok(v)) = (cache, &result) {
+            cache.store(identity, *v);
         }
         result
     })
@@ -311,12 +300,11 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let cache = SweepCache::at(dir.clone());
-        let items: Vec<u64> = (0..5).collect();
-        let key_of = |x: &u64| CellKey::new("runner-test").field("x", x);
+        let items: Vec<(String, u64)> = (0..5).map(|x| (format!("x={x}"), x)).collect();
         let computed = AtomicU64::new(0);
         let run = |fail_on: u64| {
             with_jobs(2, || {
-                resumable_map(Some(&cache), &items, meta_of, key_of, |&x| {
+                resumable_map(Some(&cache), &items, meta_of, |&x| {
                     computed.fetch_add(1, Ordering::Relaxed);
                     if x == fail_on {
                         Err(SimError::Deadlock {
@@ -337,7 +325,7 @@ mod tests {
         // values are bit-identical.
         let second = run(u64::MAX);
         assert_eq!(computed.load(Ordering::Relaxed), 6);
-        for (x, r) in items.iter().zip(&second) {
+        for ((_, x), r) in items.iter().zip(&second) {
             assert_eq!(*r.as_ref().unwrap(), *x as f64 / 3.0);
         }
         assert_eq!(cache.hits(), 4);

@@ -88,9 +88,9 @@ pub struct RunConfig {
     /// Print simulation-kernel counters (events dispatched, routing
     /// decisions, queue high-water mark) to stderr after the sweep.
     pub verbose: bool,
-    /// Reuse (and extend) the per-cell result cache under
-    /// `results/.cache/<fig>/`, skipping cells a previous — possibly
-    /// killed — run already completed.
+    /// Reuse (and extend) the per-run result cache under
+    /// `results/.cache/cells/`, skipping runs a previous — possibly
+    /// killed — sweep of any congestion figure already completed.
     pub resume: bool,
     /// Output directory for time-resolved telemetry and packet traces
     /// (`--telemetry DIR`). `None` (the default) leaves the simulator
