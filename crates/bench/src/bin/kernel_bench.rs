@@ -2,8 +2,8 @@
 //!
 //! Times the simulator's hot kernels — next-hop table lookups, adaptive
 //! routing decisions, NIC in-flight accounting, QoS arbitration, the event
-//! queue in heap and calendar mode, the RNG, the Rosetta latency draw — and
-//! one end-to-end simulation for an events/sec figure. A counting allocator
+//! queue, the RNG, the Rosetta latency draw — and one end-to-end
+//! simulation for an events/sec figure. A counting allocator
 //! wraps the system allocator so every record carries allocs/op next to
 //! ns/op: the routing fast path's zero-allocation claim is measured here
 //! on every run, not asserted once in review.
@@ -294,9 +294,9 @@ fn main() {
         },
     ));
 
-    // Heap mode: a population below the hybrid queue's migration
-    // threshold, filled and drained once per op. The queue is reused, so
-    // the timed region measures the heap rather than the allocator.
+    // A population of the size the simulations hold, filled and drained
+    // once per op. The queue is reused, so the timed region measures the
+    // heap rather than the allocator.
     let mut queue = EventQueue::with_capacity(1024);
     benches.push(bench(
         "event_queue_push_pop_1k",
@@ -313,31 +313,6 @@ fn main() {
             black_box(acc);
         },
     ));
-
-    // Calendar mode: the hold model is the queue's steady state in a
-    // running simulation, a standing event population where every pop
-    // reschedules an event a bounded jitter ahead. Both sizes sit above
-    // the migration threshold.
-    for n in [32_768u64, 262_144] {
-        let mut queue = EventQueue::with_capacity(n as usize);
-        for i in 0..n {
-            queue.push(SimTime::from_ps(i * 997 % 1_000_000), i);
-        }
-        let mut jitter: u64 = 0x2545_F491_4F6C_DD1D;
-        benches.push(bench(
-            &format!("event_queue_hold_{}k", n >> 10),
-            200_000 * scale,
-            false,
-            || {
-                let (t, v) = queue.pop().expect("standing population");
-                jitter ^= jitter << 13;
-                jitter ^= jitter >> 7;
-                jitter ^= jitter << 17;
-                queue.push(SimTime::from_ps(t.as_ps() + 1_000 + jitter % 20_000), v);
-                black_box(t);
-            },
-        ));
-    }
 
     let mut rng = DetRng::seed_from(7);
     benches.push(bench("det_rng_below_1k", 2_000 * scale, true, || {

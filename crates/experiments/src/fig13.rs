@@ -8,13 +8,14 @@
 
 use crate::congestion::machine_for;
 use crate::report::Table;
-use crate::runner::{self, Outcome};
+use crate::runner::{self, CellMeta, Outcome};
 use crate::scale::Scale;
 use crate::{driver::Figure, SweepCache};
 use serde::Serialize;
 use slingshot::{Profile, System, SystemBuilder};
 use slingshot_des::{SimDuration, SimTime};
 use slingshot_mpi::{coll, Engine, Job, JobId, MpiOp, ProtocolStack, Script};
+use slingshot_network::SimError;
 use slingshot_qos::{TrafficClass, TrafficClassSet};
 use slingshot_topology::{Allocation, AllocationPolicy};
 
@@ -93,7 +94,7 @@ struct RunOutput {
     iterations: Vec<(SimTime, SimDuration)>,
 }
 
-fn run_case(scale: Scale, same_class: bool, with_alltoall: bool) -> RunOutput {
+fn run_case(scale: Scale, same_class: bool, with_alltoall: bool) -> Result<RunOutput, SimError> {
     let nodes = scale.congestion_nodes();
     let classes = if same_class {
         TrafficClassSet::single()
@@ -129,10 +130,10 @@ fn run_case(scale: Scale, same_class: bool, with_alltoall: bool) -> RunOutput {
         Scale::Tiny => SimTime::from_ms(1),
         _ => SimTime::from_ms(3),
     };
-    eng.run_until_time(horizon);
-    RunOutput {
+    eng.run_until_time(horizon)?;
+    Ok(RunOutput {
         iterations: loop_iterations(&eng, ar_id),
-    }
+    })
 }
 
 /// Fig. 13 for the figure driver.
@@ -144,40 +145,55 @@ impl Figure for Fig13 {
 
     /// Run both cases; impacts are normalized by the pre-alltoall (quiet)
     /// iteration mean of each case. The cases run to a fixed horizon rather
-    /// than a budget-bounded quiescence, so the figure cannot stall and the
-    /// `Outcome` is always failure-free.
+    /// than a budget-bounded quiescence, so they cannot stall; each runs
+    /// quarantined, so a latched accounting error becomes an error row.
     fn run(scale: Scale, _: Option<&SweepCache>) -> Outcome<Vec<Fig13Row>> {
         let cases = [true, false];
-        let per_case = runner::par_map(&cases, |&same_class| {
-            let out = run_case(scale, same_class, true);
-            // Baseline: iterations that completed before the alltoall starts.
-            let quiet: Vec<f64> = out
-                .iterations
-                .iter()
-                .filter(|(t, _)| *t < SimTime::from_us(350))
-                .map(|(_, d)| d.as_secs_f64())
-                .collect();
-            let quiet_mean = if quiet.is_empty() {
-                // Fall back to an isolated run.
-                let iso = run_case(scale, same_class, false);
-                iso.iterations
+        let results = runner::quarantine_map(
+            &cases,
+            |&same_class| CellMeta {
+                label: format!(
+                    "{} traffic class",
+                    if same_class { "same" } else { "separate" }
+                ),
+                seed: 13,
+            },
+            |&same_class| {
+                let out = run_case(scale, same_class, true)?;
+                // Baseline: iterations that completed before the alltoall starts.
+                let quiet: Vec<f64> = out
+                    .iterations
                     .iter()
+                    .filter(|(t, _)| *t < SimTime::from_us(350))
                     .map(|(_, d)| d.as_secs_f64())
-                    .sum::<f64>()
-                    / iso.iterations.len().max(1) as f64
-            } else {
-                quiet.iter().sum::<f64>() / quiet.len() as f64
-            };
-            out.iterations
-                .iter()
-                .map(|(start, dur)| Fig13Row {
-                    same_class,
-                    time_ms: start.as_ms_f64(),
-                    impact: dur.as_secs_f64() / quiet_mean,
-                })
-                .collect::<Vec<_>>()
-        });
-        Outcome::ok(per_case.into_iter().flatten().collect())
+                    .collect();
+                let quiet_mean = if quiet.is_empty() {
+                    // Fall back to an isolated run.
+                    let iso = run_case(scale, same_class, false)?;
+                    iso.iterations
+                        .iter()
+                        .map(|(_, d)| d.as_secs_f64())
+                        .sum::<f64>()
+                        / iso.iterations.len().max(1) as f64
+                } else {
+                    quiet.iter().sum::<f64>() / quiet.len() as f64
+                };
+                Ok(out
+                    .iterations
+                    .iter()
+                    .map(|(start, dur)| Fig13Row {
+                        same_class,
+                        time_ms: start.as_ms_f64(),
+                        impact: dur.as_secs_f64() / quiet_mean,
+                    })
+                    .collect::<Vec<_>>())
+            },
+        );
+        let (rows, failures) = runner::split_results(results);
+        Outcome {
+            output: rows.into_iter().flatten().flatten().collect(),
+            failures,
+        }
     }
 
     fn render(scale: Scale, rows: &Vec<Fig13Row>) {

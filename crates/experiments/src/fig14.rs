@@ -9,13 +9,14 @@
 //! share.
 
 use crate::report::Table;
-use crate::runner::{self, Outcome};
+use crate::runner::{self, CellMeta, Outcome};
 use crate::scale::Scale;
 use crate::{driver::Figure, SweepCache};
 use serde::Serialize;
 use slingshot::{Profile, System, SystemBuilder};
 use slingshot_des::SimTime;
 use slingshot_mpi::{Engine, Job, MpiOp, ProtocolStack, Script};
+use slingshot_network::SimError;
 use slingshot_qos::TrafficClassSet;
 
 /// One timeline sample.
@@ -61,7 +62,7 @@ fn stream_scripts(ranks: u32, msg: u64, passes: Option<u32>) -> Vec<Script> {
 }
 
 /// Run one case and sample per-job delivered bandwidth every `step`.
-fn run_case(scale: Scale, same_class: bool) -> Vec<Fig14Row> {
+fn run_case(scale: Scale, same_class: bool) -> Result<Vec<Fig14Row>, SimError> {
     let nodes = scale.congestion_nodes();
     let classes = TrafficClassSet::fig14();
     // A dedicated two-group machine: this is a controlled QoS experiment,
@@ -124,7 +125,7 @@ fn run_case(scale: Scale, same_class: bool) -> Vec<Fig14Row> {
             eng.request_stop(j1_id);
             stopped = true;
         }
-        eng.run_until_time(t);
+        eng.run_until_time(t)?;
         let sums = [
             job1_nodes
                 .iter()
@@ -148,7 +149,7 @@ fn run_case(scale: Scale, same_class: bool) -> Vec<Fig14Row> {
             });
         }
     }
-    rows
+    Ok(rows)
 }
 
 /// Fig. 14 for the figure driver.
@@ -159,13 +160,26 @@ impl Figure for Fig14 {
     type Output = Vec<Fig14Row>;
 
     /// Run both cases, potentially in parallel. The cases run to a fixed
-    /// horizon rather than a budget-bounded quiescence, so the figure cannot
-    /// stall and the `Outcome` is always failure-free.
+    /// horizon rather than a budget-bounded quiescence, so they cannot
+    /// stall; each runs quarantined, so a latched accounting error becomes
+    /// an error row.
     fn run(scale: Scale, _: Option<&SweepCache>) -> Outcome<Vec<Fig14Row>> {
-        let (mut rows, separate) =
-            runner::join(|| run_case(scale, true), || run_case(scale, false));
-        rows.extend(separate);
-        Outcome::ok(rows)
+        let results = runner::quarantine_map(
+            &[true, false],
+            |&same_class| CellMeta {
+                label: format!(
+                    "{} traffic class",
+                    if same_class { "same" } else { "separate" }
+                ),
+                seed: 14,
+            },
+            |&same_class| run_case(scale, same_class),
+        );
+        let (rows, failures) = runner::split_results(results);
+        Outcome {
+            output: rows.into_iter().flatten().flatten().collect(),
+            failures,
+        }
     }
 
     fn render(scale: Scale, rows: &Vec<Fig14Row>) {

@@ -202,7 +202,7 @@ fn simulate(scale: Scale, idx: usize, intensity: f64) -> Result<ResilienceRow, S
     let mut t_ns = 0u64;
     while t_ns < 2 * horizon_ns {
         t_ns += dt_ns;
-        net.run_until(SimTime::from_ns(t_ns));
+        net.run_until(SimTime::from_ns(t_ns))?;
         drain(&mut net, &mut delivered_messages, &mut last_delivery);
         timeline.push(checkpoint(&net, t_ns));
         if net.next_event_time().is_none() {

@@ -246,15 +246,20 @@ impl Engine {
     }
 
     /// Run until simulated time `t`, servicing all jobs (used by timeline
-    /// experiments with background congestors).
-    pub fn run_until_time(&mut self, t: SimTime) {
+    /// experiments with background congestors). Stops at the first fatal
+    /// accounting error the network records and returns it; the error
+    /// stays latched, so [`Network::take_fatal`] still reports it.
+    pub fn run_until_time(&mut self, t: SimTime) -> Result<(), SimError> {
         loop {
             match self.net.next_event_time() {
                 Some(next) if next <= t => {
                     self.net.step();
+                    if let Some(err) = self.net.fatal() {
+                        return Err(err.clone());
+                    }
                     self.drain_notifications();
                 }
-                _ => break,
+                _ => return Ok(()),
             }
         }
     }

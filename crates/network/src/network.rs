@@ -499,13 +499,20 @@ impl Network {
     }
 
     /// Run until simulated time `t` (events at exactly `t` are processed).
-    pub fn run_until(&mut self, t: SimTime) {
+    /// Stops at the first fatal accounting error recorded during dispatch
+    /// and returns it; the error stays latched, so [`Network::take_fatal`]
+    /// still reports it afterwards.
+    pub fn run_until(&mut self, t: SimTime) -> Result<(), SimError> {
         while let Some(next) = self.queue.peek_time() {
             if next > t {
                 break;
             }
             self.step();
+            if let Some(err) = &self.fatal {
+                return Err(err.clone());
+            }
         }
+        Ok(())
     }
 
     /// Run until no events remain; returns the final time. After
@@ -536,6 +543,12 @@ impl Network {
     /// driving [`Network::step`] by hand can poll it.
     pub fn take_fatal(&mut self) -> Option<SimError> {
         self.fatal.take()
+    }
+
+    /// The fatal accounting error recorded during event dispatch, if any,
+    /// left latched.
+    pub fn fatal(&self) -> Option<&SimError> {
+        self.fatal.as_ref()
     }
 
     /// Assemble a [`StallReport`] describing the current (presumably
@@ -1675,5 +1688,40 @@ impl Network {
             assert_eq!(m.remaining_to_deliver, 0, "message {mi} undelivered");
         }
         assert_eq!(self.pkts.live(), 0, "packets leaked: slab slots still live");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use slingshot_topology::DragonflyParams;
+
+    #[test]
+    fn run_until_returns_a_latched_credit_underflow() {
+        let mut net = Network::new(NetworkConfig::slingshot(DragonflyParams {
+            groups: 2,
+            switches_per_group: 2,
+            endpoints_per_switch: 2,
+            global_links_per_pair: 2,
+            intra_links_per_pair: 1,
+        }));
+        net.send(NodeId(0), NodeId(7), 4096, 0, 0);
+        net.record_credit_underflow(1, 2, 0, 1, 64, 0);
+        let err = net
+            .run_until(SimTime::from_us(100))
+            .expect_err("latched underflow must stop the run");
+        assert!(matches!(
+            err,
+            SimError::CreditUnderflow {
+                switch: 1,
+                port: 2,
+                returned: 64,
+                outstanding: 0,
+                ..
+            }
+        ));
+        // The run stopped at the first event, and the latch still holds.
+        assert_eq!(net.events_processed(), 1);
+        assert!(net.take_fatal().is_some());
     }
 }

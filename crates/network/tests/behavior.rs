@@ -168,7 +168,8 @@ fn victim_rtt_under_incast(cfg: NetworkConfig, with_aggressors: bool) -> SimDura
         }
     }
     // Let congestion build.
-    net.run_until(SimTime::from_us(100));
+    net.run_until(SimTime::from_us(100))
+        .expect("no accounting error");
     net.take_notifications();
     // Victim ping: group 0 → group 1...
     let ping = net.send(NodeId(8), NodeId(63), 8, 0, 77);
@@ -232,7 +233,8 @@ fn slingshot_cc_throttles_only_contributors() {
             net.send(NodeId(a), NodeId(hot), 128 << 10, 0, 0);
         }
     }
-    net.run_until(SimTime::from_us(150));
+    net.run_until(SimTime::from_us(150))
+        .expect("no accounting error");
     // Contributor windows (toward the hot node) must be squeezed...
     let w_contrib = net.cc_window(NodeId(40), NodeId(hot));
     assert!(
