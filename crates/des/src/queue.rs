@@ -4,13 +4,23 @@
 //! insertion order, which makes every run bit-reproducible for a fixed seed
 //! regardless of queue internals.
 //!
+//! # Reserved sequence numbers
+//!
+//! [`EventQueue::reserve`] takes the next sequence number without
+//! scheduling anything, and [`EventQueue::push_reserved`] later schedules an
+//! event under it. A component that keeps its own ordered backlog (the
+//! NIC's end-to-end timer lines) reserves a number per backlog entry and
+//! hands only its head to the queue: the head then pops exactly where an
+//! eager `push` at reservation time would have popped it, so the global
+//! `(time, sequence)` order is unchanged while the heap stays small.
+//!
 //! # Implementation: one binary heap
 //!
 //! The pending set is a single [`BinaryHeap`]. The simulations this
 //! workspace runs hold a few hundred to a few thousand pending events
-//! (standing populations of 140–790 across Fig. 11's engines; the largest,
-//! the `fig_resilience --quick` sweep, peaks at 8,629), where the heap's
-//! O(log n) is 8–13 levels of one contiguous, cache-hot array.
+//! (standing populations of 140–790 across Fig. 11's engines, and at most
+//! 1,836, fig6 at `--quick`, in any measured run), where the heap's
+//! O(log n) is 8–11 levels of one contiguous, cache-hot array.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -96,8 +106,32 @@ impl<E> EventQueue<E> {
             "scheduling into the past: {time:?} < now {:?}",
             self.now
         );
+        let seq = self.reserve();
+        self.heap.push(Entry { time, seq, event });
+    }
+
+    /// Take the next sequence number without scheduling anything. The
+    /// number orders exactly as a [`Self::push`] made now would have; hand
+    /// it to [`Self::push_reserved`] to schedule the event later.
+    #[inline]
+    pub fn reserve(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
+        seq
+    }
+
+    /// Schedule `event` at `time` under `seq`, a number taken earlier with
+    /// [`Self::reserve`]. Each reserved number may be pushed at most once;
+    /// scheduling in the past or under an unreserved number is a logic
+    /// error, and debug builds panic.
+    #[inline]
+    pub fn push_reserved(&mut self, time: SimTime, seq: u64, event: E) {
+        debug_assert!(
+            time >= self.now,
+            "scheduling into the past: {time:?} < now {:?}",
+            self.now
+        );
+        debug_assert!(seq < self.next_seq, "sequence {seq} was never reserved");
         self.heap.push(Entry { time, seq, event });
     }
 
@@ -203,6 +237,26 @@ mod tests {
         assert_eq!(q.events_processed(), 1);
         assert_eq!(q.len(), 1);
         q.pop();
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn reserved_event_pops_in_reservation_order() {
+        // Among same-time events, a reserved event pops where a push made
+        // at reservation time would have, however late it is pushed.
+        let t = SimTime::from_ns(5);
+        let mut q = EventQueue::new();
+        q.push(t, "first");
+        let seq = q.reserve();
+        q.push(t, "third");
+        q.push(SimTime::from_ns(1), "earlier");
+        assert_eq!(q.pop(), Some((SimTime::from_ns(1), "earlier")));
+        q.push(t, "fourth");
+        q.push_reserved(t, seq, "second");
+        assert_eq!(q.len(), 4);
+        for want in ["first", "second", "third", "fourth"] {
+            assert_eq!(q.pop(), Some((t, want)));
+        }
         assert!(q.is_empty());
     }
 

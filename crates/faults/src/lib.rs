@@ -21,7 +21,7 @@
 mod recovery;
 mod schedule;
 
-pub use recovery::RecoveryConfig;
+pub use recovery::{RecoveryConfig, E2E_BACKOFF_CAP};
 pub use schedule::{FaultEvent, FaultKind, FaultRates, FaultSchedule, ScheduleError};
 
 /// A fault schedule plus the recovery policy to survive it: what the

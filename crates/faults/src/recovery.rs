@@ -4,6 +4,10 @@ use serde::{Serialize, Value};
 use slingshot_des::SimDuration;
 use slingshot_ethernet::ReliabilityModel;
 
+/// Retry attempt beyond which the end-to-end timeout stops growing: every
+/// attempt from here on waits `e2e_timeout * e2e_backoff^E2E_BACKOFF_CAP`.
+pub const E2E_BACKOFF_CAP: u32 = 32;
+
 /// Tunables of the recovery ladder (§II-F): LLR replay → lane degrade →
 /// link down → reroute → end-to-end retry.
 #[derive(Clone, Copy, Debug)]
@@ -45,7 +49,7 @@ impl RecoveryConfig {
     /// The e2e timeout for retry attempt `attempt` (0 = first transmit):
     /// `e2e_timeout * e2e_backoff^attempt`, saturating.
     pub fn e2e_timeout_for(&self, attempt: u32) -> SimDuration {
-        let scale = self.e2e_backoff.powi(attempt.min(32) as i32);
+        let scale = self.e2e_backoff.powi(attempt.min(E2E_BACKOFF_CAP) as i32);
         let ps = (self.e2e_timeout.as_ps() as f64 * scale).min(u64::MAX as f64 / 2.0);
         SimDuration::from_ps(ps as u64)
     }
@@ -97,7 +101,10 @@ mod tests {
         assert_eq!(r.e2e_timeout_for(1).as_ps(), r.e2e_timeout.as_ps() * 2);
         assert_eq!(r.e2e_timeout_for(3).as_ps(), r.e2e_timeout.as_ps() * 8);
         // Saturates instead of overflowing.
-        assert!(r.e2e_timeout_for(u32::MAX) >= r.e2e_timeout_for(32));
+        assert_eq!(
+            r.e2e_timeout_for(u32::MAX),
+            r.e2e_timeout_for(E2E_BACKOFF_CAP)
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Live fault state inside the simulator: liveness, lane health, transient
-//! error bursts, the end-to-end retry table, and copy-conservation
-//! accounting.
+//! error bursts, the end-to-end retry table and timer lines, and
+//! copy-conservation accounting.
 //!
 //! The runtime exists only when a non-empty [`slingshot_faults::FaultSchedule`]
 //! is installed; a `Network` without one carries `None` and every fault
@@ -8,12 +8,14 @@
 //! simulations execute the exact historical code path (same events, same
 //! RNG draws, byte-identical results).
 
+use crate::packet::MessageId;
 use fxhash::FxHashMap;
 use serde::Serialize;
 use slingshot_des::{DetRng, SimTime};
 use slingshot_ethernet::PortLanes;
-use slingshot_faults::{FaultConfig, FaultSchedule, RecoveryConfig};
+use slingshot_faults::{FaultConfig, FaultSchedule, RecoveryConfig, E2E_BACKOFF_CAP};
 use slingshot_topology::{Dragonfly, Liveness};
+use std::collections::VecDeque;
 
 /// Why a packet copy was destroyed in the fabric.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -117,6 +119,21 @@ pub(crate) struct RetryEntry {
     pub attempt: u32,
 }
 
+/// One copy's end-to-end deadline, waiting in its NIC's timer line.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct TimerEntry {
+    /// When the timer fires.
+    pub deadline: SimTime,
+    /// Event-queue sequence number reserved when the copy was injected,
+    /// so the timer fires at its place in the global event order.
+    pub seq: u64,
+    pub msg: MessageId,
+    pub chunk: u32,
+    pub copy: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<TimerEntry>() <= 32);
+
 /// All live fault state of a running network.
 pub(crate) struct FaultRuntime {
     /// The installed schedule (indexed by `Event::Fault`).
@@ -135,6 +152,17 @@ pub(crate) struct FaultRuntime {
     /// inject, ack and e2e timeout and never iterated, so Fx hashing cannot
     /// change any result.
     pub retry: FxHashMap<(u64, u32), RetryEntry>,
+    /// End-to-end timer lines, `levels` per NIC: line `node * levels +
+    /// level` holds the deadlines of the copies `node` sent at retry
+    /// attempt `level` (attempts past [`E2E_BACKOFF_CAP`] share the last
+    /// level, as they share its timeout). A NIC serializes one copy at a
+    /// time and a level fixes the timeout, so every line is in strictly
+    /// increasing deadline order. A line is armed, with exactly one
+    /// `E2eTimeout` in the event queue for its head entry, exactly when it
+    /// is non-empty.
+    lines: Vec<VecDeque<TimerEntry>>,
+    /// Timer lines per NIC: `min(e2e_max_retries, E2E_BACKOFF_CAP) + 1`.
+    levels: u32,
     /// Last copy id handed out (0 is reserved for "no fault mode").
     pub next_copy: u32,
     /// Fault-plane RNG (forked from the network seed; never touches the
@@ -148,6 +176,7 @@ impl FaultRuntime {
     /// Build the runtime for `topo` from an (installed, non-empty) config.
     pub fn new(cfg: &FaultConfig, topo: &Dragonfly, seed: u64) -> Self {
         let n_ch = topo.channels().len();
+        let levels = cfg.recovery.e2e_max_retries.min(E2E_BACKOFF_CAP) + 1;
         FaultRuntime {
             schedule: cfg.schedule.clone(),
             recovery: cfg.recovery,
@@ -156,6 +185,8 @@ impl FaultRuntime {
             burst_rate: vec![0.0; n_ch],
             burst_until: vec![SimTime::ZERO; n_ch],
             retry: FxHashMap::default(),
+            lines: vec![VecDeque::new(); topo.node_count() as usize * levels as usize],
+            levels,
             next_copy: 0,
             rng: DetRng::seed_from(seed).fork(0xFA17),
             stats: FaultStats::default(),
@@ -166,6 +197,63 @@ impl FaultRuntime {
     pub fn alloc_copy(&mut self) -> u32 {
         self.next_copy += 1;
         self.next_copy
+    }
+
+    /// The timer level of a copy sent at retry attempt `attempt`.
+    pub fn timer_level(attempt: u32) -> u8 {
+        attempt.min(E2E_BACKOFF_CAP) as u8
+    }
+
+    fn line(&self, node: u32, level: u8) -> usize {
+        debug_assert!(
+            u32::from(level) < self.levels,
+            "timer level past the retry budget"
+        );
+        node as usize * self.levels as usize + level as usize
+    }
+
+    /// Append a copy's deadline to `node`'s line for `level`. Returns `true`
+    /// when the line was empty: the caller must then arm it by scheduling
+    /// the line's `E2eTimeout` at `entry`'s deadline and sequence number.
+    pub fn file_timer(&mut self, node: u32, level: u8, entry: TimerEntry) -> bool {
+        let i = self.line(node, level);
+        let line = &mut self.lines[i];
+        debug_assert!(
+            line.back()
+                .is_none_or(|last| last.deadline < entry.deadline),
+            "timer line out of deadline order"
+        );
+        line.push_back(entry);
+        line.len() == 1
+    }
+
+    /// The armed timer of `node`'s line for `level` fired: pop and return
+    /// its entry, together with the entry to arm next, if any. That is the
+    /// first entry whose copy still awaits its ack; entries before it can
+    /// only fire as no-ops, so they are dropped unqueued. When no entry is
+    /// live, the line's last entry stays armed anyway, so the run's last
+    /// event keeps the time it had with one queued timeout per copy.
+    pub fn fire_timer(&mut self, node: u32, level: u8) -> (TimerEntry, Option<TimerEntry>) {
+        let i = self.line(node, level);
+        let line = &mut self.lines[i];
+        let fired = line.pop_front().expect("armed timer line is empty");
+        while line.len() > 1 {
+            let head = line[0];
+            let live = self
+                .retry
+                .get(&(head.msg.0, head.chunk))
+                .is_some_and(|r| r.copy == head.copy);
+            if live {
+                break;
+            }
+            line.pop_front();
+        }
+        (fired, line.front().copied())
+    }
+
+    /// Deadlines still filed across all timer lines (zero once quiesced).
+    pub fn timers_pending(&self) -> usize {
+        self.lines.iter().map(VecDeque::len).sum()
     }
 
     /// Per-traversal transient error probability on channel `ch` at `now`:

@@ -4,7 +4,7 @@ use crate::config::NetworkConfig;
 use crate::error::{
     ClassVcCredits, NicHotspot, PortHotspot, SimError, StallReport, STALL_REPORT_TOP_N,
 };
-use crate::fault::{DropReason, FaultRuntime, FaultStats, RetryEntry};
+use crate::fault::{DropReason, FaultRuntime, FaultStats, RetryEntry, TimerEntry};
 use crate::inflight::InFlightMap;
 use crate::kernel::{flush_to_global, KernelStats};
 use crate::nic::{CcEngine, Nic};
@@ -61,12 +61,9 @@ enum Event {
     Wakeup { token: u64 },
     /// A scheduled fault strikes (index into the installed schedule).
     Fault { idx: u32 },
-    /// The NIC end-to-end retransmit timer for one packet copy fired.
-    E2eTimeout {
-        msg: MessageId,
-        chunk: u32,
-        copy: u32,
-    },
+    /// The armed end-to-end timer of one NIC timer line fired: the line of
+    /// `node`'s copies sent at retry level `level`.
+    E2eTimeout { node: u32, level: u8 },
     /// A link taken down by LLR escalation finished its retrain.
     LinkRepair { ch: ChannelId },
 }
@@ -74,6 +71,34 @@ enum Event {
 // Pending-queue entries are `(time, seq, Event)`: keep the event to three
 // words so the heap stays dense.
 const _: () = assert!(std::mem::size_of::<Event>() <= 24);
+
+/// Start the end-to-end timer of `pkt`, a copy sent at retry `attempt`
+/// whose serialization ends at `serialized`: file its deadline in the
+/// sending NIC's timer line for that attempt and arm the line if it was
+/// idle. The timer's sequence number is reserved here, just before the
+/// copy's `NicTxDone` is pushed, so the timer fires at the same place in
+/// the event order as a timeout pushed per copy would.
+fn start_e2e_timer(
+    queue: &mut EventQueue<Event>,
+    rt: &mut FaultRuntime,
+    pkt: &Packet,
+    attempt: u32,
+    serialized: SimTime,
+) {
+    let deadline = serialized + rt.recovery.e2e_timeout_for(attempt);
+    let seq = queue.reserve();
+    let (node, level) = (pkt.src.0, FaultRuntime::timer_level(attempt));
+    let entry = TimerEntry {
+        deadline,
+        seq,
+        msg: pkt.msg,
+        chunk: pkt.chunk,
+        copy: pkt.copy,
+    };
+    if rt.file_timer(node, level, entry) {
+        queue.push_reserved(deadline, seq, Event::E2eTimeout { node, level });
+    }
+}
 
 /// Hop budget for route healing: a packet whose route has already grown
 /// this long is dropped instead of re-detoured (recovered end-to-end), so
@@ -362,6 +387,13 @@ impl Network {
             rt.retry.is_empty(),
             "{} chunks still have outstanding end-to-end retry state",
             rt.retry.len()
+        );
+        // A timer line is armed exactly when it is non-empty, so this also
+        // checks that no line is left armed.
+        assert_eq!(
+            rt.timers_pending(),
+            0,
+            "end-to-end timer lines still hold deadlines"
         );
     }
 
@@ -697,9 +729,9 @@ impl Network {
                 self.kernel.events_fault += 1;
                 self.apply_fault(idx, now)
             }
-            Event::E2eTimeout { msg, chunk, copy } => {
+            Event::E2eTimeout { node, level } => {
                 self.kernel.events_e2e_timeout += 1;
-                self.e2e_timeout(msg, chunk, copy, now)
+                self.e2e_timer_fired(node, level, now)
             }
             Event::LinkRepair { ch } => {
                 self.kernel.events_fault += 1;
@@ -767,15 +799,7 @@ impl Network {
                     rt.retry
                         .insert((msg_id.0, chunk), RetryEntry { copy, attempt: 0 });
                     rt.stats.copies_injected += 1;
-                    let deadline = now + ser + rt.recovery.e2e_timeout_for(0);
-                    self.queue.push(
-                        deadline,
-                        Event::E2eTimeout {
-                            msg: msg_id,
-                            chunk,
-                            copy,
-                        },
-                    );
+                    start_e2e_timer(&mut self.queue, rt, &pkt, 0, now + ser);
                 }
                 if let Some(t) = self.telemetry.as_deref_mut() {
                     if t.hub.sampled(msg_id.0, chunk) {
@@ -822,15 +846,7 @@ impl Network {
         let entry = rt.retry.get(&(pkt.msg.0, pkt.chunk));
         debug_assert_eq!(entry.map(|e| e.copy), Some(pkt.copy), "stale retx copy");
         let attempt = entry.map_or(0, |e| e.attempt);
-        let deadline = now + ser + rt.recovery.e2e_timeout_for(attempt);
-        self.queue.push(
-            deadline,
-            Event::E2eTimeout {
-                msg: pkt.msg,
-                chunk: pkt.chunk,
-                copy: pkt.copy,
-            },
-        );
+        start_e2e_timer(&mut self.queue, rt, pkt, attempt, now + ser);
         if pkt.traced {
             if let Some(t) = self.telemetry.as_deref_mut() {
                 t.hub.record_event(
@@ -1419,6 +1435,19 @@ impl Network {
         for port in 0..n_ports {
             self.flush_port(swid.0, port as u32, DropReason::SwitchDown, now);
         }
+    }
+
+    /// The armed timer of `node`'s line for `level` fired: arm the line's
+    /// next entry, then time out the fired copy.
+    fn e2e_timer_fired(&mut self, node: u32, level: u8, now: SimTime) {
+        let rt = self.faults.as_mut().expect("e2e timer outside fault mode");
+        let (fired, next) = rt.fire_timer(node, level);
+        debug_assert_eq!(fired.deadline, now, "a timer line fired off its head");
+        if let Some(e) = next {
+            self.queue
+                .push_reserved(e.deadline, e.seq, Event::E2eTimeout { node, level });
+        }
+        self.e2e_timeout(fired.msg, fired.chunk, fired.copy, now);
     }
 
     /// The end-to-end retransmit timer for one copy fired. If the copy is

@@ -265,3 +265,66 @@ fn every_recovery_path_quiesces_with_an_empty_packet_slab() {
     net.assert_fault_conservation();
     net.assert_quiescent_invariants();
 }
+
+#[test]
+fn acked_copies_cost_at_most_two_timer_events_per_line() {
+    // A lossless fault-mode run: every copy is acked well before the first
+    // 50 µs deadline, so no timer retransmits. Each sender's one timer line
+    // dispatches its head's timer and then its last entry's, never one
+    // event per copy, and the run still ends at the last copy's deadline.
+    let mut cfg = NetworkConfig::slingshot(tiny());
+    let mut schedule = FaultSchedule::empty();
+    schedule.push(
+        SimTime::ZERO,
+        FaultKind::TransientBurst {
+            channel: slingshot_topology::ChannelId(0),
+            error_rate: 0.0,
+            duration: SimDuration::from_us(1),
+        },
+    );
+    let mut faults = FaultConfig::new(schedule);
+    faults.recovery.reliability.transient_error_rate = 0.0;
+    let timeout = faults.recovery.e2e_timeout;
+    cfg.faults = Some(faults);
+    let mut net = Network::new(cfg);
+    let senders = 4u32;
+    for i in 0..senders {
+        net.send(NodeId(i), NodeId(12 + i), 64 << 10, 0, i as u64);
+    }
+    // Step by hand to time the last copy's end of serialization.
+    let (mut nic_tx, mut last_tx) = (0, SimTime::ZERO);
+    while net.step() {
+        let k = net.kernel_stats();
+        if k.events_nic_tx > nic_tx {
+            (nic_tx, last_tx) = (k.events_nic_tx, net.now());
+        }
+    }
+
+    let stats = net.fault_stats().expect("fault mode");
+    assert_eq!(stats.copies_injected, 4 * 16);
+    assert_eq!(stats.e2e_timeouts, 0, "a copy timed out in a lossless run");
+    let last_ack = net
+        .take_notifications()
+        .iter()
+        .filter_map(|n| match n {
+            Notification::SendAcked { at, .. } => Some(*at),
+            _ => None,
+        })
+        .max()
+        .expect("sends acked");
+    assert!(
+        last_ack < SimTime::ZERO + timeout,
+        "acks came after a deadline"
+    );
+    let fired = net.kernel_stats().events_e2e_timeout;
+    assert!(
+        fired <= 2 * u64::from(senders),
+        "{fired} timer events for {senders} timer lines"
+    );
+    assert_eq!(
+        net.now(),
+        last_tx + timeout,
+        "run ends at the last deadline"
+    );
+    net.assert_fault_conservation();
+}
