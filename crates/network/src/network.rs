@@ -1472,6 +1472,8 @@ impl Network {
             rt.retry.remove(&(msg.0, chunk));
             rt.stats.e2e_giveups += 1;
             self.nics[src.index()].sub_in_flight(dst, wire);
+            // The freed window may admit the NIC's next chunk.
+            self.try_inject(src.0, now);
             return;
         }
         entry.attempt += 1;

@@ -2,9 +2,10 @@
 //! absorb transient bursts, link flaps and switch failures are survived by
 //! rerouting plus end-to-end retry, and every packet copy is accounted for.
 
+use slingshot_ethernet::MAX_PAYLOAD;
 use slingshot_faults::{FaultConfig, FaultKind, FaultSchedule};
 use slingshot_network::{Network, NetworkConfig, Notification};
-use slingshot_topology::{tiny, NodeId};
+use slingshot_topology::{tiny, DragonflyParams, NodeId};
 
 use slingshot_des::{SimDuration, SimTime};
 
@@ -264,6 +265,49 @@ fn every_recovery_path_quiesces_with_an_empty_packet_slab() {
     assert_eq!(delivered_count(&net.take_notifications()), 4);
     net.assert_fault_conservation();
     net.assert_quiescent_invariants();
+}
+
+#[test]
+fn e2e_give_up_frees_the_window_for_the_next_chunk() {
+    // The destination's switch is down for the first 300 µs and the NIC
+    // gives every lost copy up at its first timeout. Each give-up frees
+    // window, and the NIC must go on injecting the message's remaining
+    // chunks instead of stalling with the window free.
+    let mut cfg = NetworkConfig::slingshot(DragonflyParams {
+        groups: 2,
+        switches_per_group: 2,
+        endpoints_per_switch: 2,
+        global_links_per_pair: 2,
+        intra_links_per_pair: 1,
+    });
+    let dst_switch = cfg.topology.build().switch_of_node(NodeId(7));
+    let mut schedule = FaultSchedule::empty();
+    schedule.push(SimTime::ZERO, FaultKind::SwitchDown { switch: dst_switch });
+    schedule.push(
+        SimTime::from_us(300),
+        FaultKind::SwitchUp { switch: dst_switch },
+    );
+    let mut faults = FaultConfig::new(schedule);
+    faults.recovery.e2e_max_retries = 0;
+    cfg.faults = Some(faults);
+    let mut net = Network::new(cfg);
+    let bytes = 4u64 << 20;
+    net.send(NodeId(0), NodeId(7), bytes, 0, 0);
+    net.run_to_quiescence(10_000_000)
+        .expect("quiesces within budget");
+
+    let stats = net.fault_stats().expect("fault mode");
+    let chunks = bytes / MAX_PAYLOAD as u64;
+    assert_eq!(stats.copies_injected, chunks, "every chunk leaves the NIC");
+    assert_eq!(stats.e2e_retransmits, 0);
+    assert!(stats.e2e_giveups > 0, "the outage must cost some chunks");
+    assert_eq!(
+        net.delivered_payload(NodeId(7)),
+        bytes - stats.e2e_giveups * MAX_PAYLOAD as u64,
+        "every chunk not given up is delivered"
+    );
+    assert_eq!(stats.delivered_unique + stats.e2e_giveups, chunks);
+    net.assert_fault_conservation();
 }
 
 #[test]
