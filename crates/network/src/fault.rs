@@ -185,7 +185,11 @@ impl FaultRuntime {
             burst_rate: vec![0.0; n_ch],
             burst_until: vec![SimTime::ZERO; n_ch],
             retry: FxHashMap::default(),
-            lines: vec![VecDeque::new(); topo.node_count() as usize * levels as usize],
+            // Built in place: `vec![VecDeque::new(); n]` clones every line,
+            // which measurably slowed `Network::new`.
+            lines: std::iter::repeat_with(VecDeque::new)
+                .take(topo.node_count() as usize * levels as usize)
+                .collect(),
             levels,
             next_copy: 0,
             rng: DetRng::seed_from(seed).fork(0xFA17),
@@ -212,12 +216,15 @@ impl FaultRuntime {
         node as usize * self.levels as usize + level as usize
     }
 
-    /// Append a copy's deadline to `node`'s line for `level`. Returns `true`
-    /// when the line was empty: the caller must then arm it by scheduling
-    /// the line's `E2eTimeout` at `entry`'s deadline and sequence number.
+    /// Append a copy's deadline to `node`'s line for `level`, first
+    /// dropping the dead entries behind the line's (possibly armed) head.
+    /// Returns `true` when the line was empty: the caller must then arm it
+    /// by scheduling the line's `E2eTimeout` at `entry`'s deadline and
+    /// sequence number.
     pub fn file_timer(&mut self, node: u32, level: u8, entry: TimerEntry) -> bool {
         let i = self.line(node, level);
         let line = &mut self.lines[i];
+        drop_dead(line, &self.retry, 1);
         debug_assert!(
             line.back()
                 .is_none_or(|last| last.deadline < entry.deadline),
@@ -228,26 +235,13 @@ impl FaultRuntime {
     }
 
     /// The armed timer of `node`'s line for `level` fired: pop and return
-    /// its entry, together with the entry to arm next, if any. That is the
-    /// first entry whose copy still awaits its ack; entries before it can
-    /// only fire as no-ops, so they are dropped unqueued. When no entry is
-    /// live, the line's last entry stays armed anyway, so the run's last
-    /// event keeps the time it had with one queued timeout per copy.
+    /// its entry, together with the entry to arm next, if any: the first
+    /// entry whose copy still awaits its ack, or else the line's last.
     pub fn fire_timer(&mut self, node: u32, level: u8) -> (TimerEntry, Option<TimerEntry>) {
         let i = self.line(node, level);
         let line = &mut self.lines[i];
         let fired = line.pop_front().expect("armed timer line is empty");
-        while line.len() > 1 {
-            let head = line[0];
-            let live = self
-                .retry
-                .get(&(head.msg.0, head.chunk))
-                .is_some_and(|r| r.copy == head.copy);
-            if live {
-                break;
-            }
-            line.pop_front();
-        }
+        drop_dead(line, &self.retry, 0);
         (fired, line.front().copied())
     }
 
@@ -265,6 +259,28 @@ impl FaultRuntime {
         } else {
             base
         }
+    }
+}
+
+/// Drop the entries of `line` from index `from` on whose copies no longer
+/// await an ack (acked, given up or superseded by a retransmit): their
+/// timers could only fire as no-ops. Stops at the first live entry. The
+/// line's last entry always stays, so the last deadline a line files
+/// always fires and a run ends when its last deadline passes.
+fn drop_dead(
+    line: &mut VecDeque<TimerEntry>,
+    retry: &FxHashMap<(u64, u32), RetryEntry>,
+    from: usize,
+) {
+    while line.len() > from + 1 {
+        let e = line[from];
+        if retry
+            .get(&(e.msg.0, e.chunk))
+            .is_some_and(|r| r.copy == e.copy)
+        {
+            break;
+        }
+        line.remove(from);
     }
 }
 

@@ -76,8 +76,8 @@ const _: () = assert!(std::mem::size_of::<Event>() <= 24);
 /// whose serialization ends at `serialized`: file its deadline in the
 /// sending NIC's timer line for that attempt and arm the line if it was
 /// idle. The timer's sequence number is reserved here, just before the
-/// copy's `NicTxDone` is pushed, so the timer fires at the same place in
-/// the event order as a timeout pushed per copy would.
+/// copy's `NicTxDone` is pushed, so the timer's place in the event order
+/// is fixed at injection however long the entry waits in its line.
 fn start_e2e_timer(
     queue: &mut EventQueue<Event>,
     rt: &mut FaultRuntime,
