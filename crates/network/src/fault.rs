@@ -317,4 +317,40 @@ mod tests {
         assert_eq!(rt.alloc_copy(), 1);
         assert_eq!(rt.alloc_copy(), 2);
     }
+
+    #[test]
+    fn timer_line_arms_its_first_live_entry_or_else_its_last() {
+        let topo = slingshot_topology::tiny().build();
+        let cfg = FaultConfig::new(slingshot_faults::FaultSchedule::empty());
+        let mut rt = FaultRuntime::new(&cfg, &topo, 7);
+        let entry = |k: u32| TimerEntry {
+            deadline: SimTime::from_us(u64::from(k)),
+            seq: u64::from(k),
+            msg: MessageId(0),
+            chunk: k,
+            copy: k,
+        };
+        // Copies 1..=5 on one line; only copy 3 still awaits its ack.
+        rt.retry.insert(
+            (0, 3),
+            RetryEntry {
+                copy: 3,
+                attempt: 0,
+            },
+        );
+        for k in 1..=5 {
+            assert_eq!(rt.file_timer(0, 0, entry(k)), k == 1, "arm only when idle");
+        }
+        // Filing copy 4 dropped copy 2 from behind the armed head.
+        assert_eq!(rt.timers_pending(), 4);
+        let (fired, next) = rt.fire_timer(0, 0);
+        assert_eq!((fired.copy, next.map(|e| e.copy)), (1, Some(3)));
+        // With nothing live, the last entry is armed, never dropped.
+        rt.retry.clear();
+        let (fired, next) = rt.fire_timer(0, 0);
+        assert_eq!((fired.copy, next.map(|e| e.copy)), (3, Some(5)));
+        let (fired, next) = rt.fire_timer(0, 0);
+        assert_eq!((fired.copy, next.map(|e| e.copy)), (5, None));
+        assert_eq!(rt.timers_pending(), 0);
+    }
 }
