@@ -4,8 +4,7 @@
 //! the classic MPICH algorithms (Thakur, Rabenseifner & Gropp, 2005 — the
 //! paper's reference [35]): dissemination barrier, recursive doubling /
 //! ring allreduce, Bruck / pairwise all-to-all (with the 256-byte switch
-//! the paper observes in Fig. 6), binomial broadcast and reduce, and ring
-//! allgather.
+//! the paper observes in Fig. 6) and binomial broadcast.
 
 use crate::job::Rank;
 use crate::script::MpiOp;
@@ -222,150 +221,6 @@ pub fn bcast(n: u32, root: Rank, bytes: u64, tag: u32) -> Fragments {
     frags
 }
 
-/// Binomial-tree reduce to `root`.
-pub fn reduce(n: u32, root: Rank, bytes: u64, tag: u32) -> Fragments {
-    let bytes = bytes.max(1);
-    let mut frags = vec![Vec::new(); n as usize];
-    if n <= 1 {
-        return frags;
-    }
-    for r in 0..n {
-        let relative = (r + n - root) % n;
-        let mut mask = 1u32;
-        while mask < n {
-            if relative & mask == 0 {
-                let partner = relative | mask;
-                if partner < n {
-                    let src = (partner + root) % n;
-                    frags[r as usize].push(MpiOp::Recv { src, tag });
-                    frags[r as usize].push(reduce_compute(bytes));
-                }
-            } else {
-                let dst = ((relative & !mask) + root) % n;
-                frags[r as usize].push(MpiOp::Send { dst, bytes, tag });
-                break;
-            }
-            mask <<= 1;
-        }
-    }
-    frags
-}
-
-/// Ring allgather: n−1 steps, each rank forwards one block around the
-/// ring.
-pub fn allgather(n: u32, bytes: u64, tag: u32) -> Fragments {
-    let bytes = bytes.max(1);
-    let mut frags = vec![Vec::new(); n as usize];
-    for step in 0..n.saturating_sub(1) {
-        for r in 0..n {
-            frags[r as usize].push(MpiOp::Sendrecv {
-                dst: (r + 1) % n,
-                src: (r + n - 1) % n,
-                bytes,
-                tag: tag + step,
-            });
-        }
-    }
-    frags
-}
-
-/// Binomial-tree scatter from `root`: each subtree root receives the
-/// blocks of its whole subtree in one message, then redistributes.
-pub fn scatter(n: u32, root: Rank, bytes_per_rank: u64, tag: u32) -> Fragments {
-    let bytes_per_rank = bytes_per_rank.max(1);
-    let mut frags = vec![Vec::new(); n as usize];
-    if n <= 1 {
-        return frags;
-    }
-    for r in 0..n {
-        let relative = (r + n - root) % n;
-        // Receive phase: non-root ranks receive their subtree's data.
-        let mut mask = 1u32;
-        while mask < n {
-            if relative & mask != 0 {
-                let src = ((relative - mask) + root) % n;
-                frags[r as usize].push(MpiOp::Recv { src, tag });
-                break;
-            }
-            mask <<= 1;
-        }
-        // Forward phase: hand each child its subtree's blocks.
-        mask >>= 1;
-        while mask > 0 {
-            if relative + mask < n {
-                let dst = (relative + mask + root) % n;
-                // The child's subtree spans min(mask, n - relative - mask)
-                // ranks.
-                let subtree = mask.min(n - relative - mask) as u64;
-                frags[r as usize].push(MpiOp::Send {
-                    dst,
-                    bytes: subtree * bytes_per_rank,
-                    tag,
-                });
-            }
-            mask >>= 1;
-        }
-    }
-    frags
-}
-
-/// Binomial-tree gather to `root` (the mirror of [`scatter`]).
-pub fn gather(n: u32, root: Rank, bytes_per_rank: u64, tag: u32) -> Fragments {
-    let bytes_per_rank = bytes_per_rank.max(1);
-    let mut frags = vec![Vec::new(); n as usize];
-    if n <= 1 {
-        return frags;
-    }
-    for r in 0..n {
-        let relative = (r + n - root) % n;
-        let mut mask = 1u32;
-        while mask < n {
-            if relative & mask == 0 {
-                let partner = relative | mask;
-                if partner < n {
-                    let src = (partner + root) % n;
-                    frags[r as usize].push(MpiOp::Recv { src, tag });
-                }
-            } else {
-                let dst = ((relative & !mask) + root) % n;
-                // This rank forwards its whole gathered subtree: the mask
-                // ranks it covers, clipped at the end of the rank space.
-                let covered = mask.min(n - relative) as u64;
-                frags[r as usize].push(MpiOp::Send {
-                    dst,
-                    bytes: covered * bytes_per_rank,
-                    tag,
-                });
-                break;
-            }
-            mask <<= 1;
-        }
-    }
-    frags
-}
-
-/// Ring reduce-scatter: n−1 steps of `bytes/n` chunks with a local
-/// reduction per step; each rank ends up owning one reduced block.
-pub fn reduce_scatter(n: u32, bytes: u64, tag: u32) -> Fragments {
-    let mut frags = vec![Vec::new(); n as usize];
-    if n <= 1 {
-        return frags;
-    }
-    let chunk = (bytes / n as u64).max(1);
-    for step in 0..(n - 1) {
-        for r in 0..n {
-            frags[r as usize].push(MpiOp::Sendrecv {
-                dst: (r + 1) % n,
-                src: (r + n - 1) % n,
-                bytes: chunk,
-                tag: tag + step,
-            });
-            frags[r as usize].push(reduce_compute(chunk));
-        }
-    }
-    frags
-}
-
 /// Abstract matching simulator: executes fragments with instantaneous
 /// message delivery and verifies that every rank runs to completion (no
 /// deadlock, no unmatched receive). Used by tests and by workload builders
@@ -468,84 +323,13 @@ mod tests {
     }
 
     #[test]
-    fn bcast_and_reduce_match_for_any_n_and_root() {
+    fn bcast_matches_for_any_n_and_root() {
         for n in SIZES {
             for root in [0, n / 2, n - 1] {
                 validate_matching(&bcast(n, root, 4096, 0))
                     .unwrap_or_else(|e| panic!("bcast n={n} root={root}: {e}"));
-                validate_matching(&reduce(n, root, 4096, 0))
-                    .unwrap_or_else(|e| panic!("reduce n={n} root={root}: {e}"));
             }
         }
-    }
-
-    #[test]
-    fn allgather_matches() {
-        for n in SIZES {
-            validate_matching(&allgather(n, 1024, 0)).unwrap();
-        }
-    }
-
-    #[test]
-    fn scatter_and_gather_match_for_any_n_and_root() {
-        for n in SIZES {
-            for root in [0, n / 2, n - 1] {
-                validate_matching(&scatter(n, root, 4096, 0))
-                    .unwrap_or_else(|e| panic!("scatter n={n} root={root}: {e}"));
-                validate_matching(&gather(n, root, 4096, 0))
-                    .unwrap_or_else(|e| panic!("gather n={n} root={root}: {e}"));
-            }
-        }
-    }
-
-    #[test]
-    fn reduce_scatter_matches() {
-        for n in SIZES {
-            validate_matching(&reduce_scatter(n, 1 << 20, 0))
-                .unwrap_or_else(|e| panic!("n={n}: {e}"));
-        }
-    }
-
-    #[test]
-    fn scatter_root_sends_all_blocks() {
-        // Root's outgoing bytes cover every other rank's block exactly once.
-        let n = 8u32;
-        let per = 100u64;
-        let frags = scatter(n, 0, per, 0);
-        let root_sent: u64 = frags[0]
-            .iter()
-            .map(|op| match op {
-                MpiOp::Send { bytes, .. } => *bytes,
-                _ => 0,
-            })
-            .sum();
-        assert_eq!(root_sent, (n as u64 - 1) * per);
-    }
-
-    #[test]
-    fn gather_root_receives_from_log_children() {
-        let n = 16u32;
-        let frags = gather(n, 0, 64, 0);
-        let root_recvs = frags[0]
-            .iter()
-            .filter(|op| matches!(op, MpiOp::Recv { .. }))
-            .count();
-        assert_eq!(root_recvs, 4); // log2(16) children
-    }
-
-    #[test]
-    fn reduce_scatter_volume_is_one_pass() {
-        let n = 8u32;
-        let bytes = 1u64 << 20;
-        let frags = reduce_scatter(n, bytes, 0);
-        let per_rank: u64 = frags[0]
-            .iter()
-            .map(|op| match op {
-                MpiOp::Sendrecv { bytes, .. } => *bytes,
-                _ => 0,
-            })
-            .sum();
-        assert_eq!(per_rank, (n as u64 - 1) * (bytes / n as u64));
     }
 
     #[test]
