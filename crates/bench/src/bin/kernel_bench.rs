@@ -1,11 +1,11 @@
 //! Machine-readable kernel performance snapshot: `BENCH_kernel.json`.
 //!
 //! Times the simulator's hot kernels — next-hop table lookups, adaptive
-//! routing decisions, NIC in-flight accounting, QoS arbitration, the event
-//! queue, the RNG, the Rosetta latency draw — and one end-to-end
-//! simulation for an events/sec figure. A counting allocator
-//! wraps the system allocator so every record carries allocs/op next to
-//! ns/op: the routing fast path's zero-allocation claim is measured here
+//! routing decisions, the NIC pair table (in-flight bytes and CC window),
+//! QoS arbitration, the event queue, the RNG, the Rosetta latency draw —
+//! and one end-to-end simulation for an events/sec figure. A counting
+//! allocator wraps the system allocator so every record carries allocs/op
+//! next to ns/op: the routing fast path's zero-allocation claim is measured here
 //! on every run, not asserted once in review.
 //!
 //! Options: `--quick` (CI-sized iteration counts), `--out PATH` (default
@@ -13,9 +13,10 @@
 //! to be allocation-free allocates).
 
 use serde::Serialize;
+use slingshot::congestion::AckFeedback;
 use slingshot::des::{DetRng, EventQueue, SimDuration, SimTime};
 use slingshot::network::{
-    InFlightMap, InSource, MessageId, OutPort, Packet, PacketHandle, PortKind,
+    CcConfig, InSource, MessageId, Nic, OutPort, Packet, PacketHandle, PortKind,
 };
 use slingshot::qos::TrafficClassSet;
 use slingshot::rosetta::LatencyModel;
@@ -24,6 +25,7 @@ use slingshot::telemetry::{HopKind, TelemetryConfig, TelemetryHub};
 use slingshot::topology::{shandy, ChannelId, Liveness, NodeId, SwitchId};
 use slingshot::{Profile, System, SystemBuilder};
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
+use std::collections::VecDeque;
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -224,19 +226,39 @@ fn main() {
         },
     ));
 
-    // Steady-state NIC accounting: the map is pre-grown by the warmup, so
-    // the timed region exercises probe/insert/backward-shift only.
-    let mut inflight = InFlightMap::new();
+    // The NIC pair table on the injection and ack paths: Slingshot CC's
+    // `may_send`, the in-flight add, the checked ack and `on_ack`, on a
+    // table opened before timing. One ack in eight is congested, so the
+    // window both cuts and recovers.
+    let cc = CcConfig::Slingshot(Default::default());
+    let mut nic = Nic {
+        node: NodeId(0),
+        active: VecDeque::new(),
+        busy: false,
+        credits: Vec::new(),
+        pairs: Vec::new(),
+        rate_bps: 12.5e9,
+        prop: SimDuration::ZERO,
+        retx: VecDeque::new(),
+    };
+    nic.open_pairs(256, cc.max_window());
+    let mut now = SimTime::ZERO;
     let mut rng = DetRng::seed_from(4);
     benches.push(bench(
-        "nic_inflight_add_get_sub",
+        "nic_pair_may_send_ack",
         100_000 * scale,
         true,
         || {
-            let key = rng.below(256) as u32;
-            inflight.add(key, 4096);
-            black_box(inflight.get(key));
-            inflight.sub(key, 4096);
+            let dst = NodeId(rng.below(256) as u32);
+            now += SimDuration::from_ns(100);
+            let pair = &mut nic.pairs[dst.index()];
+            black_box(cc.may_send(pair, 4096, now));
+            pair.in_flight += 4096;
+            let feedback = AckFeedback {
+                endpoint_congested: rng.below(8) == 0,
+                ejection_queue_bytes: 64 << 10,
+            };
+            cc.on_ack(nic.sub_in_flight(dst, 4096), feedback, now);
         },
     ));
 

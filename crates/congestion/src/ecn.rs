@@ -8,8 +8,7 @@
 //! studies: probabilistic marking, delayed rate reduction, and timer-paced
 //! multiplicative recovery.
 
-use crate::{AckFeedback, CongestionControl};
-use fxhash::FxHashMap;
+use crate::{AckFeedback, Pair};
 use slingshot_des::{SimDuration, SimTime};
 
 /// Tunables of the ECN-like model.
@@ -48,94 +47,33 @@ impl Default for EcnParams {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
-struct EcnState {
-    window: u64,
-    last_reaction: SimTime,
-    last_recovery: SimTime,
-}
-
-/// ECN/DCQCN-like congestion control (slow loop, for comparison against
-/// [`crate::SlingshotCc`]).
-#[derive(Clone, Debug)]
-pub struct EcnCc {
-    params: EcnParams,
-    flows: FxHashMap<u32, EcnState>,
-    throttles: u64,
-}
-
-impl EcnCc {
-    /// New instance with default parameters.
-    pub fn new() -> Self {
-        Self::with_params(EcnParams::default())
-    }
-
-    /// New instance with explicit parameters.
-    pub fn with_params(params: EcnParams) -> Self {
-        EcnCc {
-            params,
-            flows: FxHashMap::default(),
-            throttles: 0,
-        }
-    }
-
-    fn state(&mut self, dst: u32) -> &mut EcnState {
-        let max = self.params.max_window;
-        self.flows.entry(dst).or_insert(EcnState {
-            window: max,
-            last_reaction: SimTime::ZERO,
-            last_recovery: SimTime::ZERO,
-        })
-    }
-}
-
-impl Default for EcnCc {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl CongestionControl for EcnCc {
-    fn may_send(&mut self, dst: u32, in_flight: u64, bytes: u64, now: SimTime) -> bool {
-        // Timer-paced recovery happens on the send path (rate limiter).
-        let params = self.params;
-        let st = self.state(dst);
-        if now.saturating_since(st.last_recovery) >= params.recovery_interval
-            && st.window < params.max_window
+impl EcnParams {
+    /// May the source put `bytes` more in flight on `pair`? Timer-paced
+    /// recovery happens here, on the send path (the rate limiter), so the
+    /// call mutates the pair even when the send is then refused.
+    #[inline]
+    pub fn may_send(&self, pair: &mut Pair, bytes: u64, now: SimTime) -> bool {
+        if now.saturating_since(pair.last_probe) >= self.recovery_interval
+            && pair.window < self.max_window
         {
-            let gap = params.max_window - st.window;
-            st.window += ((gap as f64) * params.recovery_fraction).ceil() as u64;
-            st.window = st.window.min(params.max_window);
-            st.last_recovery = now;
+            let gap = self.max_window - pair.window;
+            pair.window += ((gap as f64) * self.recovery_fraction).ceil() as u64;
+            pair.window = pair.window.min(self.max_window);
+            pair.last_probe = now;
         }
-        in_flight == 0 || in_flight + bytes <= st.window
+        pair.in_flight == 0 || pair.in_flight + bytes <= pair.window
     }
 
-    fn on_ack(&mut self, dst: u32, feedback: AckFeedback, now: SimTime) {
-        let params = self.params;
-        let marked = feedback.ejection_queue_bytes >= params.mark_threshold_bytes;
-        let st = self.state(dst);
-        if marked && now.saturating_since(st.last_reaction) >= params.reaction_interval {
-            st.window = ((st.window as f64 * params.decrease_factor) as u64).max(params.min_window);
-            st.last_reaction = now;
-            st.last_recovery = now;
-            self.throttles += 1;
+    /// Apply one returning ack: a marked ack cuts the window, at most once
+    /// per reaction interval, and restarts the recovery timer.
+    #[inline]
+    pub fn on_ack(&self, pair: &mut Pair, feedback: AckFeedback, now: SimTime) {
+        let marked = feedback.ejection_queue_bytes >= self.mark_threshold_bytes;
+        if marked && now.saturating_since(pair.last_cut) >= self.reaction_interval {
+            pair.window = ((pair.window as f64 * self.decrease_factor) as u64).max(self.min_window);
+            pair.last_cut = now;
+            pair.last_probe = now;
         }
-    }
-
-    fn window(&self, dst: u32) -> u64 {
-        self.flows
-            .get(&dst)
-            .map(|s| s.window)
-            .unwrap_or(self.params.max_window)
-    }
-
-    fn throttle_events(&self) -> u64 {
-        self.throttles
-    }
-
-    fn max_window(&self) -> u64 {
-        self.params.max_window
     }
 }
 
@@ -150,62 +88,68 @@ mod tests {
         }
     }
 
+    fn fresh(cc: &EcnParams) -> Pair {
+        Pair::fresh(cc.max_window)
+    }
+
     #[test]
     fn marks_below_threshold_are_ignored() {
-        let mut cc = EcnCc::new();
+        let cc = EcnParams::default();
+        let mut pair = fresh(&cc);
         let t = SimTime::from_us(100);
         cc.on_ack(
-            1,
+            &mut pair,
             AckFeedback {
                 endpoint_congested: true,
                 ejection_queue_bytes: 1024,
             },
             t,
         );
-        assert_eq!(cc.window(1), 64 << 10);
+        assert_eq!(pair.window, 64 << 10);
     }
 
     #[test]
     fn reaction_is_rate_limited() {
         // A burst of marked acks within one reaction interval causes a
         // single reduction — the slow loop of the paper's critique.
-        let mut cc = EcnCc::new();
+        let cc = EcnParams::default();
+        let mut pair = fresh(&cc);
         let t = SimTime::from_us(100);
         for i in 0..50u64 {
-            cc.on_ack(1, deep_queue(), t + SimDuration::from_ns(i * 10));
+            cc.on_ack(&mut pair, deep_queue(), t + SimDuration::from_ns(i * 10));
         }
-        assert_eq!(cc.throttle_events(), 1);
-        assert_eq!(cc.window(1), 32 << 10);
+        assert_eq!(pair.window, 32 << 10);
     }
 
     #[test]
     fn repeated_intervals_keep_reducing() {
-        let mut cc = EcnCc::new();
+        let cc = EcnParams::default();
+        let mut pair = fresh(&cc);
         let mut t = SimTime::from_us(100);
         for _ in 0..5 {
-            cc.on_ack(1, deep_queue(), t);
+            cc.on_ack(&mut pair, deep_queue(), t);
             t += SimDuration::from_us(60);
         }
-        assert_eq!(cc.throttle_events(), 5);
-        assert_eq!(cc.window(1), 4 << 10); // floored at min
+        assert_eq!(pair.window, 4 << 10); // floored at min
     }
 
     #[test]
     fn recovery_is_slow() {
-        let mut cc = EcnCc::new();
+        let cc = EcnParams::default();
+        let mut pair = fresh(&cc);
         let t0 = SimTime::from_us(100);
-        cc.on_ack(1, deep_queue(), t0);
-        let reduced = cc.window(1);
+        cc.on_ack(&mut pair, deep_queue(), t0);
+        let reduced = pair.window;
         // Immediately after, no recovery.
-        assert!(cc.may_send(1, 0, 1, t0 + SimDuration::from_us(1)));
-        assert_eq!(cc.window(1), reduced);
+        assert!(cc.may_send(&mut pair, 1, t0 + SimDuration::from_us(1)));
+        assert_eq!(pair.window, reduced);
         // Recovery takes several 300 µs intervals — orders of magnitude
-        // slower than SlingshotCc's per-ack additive recovery.
+        // slower than Slingshot's per-ack additive recovery.
         let mut t = t0;
         let mut intervals = 0;
-        while cc.window(1) < 63 << 10 {
+        while pair.window < 63 << 10 {
             t += SimDuration::from_us(300);
-            let _ = cc.may_send(1, 0, 1, t);
+            let _ = cc.may_send(&mut pair, 1, t);
             intervals += 1;
             assert!(intervals < 100);
         }
@@ -218,9 +162,10 @@ mod tests {
 
     #[test]
     fn per_destination_isolation_still_holds() {
-        let mut cc = EcnCc::new();
+        let cc = EcnParams::default();
+        let (mut to7, to8) = (fresh(&cc), fresh(&cc));
         let t = SimTime::from_us(100);
-        cc.on_ack(7, deep_queue(), t);
-        assert!(cc.window(7) < cc.window(8));
+        cc.on_ack(&mut to7, deep_queue(), t);
+        assert!(to7.window < to8.window);
     }
 }

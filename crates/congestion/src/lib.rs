@@ -10,19 +10,24 @@
 //! prevents head-of-line blocking from spreading through the network (tree
 //! saturation), and reduces tail latency.
 //!
-//! Three algorithms are provided:
-//! * [`SlingshotCc`] — the per-endpoint-pair windowed scheme above;
-//! * [`NoCc`] — no endpoint congestion control (the Aries baseline);
-//! * [`EcnCc`] — an ECN/DCQCN-like scheme with a slow control loop, the
-//!   kind of algorithm the paper argues is unsuited to bursty HPC traffic.
+//! The source NIC owns one [`Pair`] per destination; a scheme is two
+//! update rules over it, `may_send` and `on_ack`, dispatched by
+//! [`CcConfig`]:
+//! * [`CcConfig::Slingshot`] — the per-endpoint-pair windowed scheme above
+//!   ([`SlingshotCcParams`]);
+//! * [`CcConfig::None`] — no endpoint congestion control (the Aries
+//!   baseline): a static window that only bounds in-flight bytes;
+//! * [`CcConfig::Ecn`] — an ECN/DCQCN-like scheme with a slow control loop
+//!   ([`EcnParams`]), the kind of algorithm the paper argues is unsuited to
+//!   bursty HPC traffic.
 
 #![warn(missing_docs)]
 
 mod ecn;
 mod slingshot;
 
-pub use ecn::{EcnCc, EcnParams};
-pub use slingshot::{SlingshotCc, SlingshotCcParams};
+pub use ecn::EcnParams;
+pub use slingshot::SlingshotCcParams;
 
 use slingshot_des::SimTime;
 
@@ -45,70 +50,74 @@ impl AckFeedback {
     };
 }
 
-/// A source-side congestion-control algorithm: one instance per NIC,
-/// tracking per-destination state.
-pub trait CongestionControl {
-    /// May the source put `bytes` more in flight toward `dst`, given it
-    /// already has `in_flight` unacknowledged bytes to that destination?
-    fn may_send(&mut self, dst: u32, in_flight: u64, bytes: u64, now: SimTime) -> bool;
+/// The state of one source→destination pair, kept by the source NIC.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Pair {
+    /// Unacknowledged wire bytes toward the destination.
+    pub in_flight: u64,
+    /// Allowed in-flight bytes.
+    pub window: u64,
+    /// Time of the last window cut.
+    pub last_cut: SimTime,
+    /// Time of the last timer-paced recovery step (ECN only).
+    pub last_probe: SimTime,
+}
 
-    /// Process the feedback of one returning acknowledgement for `dst`.
-    fn on_ack(&mut self, dst: u32, feedback: AckFeedback, now: SimTime);
-
-    /// Current window (allowed in-flight bytes) toward `dst`, for
-    /// observability and tests.
-    fn window(&self, dst: u32) -> u64;
-
-    /// The ceiling a pair's window recovers to when uncongested. A pair
-    /// whose window sits below this is being actively throttled ("paused"
-    /// in the telemetry sense).
-    fn max_window(&self) -> u64;
-
-    /// Total number of throttle (window-reduction) events, for statistics.
-    fn throttle_events(&self) -> u64 {
-        0
+impl Pair {
+    /// A pair that has never sent: nothing in flight, the full window.
+    pub const fn fresh(max_window: u64) -> Self {
+        Pair {
+            in_flight: 0,
+            window: max_window,
+            last_cut: SimTime::ZERO,
+            last_probe: SimTime::ZERO,
+        }
     }
 }
 
-/// No endpoint congestion control: a fixed, effectively unlimited window.
-/// Models Aries, where adaptive routing spreads load but nothing slows an
-/// incast source down — the failure mode the paper demonstrates.
-#[derive(Clone, Debug)]
-pub struct NoCc {
-    window: u64,
+/// Which congestion-control algorithm the NICs run.
+#[derive(Clone, Copy, Debug)]
+pub enum CcConfig {
+    /// Slingshot per-endpoint-pair hardware CC.
+    Slingshot(SlingshotCcParams),
+    /// No endpoint CC (Aries baseline) with the given static window.
+    None {
+        /// Static per-pair window in bytes.
+        window: u64,
+    },
+    /// ECN/DCQCN-like slow-loop CC (ablation).
+    Ecn(EcnParams),
 }
 
-impl NoCc {
-    /// Default Aries-like behaviour: 16 MiB static window per pair.
-    pub fn new() -> Self {
-        NoCc { window: 16 << 20 }
+impl CcConfig {
+    /// The ceiling a pair's window starts at and recovers to. A pair whose
+    /// window sits below it is being throttled.
+    pub fn max_window(&self) -> u64 {
+        match self {
+            CcConfig::Slingshot(p) => p.max_window,
+            CcConfig::None { window } => *window,
+            CcConfig::Ecn(p) => p.max_window,
+        }
     }
 
-    /// Custom static window.
-    pub fn with_window(window: u64) -> Self {
-        NoCc { window }
-    }
-}
-
-impl Default for NoCc {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl CongestionControl for NoCc {
-    fn may_send(&mut self, _dst: u32, in_flight: u64, bytes: u64, _now: SimTime) -> bool {
-        in_flight + bytes <= self.window
+    /// May the source put `bytes` more in flight on `pair` at `now`?
+    #[inline]
+    pub fn may_send(&self, pair: &mut Pair, bytes: u64, now: SimTime) -> bool {
+        match self {
+            CcConfig::Slingshot(p) => p.may_send(pair, bytes),
+            CcConfig::None { .. } => pair.in_flight + bytes <= pair.window,
+            CcConfig::Ecn(p) => p.may_send(pair, bytes, now),
+        }
     }
 
-    fn on_ack(&mut self, _dst: u32, _feedback: AckFeedback, _now: SimTime) {}
-
-    fn window(&self, _dst: u32) -> u64 {
-        self.window
-    }
-
-    fn max_window(&self) -> u64 {
-        self.window
+    /// Apply the feedback of one returning acknowledgement to `pair`.
+    #[inline]
+    pub fn on_ack(&self, pair: &mut Pair, feedback: AckFeedback, now: SimTime) {
+        match self {
+            CcConfig::Slingshot(p) => p.on_ack(pair, feedback, now),
+            CcConfig::None { .. } => {}
+            CcConfig::Ecn(p) => p.on_ack(pair, feedback, now),
+        }
     }
 }
 
@@ -116,31 +125,51 @@ impl CongestionControl for NoCc {
 mod tests {
     use super::*;
 
+    const CONGESTED: AckFeedback = AckFeedback {
+        endpoint_congested: true,
+        ejection_queue_bytes: 1 << 20,
+    };
+
+    #[test]
+    fn dispatch_matches_config() {
+        let t = SimTime::from_us(1);
+        let s = CcConfig::Slingshot(SlingshotCcParams::default());
+        let n = CcConfig::None { window: 1 << 20 };
+        let (mut sp, mut np) = (Pair::fresh(s.max_window()), Pair::fresh(n.max_window()));
+        assert_eq!(sp.window, 64 << 10);
+        assert_eq!(np.window, 1 << 20);
+        s.on_ack(&mut sp, CONGESTED, t);
+        n.on_ack(&mut np, CONGESTED, t);
+        assert!(sp.window < 64 << 10);
+        assert_eq!(np.window, 1 << 20);
+    }
+
     #[test]
     fn nocc_never_reacts() {
-        let mut cc = NoCc::new();
+        let cc = CcConfig::None { window: 16 << 20 };
+        let mut pair = Pair::fresh(cc.max_window());
         let t = SimTime::ZERO;
-        assert!(cc.may_send(1, 0, 4096, t));
+        assert!(cc.may_send(&mut pair, 4096, t));
         for _ in 0..100 {
-            cc.on_ack(
-                1,
-                AckFeedback {
-                    endpoint_congested: true,
-                    ejection_queue_bytes: 1 << 30,
-                },
-                t,
-            );
+            cc.on_ack(&mut pair, CONGESTED, t);
         }
-        assert_eq!(cc.window(1), 16 << 20);
-        assert_eq!(cc.throttle_events(), 0);
-        assert!(cc.may_send(1, 0, 4096, t));
+        assert_eq!(pair.window, 16 << 20);
+        assert!(cc.may_send(&mut pair, 4096, t));
     }
 
     #[test]
     fn nocc_window_still_bounds_in_flight() {
-        let mut cc = NoCc::with_window(8192);
+        let cc = CcConfig::None { window: 8192 };
+        let mut pair = Pair::fresh(cc.max_window());
         let t = SimTime::ZERO;
-        assert!(cc.may_send(1, 4096, 4096, t));
-        assert!(!cc.may_send(1, 8192, 1, t));
+        pair.in_flight = 4096;
+        assert!(cc.may_send(&mut pair, 4096, t));
+        pair.in_flight = 8192;
+        assert!(!cc.may_send(&mut pair, 1, t));
+    }
+
+    #[test]
+    fn pair_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<Pair>(), 32);
     }
 }

@@ -1,7 +1,8 @@
-//! Slingshot's per-endpoint-pair hardware congestion control.
+//! Slingshot's per-endpoint-pair hardware congestion control: one window
+//! per destination; contributors to endpoint congestion are throttled
+//! stiffly and recover quickly, flows to other destinations are untouched.
 
-use crate::{AckFeedback, CongestionControl};
-use fxhash::FxHashMap;
+use crate::{AckFeedback, Pair};
 use slingshot_des::{SimDuration, SimTime};
 
 /// Tunables of the Slingshot congestion-control model.
@@ -40,98 +41,38 @@ impl Default for SlingshotCcParams {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
-struct PairState {
-    window: u64,
-    last_decrease: SimTime,
-}
-
-/// The Slingshot congestion-control algorithm: one window per destination
-/// endpoint; contributors to endpoint congestion are throttled stiffly and
-/// recover quickly; flows to other destinations are untouched.
-#[derive(Clone, Debug)]
-pub struct SlingshotCc {
-    params: SlingshotCcParams,
-    pairs: FxHashMap<u32, PairState>,
-    throttles: u64,
-}
-
-impl SlingshotCc {
-    /// New instance with default parameters.
-    pub fn new() -> Self {
-        Self::with_params(SlingshotCcParams::default())
+impl SlingshotCcParams {
+    /// Panics on parameters the rules cannot run with.
+    pub fn assert_valid(&self) {
+        assert!(self.min_window > 0 && self.min_window <= self.max_window);
+        assert!((0.0..1.0).contains(&self.decrease_factor));
     }
 
-    /// New instance with explicit parameters.
-    pub fn with_params(params: SlingshotCcParams) -> Self {
-        assert!(params.min_window > 0 && params.min_window <= params.max_window);
-        assert!((0.0..1.0).contains(&params.decrease_factor));
-        SlingshotCc {
-            params,
-            pairs: FxHashMap::default(),
-            throttles: 0,
-        }
+    /// May the source put `bytes` more in flight on `pair`? A pair with
+    /// nothing in flight may always send one packet, so it can probe.
+    #[inline]
+    pub fn may_send(&self, pair: &Pair, bytes: u64) -> bool {
+        pair.in_flight == 0 || pair.in_flight + bytes <= pair.window
     }
 
-    /// The parameters in use.
-    pub fn params(&self) -> &SlingshotCcParams {
-        &self.params
-    }
-
-    fn state(&mut self, dst: u32) -> &mut PairState {
-        let max = self.params.max_window;
-        self.pairs.entry(dst).or_insert(PairState {
-            window: max,
-            last_decrease: SimTime::ZERO,
-        })
-    }
-}
-
-impl Default for SlingshotCc {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl CongestionControl for SlingshotCc {
-    fn may_send(&mut self, dst: u32, in_flight: u64, bytes: u64, _now: SimTime) -> bool {
-        let w = self.state(dst).window;
-        // Always allow at least one packet in flight so the pair can probe.
-        in_flight == 0 || in_flight + bytes <= w
-    }
-
-    fn on_ack(&mut self, dst: u32, feedback: AckFeedback, now: SimTime) {
-        let params = self.params;
-        let st = self.state(dst);
+    /// Apply one returning ack: a congested ack cuts the window stiffly
+    /// (to the floor when the destination's queue is severe); a clean ack
+    /// after the hold-off recovers it additively.
+    #[inline]
+    pub fn on_ack(&self, pair: &mut Pair, feedback: AckFeedback, now: SimTime) {
         if feedback.endpoint_congested {
-            let target = if feedback.ejection_queue_bytes >= params.severe_queue_bytes {
-                params.min_window
+            let target = if feedback.ejection_queue_bytes >= self.severe_queue_bytes {
+                self.min_window
             } else {
-                ((st.window as f64 * params.decrease_factor) as u64).max(params.min_window)
+                ((pair.window as f64 * self.decrease_factor) as u64).max(self.min_window)
             };
-            if target < st.window {
-                st.window = target;
-                st.last_decrease = now;
-                self.throttles += 1;
+            if target < pair.window {
+                pair.window = target;
+                pair.last_cut = now;
             }
-        } else if now.saturating_since(st.last_decrease) >= params.recovery_holdoff {
-            st.window = (st.window + params.recovery_bytes_per_ack).min(params.max_window);
+        } else if now.saturating_since(pair.last_cut) >= self.recovery_holdoff {
+            pair.window = (pair.window + self.recovery_bytes_per_ack).min(self.max_window);
         }
-    }
-
-    fn window(&self, dst: u32) -> u64 {
-        self.pairs
-            .get(&dst)
-            .map(|s| s.window)
-            .unwrap_or(self.params.max_window)
-    }
-
-    fn throttle_events(&self) -> u64 {
-        self.throttles
-    }
-
-    fn max_window(&self) -> u64 {
-        self.params.max_window
     }
 }
 
@@ -146,102 +87,124 @@ mod tests {
         }
     }
 
+    fn fresh(cc: &SlingshotCcParams) -> Pair {
+        Pair::fresh(cc.max_window)
+    }
+
     #[test]
     fn fresh_pair_has_full_window() {
-        let cc = SlingshotCc::new();
-        assert_eq!(cc.window(42), 64 << 10);
+        let cc = SlingshotCcParams::default();
+        assert_eq!(fresh(&cc).window, 64 << 10);
     }
 
     #[test]
     fn congested_ack_halves_window() {
-        let mut cc = SlingshotCc::new();
+        let cc = SlingshotCcParams::default();
+        let mut pair = fresh(&cc);
         let t = SimTime::from_us(10);
-        cc.on_ack(1, congested(64 << 10), t);
-        assert_eq!(cc.window(1), 32 << 10);
-        assert_eq!(cc.throttle_events(), 1);
+        cc.on_ack(&mut pair, congested(64 << 10), t);
+        assert_eq!(pair.window, 32 << 10);
     }
 
     #[test]
     fn severe_congestion_drops_to_minimum() {
-        let mut cc = SlingshotCc::new();
+        let cc = SlingshotCcParams::default();
+        let mut pair = fresh(&cc);
         let t = SimTime::from_us(10);
-        cc.on_ack(1, congested(1 << 20), t);
-        assert_eq!(cc.window(1), cc.params().min_window);
+        cc.on_ack(&mut pair, congested(1 << 20), t);
+        assert_eq!(pair.window, cc.min_window);
     }
 
     #[test]
     fn only_contributing_pair_is_throttled() {
         // The central Slingshot property: pair (→1) congested, pair (→2)
         // untouched.
-        let mut cc = SlingshotCc::new();
+        let cc = SlingshotCcParams::default();
+        let (mut to1, to2) = (fresh(&cc), fresh(&cc));
         let t = SimTime::from_us(10);
-        cc.on_ack(1, congested(1 << 20), t);
-        assert_eq!(cc.window(1), cc.params().min_window);
-        assert_eq!(cc.window(2), cc.params().max_window);
-        assert!(cc.may_send(2, 0, 64 << 10, t));
+        cc.on_ack(&mut to1, congested(1 << 20), t);
+        assert_eq!(to1.window, cc.min_window);
+        assert_eq!(to2.window, cc.max_window);
+        assert!(cc.may_send(&to2, 64 << 10));
     }
 
     #[test]
     fn window_floor_never_underflows() {
-        let mut cc = SlingshotCc::new();
+        let cc = SlingshotCcParams::default();
+        let mut pair = fresh(&cc);
         let t = SimTime::from_us(10);
         for _ in 0..50 {
-            cc.on_ack(1, congested(1 << 20), t);
+            cc.on_ack(&mut pair, congested(1 << 20), t);
         }
-        assert_eq!(cc.window(1), cc.params().min_window);
+        assert_eq!(pair.window, cc.min_window);
     }
 
     #[test]
     fn recovery_after_holdoff() {
-        let mut cc = SlingshotCc::new();
+        let cc = SlingshotCcParams::default();
+        let mut pair = fresh(&cc);
         let t0 = SimTime::from_us(10);
-        cc.on_ack(1, congested(1 << 20), t0);
-        let floor = cc.window(1);
+        cc.on_ack(&mut pair, congested(1 << 20), t0);
+        let floor = pair.window;
         // Clean acks inside the hold-off do not recover.
-        cc.on_ack(1, AckFeedback::CLEAN, t0 + SimDuration::from_us(1));
-        assert_eq!(cc.window(1), floor);
+        cc.on_ack(&mut pair, AckFeedback::CLEAN, t0 + SimDuration::from_us(1));
+        assert_eq!(pair.window, floor);
         // After the hold-off they do.
         let later = t0 + SimDuration::from_us(10);
-        cc.on_ack(1, AckFeedback::CLEAN, later);
-        assert!(cc.window(1) > floor);
+        cc.on_ack(&mut pair, AckFeedback::CLEAN, later);
+        assert!(pair.window > floor);
     }
 
     #[test]
     fn recovery_caps_at_max() {
-        let mut cc = SlingshotCc::new();
+        let cc = SlingshotCcParams::default();
+        let mut pair = fresh(&cc);
         let t = SimTime::from_ms(1);
         for i in 0..100_000u64 {
-            cc.on_ack(1, AckFeedback::CLEAN, t + SimDuration::from_ns(i));
+            cc.on_ack(&mut pair, AckFeedback::CLEAN, t + SimDuration::from_ns(i));
         }
-        assert_eq!(cc.window(1), cc.params().max_window);
+        assert_eq!(pair.window, cc.max_window);
     }
 
     #[test]
     fn probe_packet_always_allowed() {
-        let mut cc = SlingshotCc::new();
+        let cc = SlingshotCcParams::default();
+        let mut pair = fresh(&cc);
         let t = SimTime::from_us(10);
-        cc.on_ack(1, congested(1 << 20), t);
+        cc.on_ack(&mut pair, congested(1 << 20), t);
         // Even squeezed, zero in-flight allows one send of any size.
-        assert!(cc.may_send(1, 0, 1 << 20, t));
+        assert!(cc.may_send(&pair, 1 << 20));
         // But a squeezed window blocks further sends.
-        assert!(!cc.may_send(1, cc.params().min_window, 4096, t));
+        pair.in_flight = cc.min_window;
+        assert!(!cc.may_send(&pair, 4096));
     }
 
     #[test]
     fn recovery_is_fast_relative_to_ecn_timescales() {
         // From the floor, full recovery should take ~30 clean acks (a few
         // µs of traffic), not milliseconds.
-        let mut cc = SlingshotCc::new();
+        let cc = SlingshotCcParams::default();
+        let mut pair = fresh(&cc);
         let t0 = SimTime::from_us(10);
-        cc.on_ack(1, congested(1 << 20), t0);
+        cc.on_ack(&mut pair, congested(1 << 20), t0);
         let mut acks = 0;
         let mut t = t0 + SimDuration::from_us(10);
-        while cc.window(1) < cc.params().max_window {
-            cc.on_ack(1, AckFeedback::CLEAN, t);
+        while pair.window < cc.max_window {
+            cc.on_ack(&mut pair, AckFeedback::CLEAN, t);
             t += SimDuration::from_ns(100);
             acks += 1;
             assert!(acks < 1000, "recovery too slow");
         }
         assert!(acks <= 64, "took {acks} acks");
+    }
+
+    #[test]
+    #[should_panic]
+    fn zero_min_window_is_rejected() {
+        SlingshotCcParams {
+            min_window: 0,
+            ..SlingshotCcParams::default()
+        }
+        .assert_valid();
     }
 }

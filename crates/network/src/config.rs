@@ -1,26 +1,12 @@
 //! Network configuration and the Slingshot/Aries calibration profiles.
 
-use slingshot_congestion::{EcnParams, SlingshotCcParams};
+use slingshot_congestion::{CcConfig, SlingshotCcParams};
 use slingshot_des::SimDuration;
 use slingshot_ethernet::{FrameFormat, HeaderStack};
 use slingshot_qos::TrafficClassSet;
 use slingshot_rosetta::LatencyModel;
 use slingshot_routing::{AdaptiveParams, RoutingAlgorithm};
 use slingshot_topology::DragonflyParams;
-
-/// Which congestion-control algorithm the NICs run.
-#[derive(Clone, Copy, Debug)]
-pub enum CcConfig {
-    /// Slingshot per-endpoint-pair hardware CC.
-    Slingshot(SlingshotCcParams),
-    /// No endpoint CC (Aries baseline) with the given static window.
-    None {
-        /// Static per-pair window in bytes.
-        window: u64,
-    },
-    /// ECN/DCQCN-like slow-loop CC (ablation).
-    Ecn(EcnParams),
-}
 
 /// Full configuration of a simulated network.
 #[derive(Clone, Debug)]

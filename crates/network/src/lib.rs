@@ -3,9 +3,10 @@
 //! The packet-level discrete-event simulator of the Slingshot interconnect:
 //! Rosetta switches with per-class virtual output queues and credit-based
 //! link-level flow control (finite input buffers → tree saturation when
-//! congestion control is absent), NICs with per-destination in-flight
-//! tracking and pluggable congestion control, UGAL-style adaptive routing
-//! over the dragonfly topology, and QoS scheduling on every output port.
+//! congestion control is absent), NICs whose per-destination pair table
+//! holds in-flight bytes and the congestion-control window, UGAL-style
+//! adaptive routing over the dragonfly topology, and QoS scheduling on
+//! every output port.
 //!
 //! ## Example
 //!
@@ -29,21 +30,20 @@
 mod config;
 mod error;
 mod fault;
-mod inflight;
 mod kernel;
 mod network;
 mod nic;
 mod packet;
 mod switch;
 
-pub use config::{CcConfig, NetworkConfig};
+pub use config::NetworkConfig;
 pub use error::{
     ClassVcCredits, NicHotspot, PortHotspot, SimError, StallReport, STALL_REPORT_TOP_N,
 };
 pub use fault::{DropReason, FaultStats};
-pub use inflight::InFlightMap;
 pub use kernel::{take_global_kernel_stats, KernelStats};
 pub use network::{NetStats, Network};
-pub use nic::{CcEngine, Nic};
+pub use nic::Nic;
 pub use packet::{InSource, MessageId, Notification, Packet, PacketHandle};
+pub use slingshot_congestion::{CcConfig, Pair};
 pub use switch::{OutPort, PortKind, Queued, Switch};

@@ -5,14 +5,13 @@ use crate::error::{
     ClassVcCredits, NicHotspot, PortHotspot, SimError, StallReport, STALL_REPORT_TOP_N,
 };
 use crate::fault::{DropReason, FaultRuntime, FaultStats, RetryEntry, TimerEntry};
-use crate::inflight::InFlightMap;
 use crate::kernel::{flush_to_global, KernelStats};
-use crate::nic::{CcEngine, Nic};
+use crate::nic::Nic;
 use crate::packet::{
     InSource, MessageId, MessageState, Notification, Packet, PacketHandle, PacketSlab,
 };
 use crate::switch::{vc_of, OutPort, PortKind, Switch, NUM_VCS};
-use slingshot_congestion::{AckFeedback, CongestionControl};
+use slingshot_congestion::{AckFeedback, CcConfig};
 use slingshot_des::{DetRng, EventQueue, SimDuration, SimTime};
 use slingshot_ethernet::{message_wire_bytes, PortLanes, MAX_PAYLOAD};
 use slingshot_faults::FaultKind;
@@ -253,6 +252,9 @@ impl Network {
             switches.push(Switch { ports });
         }
 
+        if let CcConfig::Slingshot(p) = &cfg.cc {
+            p.assert_valid();
+        }
         let rng = DetRng::seed_from(cfg.seed);
         let nics = (0..n_nodes as u32)
             .map(|n| Nic {
@@ -260,8 +262,7 @@ impl Network {
                 active: VecDeque::new(),
                 busy: false,
                 credits: vec![buffer_per_class; n_tc],
-                in_flight: InFlightMap::new(),
-                cc: CcEngine::from_config(&cfg.cc),
+                pairs: Vec::new(),
                 rate_bps: inj_bps,
                 prop: SimDuration::from_ns_f64(
                     slingshot_topology::LinkClass::EdgeCopper.propagation_ns(),
@@ -295,7 +296,7 @@ impl Network {
             Box::new(NetTelemetry {
                 hub: TelemetryHub::new(tcfg, total as usize, n_tc, NUM_VCS),
                 port_base,
-                cc_max: CcEngine::from_config(&cfg.cc).max_window(),
+                cc_max: cfg.cc.max_window(),
             })
         });
 
@@ -415,7 +416,10 @@ impl Network {
     /// Current congestion-control window from `src` toward `dst` (tests /
     /// observability).
     pub fn cc_window(&self, src: NodeId, dst: NodeId) -> u64 {
-        self.nics[src.index()].cc.window(dst.0)
+        self.nics[src.index()]
+            .pairs
+            .get(dst.index())
+            .map_or(self.cfg.cc.max_window(), |p| p.window)
     }
 
     /// Wire bytes transmitted on a channel so far (utilization analysis).
@@ -620,7 +624,7 @@ impl Network {
 
         let mut windows: Vec<(u64, u32)> = Vec::new();
         for nic in &self.nics {
-            let bytes: u64 = nic.in_flight.iter().map(|(_, v)| v).sum();
+            let bytes: u64 = nic.pairs.iter().map(|p| p.in_flight).sum();
             if bytes > 0 || !nic.active.is_empty() || !nic.retx.is_empty() {
                 windows.push((bytes, nic.node.0));
             }
@@ -634,7 +638,7 @@ impl Network {
                 NicHotspot {
                     node,
                     in_flight_bytes: bytes,
-                    destinations: nic.in_flight.len(),
+                    destinations: nic.pairs.iter().filter(|p| p.in_flight > 0).count(),
                     active_messages: nic.active.len(),
                     retx_queued: nic.retx.len(),
                 }
@@ -746,10 +750,12 @@ impl Network {
             // Pending end-to-end retransmits launch ahead of new traffic.
             self.try_inject_retx(node, now);
         }
+        let nodes = self.nics.len();
         let nic = &mut self.nics[node as usize];
         if nic.busy || nic.active.is_empty() {
             return;
         }
+        nic.open_pairs(nodes, self.cfg.cc.max_window());
         for _ in 0..nic.active.len() {
             let msg_id = *nic.active.front().expect("checked non-empty");
             let st = &self.messages[msg_id.0 as usize];
@@ -759,13 +765,13 @@ impl Network {
             let chunk = ((st.bytes - st.remaining_to_inject) / MAX_PAYLOAD as u64) as u32;
             let dst = st.dst;
             let tc = st.tc;
-            let in_flight = nic.in_flight_to(dst);
-            let cc_ok = nic.cc.may_send(dst.0, in_flight, wire as u64, now);
+            let pair = &mut nic.pairs[dst.index()];
+            let cc_ok = self.cfg.cc.may_send(pair, wire as u64, now);
             let credit_ok = nic.credits[tc as usize] >= wire as u64;
             if cc_ok && credit_ok {
+                pair.in_flight += wire as u64;
                 nic.busy = true;
                 nic.credits[tc as usize] -= wire as u64;
-                nic.add_in_flight(dst, wire);
                 let ser = nic.serialization(wire);
                 let st = &mut self.messages[msg_id.0 as usize];
                 st.remaining_to_inject -= payload as u64;
@@ -839,7 +845,7 @@ impl Network {
         pkt.born = now;
         nic.busy = true;
         nic.credits[pkt.tc as usize] -= pkt.wire as u64;
-        nic.add_in_flight(pkt.dst, pkt.wire);
+        nic.pairs[pkt.dst.index()].in_flight += pkt.wire as u64;
         let ser = nic.serialization(pkt.wire);
         let rt = self.faults.as_mut().expect("retransmit outside fault mode");
         rt.stats.copies_injected += 1;
@@ -1625,24 +1631,18 @@ impl Network {
                 return;
             }
         }
-        let window_before = if self.telemetry.is_some() {
-            self.nics[src as usize].cc.window(dst)
-        } else {
-            0
-        };
-        let nic = &mut self.nics[src as usize];
-        nic.sub_in_flight(NodeId(dst), wire);
-        nic.cc.on_ack(
-            dst,
+        let pair = self.nics[src as usize].sub_in_flight(NodeId(dst), wire);
+        let window_before = pair.window;
+        self.cfg.cc.on_ack(
+            pair,
             AckFeedback {
                 endpoint_congested: congested,
                 ejection_queue_bytes: depth,
             },
             now,
         );
-        if self.telemetry.is_some() {
-            let window_after = nic.cc.window(dst);
-            let t = self.telemetry.as_deref_mut().expect("checked above");
+        if let Some(t) = self.telemetry.as_deref_mut() {
+            let window_after = pair.window;
             t.hub.on_cc_ack(
                 now.as_ps(),
                 window_after,
@@ -1705,7 +1705,9 @@ impl Network {
         }
         for (ni, nic) in self.nics.iter().enumerate() {
             assert!(!nic.busy, "nic {ni} still busy");
-            assert!(nic.in_flight.is_empty(), "nic {ni} has in-flight bytes");
+            for (dst, p) in nic.pairs.iter().enumerate() {
+                assert_eq!(p.in_flight, 0, "nic {ni} has in-flight bytes to {dst}");
+            }
             assert!(nic.active.is_empty(), "nic {ni} has active messages");
             for (tc, &c) in nic.credits.iter().enumerate() {
                 assert_eq!(
@@ -1727,15 +1729,45 @@ mod tests {
     use super::*;
     use slingshot_topology::DragonflyParams;
 
-    #[test]
-    fn run_until_returns_a_latched_credit_underflow() {
-        let mut net = Network::new(NetworkConfig::slingshot(DragonflyParams {
+    fn small() -> Network {
+        Network::new(NetworkConfig::slingshot(DragonflyParams {
             groups: 2,
             switches_per_group: 2,
             endpoints_per_switch: 2,
             global_links_per_pair: 2,
             intra_links_per_pair: 1,
-        }));
+        }))
+    }
+
+    #[test]
+    fn unsent_pairs_read_zero_with_full_window() {
+        let mut net = small();
+        assert_eq!(net.cc_window(NodeId(0), NodeId(5)), 64 << 10);
+        assert!(
+            net.nics[0].pairs.is_empty(),
+            "no table before the first send"
+        );
+        net.send(NodeId(0), NodeId(7), 4096, 0, 0);
+        net.run_to_quiescence(100_000).expect("one send quiesces");
+        assert_eq!(net.nics[0].pairs.len(), 8);
+        assert_eq!(net.nics[0].pairs[5].in_flight, 0);
+        assert_eq!(net.cc_window(NodeId(0), NodeId(5)), 64 << 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "nic 0 has in-flight bytes to 7")]
+    fn quiescence_check_catches_a_pair_holding_bytes() {
+        let mut net = small();
+        net.send(NodeId(0), NodeId(7), 4096, 0, 0);
+        net.run_to_quiescence(100_000).expect("one send quiesces");
+        net.assert_quiescent_invariants();
+        net.nics[0].pairs[7].in_flight = 1;
+        net.assert_quiescent_invariants();
+    }
+
+    #[test]
+    fn run_until_returns_a_latched_credit_underflow() {
+        let mut net = small();
         net.send(NodeId(0), NodeId(7), 4096, 0, 0);
         net.record_credit_underflow(1, 2, 0, 1, 64, 0);
         let err = net

@@ -1,76 +1,11 @@
-//! NIC model: injection pacing, per-destination in-flight tracking, and the
-//! congestion-control engine.
+//! NIC model: injection pacing and the per-destination pair table that
+//! holds in-flight bytes and the congestion-control window.
 
-use crate::config::CcConfig;
-use crate::inflight::InFlightMap;
 use crate::packet::{MessageId, PacketHandle};
-use slingshot_congestion::{AckFeedback, CongestionControl, EcnCc, NoCc, SlingshotCc};
-use slingshot_des::{SimDuration, SimTime};
+use slingshot_congestion::Pair;
+use slingshot_des::SimDuration;
 use slingshot_topology::NodeId;
 use std::collections::VecDeque;
-
-/// Static-dispatch wrapper over the congestion-control algorithms.
-pub enum CcEngine {
-    /// Slingshot per-pair CC.
-    Slingshot(SlingshotCc),
-    /// No endpoint CC (Aries).
-    None(NoCc),
-    /// ECN-like slow loop.
-    Ecn(EcnCc),
-}
-
-impl CcEngine {
-    /// Build from configuration.
-    pub fn from_config(cfg: &CcConfig) -> Self {
-        match cfg {
-            CcConfig::Slingshot(p) => CcEngine::Slingshot(SlingshotCc::with_params(*p)),
-            CcConfig::None { window } => CcEngine::None(NoCc::with_window(*window)),
-            CcConfig::Ecn(p) => CcEngine::Ecn(EcnCc::with_params(*p)),
-        }
-    }
-}
-
-impl CongestionControl for CcEngine {
-    fn may_send(&mut self, dst: u32, in_flight: u64, bytes: u64, now: SimTime) -> bool {
-        match self {
-            CcEngine::Slingshot(c) => c.may_send(dst, in_flight, bytes, now),
-            CcEngine::None(c) => c.may_send(dst, in_flight, bytes, now),
-            CcEngine::Ecn(c) => c.may_send(dst, in_flight, bytes, now),
-        }
-    }
-
-    fn on_ack(&mut self, dst: u32, feedback: AckFeedback, now: SimTime) {
-        match self {
-            CcEngine::Slingshot(c) => c.on_ack(dst, feedback, now),
-            CcEngine::None(c) => c.on_ack(dst, feedback, now),
-            CcEngine::Ecn(c) => c.on_ack(dst, feedback, now),
-        }
-    }
-
-    fn window(&self, dst: u32) -> u64 {
-        match self {
-            CcEngine::Slingshot(c) => c.window(dst),
-            CcEngine::None(c) => c.window(dst),
-            CcEngine::Ecn(c) => c.window(dst),
-        }
-    }
-
-    fn throttle_events(&self) -> u64 {
-        match self {
-            CcEngine::Slingshot(c) => c.throttle_events(),
-            CcEngine::None(c) => c.throttle_events(),
-            CcEngine::Ecn(c) => c.throttle_events(),
-        }
-    }
-
-    fn max_window(&self) -> u64 {
-        match self {
-            CcEngine::Slingshot(c) => c.max_window(),
-            CcEngine::None(c) => c.max_window(),
-            CcEngine::Ecn(c) => c.max_window(),
-        }
-    }
-}
 
 /// Per-node NIC state.
 pub struct Nic {
@@ -82,11 +17,10 @@ pub struct Nic {
     pub busy: bool,
     /// Per-class credits for the attached switch's ingress buffer.
     pub credits: Vec<u64>,
-    /// Unacknowledged wire bytes per destination node (open-addressing,
-    /// Fx-hashed — see [`InFlightMap`]).
-    pub in_flight: InFlightMap,
-    /// Congestion control engine.
-    pub cc: CcEngine,
+    /// One [`Pair`] per destination node, indexed by node id: in-flight
+    /// bytes and the congestion-control window. Empty until the NIC's
+    /// first send (see [`Nic::open_pairs`]).
+    pub pairs: Vec<Pair>,
     /// Injection rate, bytes per second.
     pub rate_bps: f64,
     /// Node-to-switch propagation delay.
@@ -103,39 +37,43 @@ impl Nic {
         SimDuration::from_secs_f64(wire as f64 / self.rate_bps)
     }
 
-    /// In-flight bytes toward `dst`.
+    /// Create the pair table, one fresh pair per node, if the NIC has not
+    /// sent before.
     #[inline]
-    pub fn in_flight_to(&self, dst: NodeId) -> u64 {
-        self.in_flight.get(dst.0)
+    pub fn open_pairs(&mut self, nodes: usize, max_window: u64) {
+        if self.pairs.is_empty() {
+            self.pairs = vec![Pair::fresh(max_window); nodes];
+        }
     }
 
-    /// Account `wire` bytes launched toward `dst`.
+    /// Account `wire` bytes acknowledged (or given up) toward `dst`, and
+    /// return that pair.
+    ///
+    /// # Panics
+    /// Panics when fewer than `wire` bytes are in flight toward `dst`, or
+    /// when the NIC has never sent.
     #[inline]
-    pub fn add_in_flight(&mut self, dst: NodeId, wire: u32) {
-        self.in_flight.add(dst.0, wire as u64);
-    }
-
-    /// Account `wire` bytes acknowledged from `dst` (entry removed at
-    /// zero; panics on an ack for an unknown destination).
-    #[inline]
-    pub fn sub_in_flight(&mut self, dst: NodeId, wire: u32) {
-        self.in_flight.sub(dst.0, wire as u64);
+    pub fn sub_in_flight(&mut self, dst: NodeId, wire: u32) -> &mut Pair {
+        let pair = &mut self.pairs[dst.index()];
+        pair.in_flight = pair
+            .in_flight
+            .checked_sub(wire as u64)
+            .expect("ack for more bytes than in flight");
+        pair
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use slingshot_congestion::SlingshotCcParams;
 
-    fn nic(cc: CcConfig) -> Nic {
+    fn nic() -> Nic {
         Nic {
             node: NodeId(0),
             active: VecDeque::new(),
             busy: false,
             credits: vec![256 << 10],
-            in_flight: InFlightMap::new(),
-            cc: CcEngine::from_config(&cc),
+            pairs: Vec::new(),
             rate_bps: 12.5e9,
             prop: SimDuration::from_ns(10),
             retx: VecDeque::new(),
@@ -143,35 +81,30 @@ mod tests {
     }
 
     #[test]
-    fn engine_dispatch_matches_config() {
-        let mut s = nic(CcConfig::Slingshot(SlingshotCcParams::default()));
-        let mut n = nic(CcConfig::None { window: 1 << 20 });
-        assert_eq!(s.cc.window(0), 64 << 10);
-        assert_eq!(n.cc.window(0), 1 << 20);
-        let congested = AckFeedback {
-            endpoint_congested: true,
-            ejection_queue_bytes: 1 << 20,
-        };
-        s.cc.on_ack(0, congested, SimTime::from_us(1));
-        n.cc.on_ack(0, congested, SimTime::from_us(1));
-        assert!(s.cc.window(0) < 64 << 10);
-        assert_eq!(n.cc.window(0), 1 << 20);
+    fn unsent_pair_reads_zero_with_full_window() {
+        let mut n = nic();
+        n.open_pairs(16, 64 << 10);
+        n.pairs[3].in_flight += 1500;
+        // Opening again keeps the table the first send created.
+        n.open_pairs(16, 64 << 10);
+        assert_eq!(n.pairs[3].in_flight, 1500);
+        assert_eq!(n.pairs[7], Pair::fresh(64 << 10));
+        n.sub_in_flight(NodeId(3), 1500);
+        assert_eq!(n.pairs[3].in_flight, 0);
     }
 
     #[test]
-    fn in_flight_accounting() {
-        let mut n = nic(CcConfig::None { window: 1 << 20 });
-        n.add_in_flight(NodeId(3), 1000);
-        n.add_in_flight(NodeId(3), 500);
-        assert_eq!(n.in_flight_to(NodeId(3)), 1500);
-        n.sub_in_flight(NodeId(3), 1500);
-        assert_eq!(n.in_flight_to(NodeId(3)), 0);
-        assert!(n.in_flight.is_empty());
+    #[should_panic(expected = "ack for more bytes than in flight")]
+    fn over_ack_panics() {
+        let mut n = nic();
+        n.open_pairs(4, 64 << 10);
+        n.pairs[1].in_flight = 10;
+        n.sub_in_flight(NodeId(1), 11);
     }
 
     #[test]
     fn injection_serialization() {
-        let n = nic(CcConfig::None { window: 1 << 20 });
+        let n = nic();
         // 12.5 GB/s → 80 ps per byte.
         assert_eq!(n.serialization(1250).as_ps(), 100_000);
     }
