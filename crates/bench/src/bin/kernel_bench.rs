@@ -5,8 +5,8 @@
 //! QoS arbitration, the event queue, the RNG, the Rosetta latency draw —
 //! and one end-to-end simulation for an events/sec figure. A counting
 //! allocator wraps the system allocator so every record carries allocs/op
-//! next to ns/op: the routing fast path's zero-allocation claim is measured here
-//! on every run, not asserted once in review.
+//! next to ns/op: the routing fast path's zero-allocation claim is
+//! measured here on every run, not asserted once in review.
 //!
 //! Options: `--quick` (CI-sized iteration counts), `--out PATH` (default
 //! `BENCH_kernel.json`), `--strict` (non-zero exit if a kernel expected
