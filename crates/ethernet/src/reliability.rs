@@ -96,32 +96,6 @@ impl ReliabilityModel {
             e2e_retry_ns: 10_000.0,
         }
     }
-
-    /// Expected added latency per link traversal, ns (FEC + expected
-    /// error-recovery cost).
-    pub fn expected_latency_ns(&self) -> f64 {
-        let recovery = if self.llr_enabled {
-            self.llr_replay_ns
-        } else {
-            self.e2e_retry_ns
-        };
-        self.fec_latency_ns + self.transient_error_rate * recovery
-    }
-
-    /// Sample whether a traversal hits a transient error given a uniform
-    /// draw in `[0,1)`.
-    pub fn error_occurs(&self, uniform_draw: f64) -> bool {
-        uniform_draw < self.transient_error_rate
-    }
-
-    /// Recovery latency for one transient error, ns.
-    pub fn recovery_latency_ns(&self) -> f64 {
-        if self.llr_enabled {
-            self.llr_replay_ns
-        } else {
-            self.e2e_retry_ns
-        }
-    }
 }
 
 #[cfg(test)]
@@ -149,20 +123,5 @@ mod tests {
     fn degrade_saturates() {
         let p = PortLanes::rosetta().degrade(10);
         assert_eq!(p.active_lanes, 0);
-    }
-
-    #[test]
-    fn llr_recovery_is_cheaper_than_e2e() {
-        let ss = ReliabilityModel::slingshot();
-        let eth = ReliabilityModel::standard_ethernet();
-        assert!(ss.recovery_latency_ns() < eth.recovery_latency_ns());
-        assert!(ss.expected_latency_ns() < eth.expected_latency_ns());
-    }
-
-    #[test]
-    fn error_sampling_threshold() {
-        let m = ReliabilityModel::slingshot();
-        assert!(m.error_occurs(0.0));
-        assert!(!m.error_occurs(0.5));
     }
 }

@@ -5,10 +5,10 @@
 //! `results/.cache/cells/<hash>.json` the moment it completes —
 //! atomically (temp file + rename), so a SIGKILL can never leave a
 //! half-written entry — and the next run loads cached values instead of
-//! recomputing them. One directory serves Figs. 9–11: a run is keyed by
-//! its *identity*, which the congestion sweep derives from what the run
-//! simulates ([`crate::congestion::run_identity`]), never from which
-//! figure asked for it. So a cell `fig9 --resume` stored is a hit for
+//! recomputing them. One directory serves Figs. 9–12 and the ablation: a
+//! run is keyed by its *identity*, which the congestion sweep derives
+//! from what the run simulates ([`crate::congestion::run_identity`]),
+//! never from which figure asked for it. So a cell `fig9 --resume` stored is a hit for
 //! `fig10 --resume`. The file name hashes the identity together with a
 //! schema version bumped whenever cached semantics change, and each
 //! entry carries its identity so a hash collision reads as a miss.
@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Bump when the meaning of cached values changes (units, aggregation,
 /// simulator semantics, identity format): old entries silently become
 /// misses.
-const CACHE_SCHEMA: u32 = 2;
+const CACHE_SCHEMA: u32 = 3;
 
 /// 128-bit content hash of a run identity (and the cache schema) as 32
 /// hex characters: two FNV-1a passes with different offset bases.

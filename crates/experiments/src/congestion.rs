@@ -9,6 +9,8 @@ use crate::cache::SweepCache;
 use crate::runner::{self, CellFailure, CellMeta, Outcome};
 use crate::scale::Scale;
 use serde::Serialize;
+use slingshot::network::{CcConfig, Network};
+use slingshot::routing::RoutingAlgorithm;
 use slingshot::{Profile, System, SystemBuilder, TelemetryConfig, TelemetryReport};
 use slingshot_des::{SimDuration, SimTime};
 use slingshot_mpi::{Engine, Job, ProtocolStack, Script};
@@ -101,6 +103,10 @@ pub struct Cell {
     pub aggressor_ppn: u32,
     /// RNG seed.
     pub seed: u64,
+    /// Congestion control replacing the profile's (`None` keeps it).
+    pub cc: Option<CcConfig>,
+    /// Routing algorithm replacing the profile's (`None` keeps it).
+    pub routing: Option<RoutingAlgorithm>,
 }
 
 /// Result of one cell run.
@@ -191,8 +197,10 @@ pub fn try_run_cell_traced(
     if let Some(tcfg) = telemetry {
         builder = builder.telemetry(tcfg);
     }
-    let net = builder.build();
-    let mut eng = Engine::new(net, ProtocolStack::mpi());
+    let mut config = builder.config();
+    config.cc = cell.cc.unwrap_or(config.cc);
+    config.routing = cell.routing.unwrap_or(config.routing);
+    let mut eng = Engine::new(Network::new(config), ProtocolStack::mpi());
 
     let alloc = Allocation::split(cell.nodes, cell.victim_nodes, cell.policy, cell.seed);
 
@@ -230,9 +238,9 @@ pub fn try_run_cell_traced(
 }
 
 /// [`try_run_cell`] for callers that treat any simulation error as fatal
-/// (unit tests, ablations without a quarantine). Panics with the error's
-/// display — inside [`crate::runner::quarantine_map`] that panic still
-/// becomes a structured error row.
+/// (unit tests and examples). Panics with the error's display — inside
+/// [`crate::runner::quarantine_map`] that panic still becomes a
+/// structured error row.
 pub fn run_cell(cell: &Cell, victim: Victim, iters: u32, event_budget: u64) -> CellResult {
     try_run_cell(cell, victim, iters, event_budget).unwrap_or_else(|e| panic!("{e}"))
 }
@@ -289,9 +297,10 @@ pub struct SweepCell {
     pub meta: CellMeta,
 }
 
-/// The congestion-impact sweep of Figs. 9–11: each loaded point
-/// `(b, aggressor)` is paired with its isolated baseline, the same point
-/// with no aggressor, and becomes `row(b, aggressor, Tc / Ti)`.
+/// The congestion-impact sweep of Figs. 9–12 and the ablation: each
+/// loaded point `(b, aggressor)` is paired with its isolated baseline,
+/// the same point with no aggressor, and becomes
+/// `row(b, aggressor, Tc / Ti)`.
 ///
 /// `at(b, aggressor)` describes a point. Every distinct run
 /// ([`run_identity`]) is simulated once, in first-use order — all
@@ -426,6 +435,8 @@ mod tests {
             aggressor: None,
             aggressor_ppn: 1,
             seed: 1,
+            cc: None,
+            routing: None,
         };
         let r = run_cell(&cell, Victim::Micro(Microbench::Barrier, 8), 3, 50_000_000);
         assert_eq!(r.iterations, 3);
@@ -445,6 +456,8 @@ mod tests {
             aggressor: Some(Congestor::Incast),
             aggressor_ppn: 1,
             seed: 2,
+            cc: None,
+            routing: None,
         };
         let victim = Victim::Micro(Microbench::Pingpong, 8);
         let (_, _, aries_impact) = run_pair(&base, victim, 4, 400_000_000);
@@ -482,6 +495,8 @@ mod tests {
                 aggressor,
                 aggressor_ppn,
                 seed: 3,
+                cc: None,
+                routing: None,
             },
             victim: Victim::Micro(Microbench::Pingpong, 8),
             iters,

@@ -24,8 +24,9 @@ pub type TraceHook = fn(scale: Scale, dir: &str, tcfg: TelemetryConfig);
 /// One figure of the evaluation.
 pub trait Figure {
     /// Result stem: the figure writes `results/<STEM>_<scale>.json`.
-    /// (The `--resume` cache is not per figure: Figs. 9–11 share
-    /// `results/.cache/cells/`, keyed by what each run simulates.)
+    /// (The `--resume` cache is not per figure: Figs. 9–12 and the
+    /// ablation share `results/.cache/cells/`, keyed by what each run
+    /// simulates.)
     const STEM: &'static str;
     /// Whether [`Figure::run`] consults the cell cache (`--resume`).
     const RESUMABLE: bool = false;

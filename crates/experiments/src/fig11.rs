@@ -71,6 +71,8 @@ pub fn cell(scale: Scale, share: u32, aggressor: Option<Congestor>) -> Cell {
         aggressor,
         aggressor_ppn: 1,
         seed: 11,
+        cc: None,
+        routing: None,
     }
 }
 

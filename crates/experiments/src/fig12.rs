@@ -10,21 +10,16 @@
 //! behaves like persistent congestion.
 
 use crate::cache::SweepCache;
-use crate::congestion::{machine_for, Victim, WARMUP};
+use crate::congestion::{impact_sweep, Cell, SweepCell, Victim};
 use crate::driver::{Figure, TraceHook};
 use crate::report::{fmt_bytes, Table};
-use crate::runner::{self, CellFailure, CellMeta, Outcome};
+use crate::runner::{CellMeta, Outcome};
 use crate::scale::Scale;
-use crate::telemetry::export_report;
+use crate::telemetry::trace_cell;
 use serde::Serialize;
-use slingshot::{Profile, System, SystemBuilder, TelemetryConfig, TelemetryReport};
-use slingshot_des::SimDuration;
-use slingshot_mpi::{Engine, Job, ProtocolStack, Script};
-use slingshot_network::SimError;
-use slingshot_stats::Sample;
-use slingshot_topology::{Allocation, AllocationPolicy};
-use slingshot_workloads::gpcnet::bursty_incast_aggressor;
-use slingshot_workloads::Microbench;
+use slingshot::{Profile, TelemetryConfig};
+use slingshot_topology::AllocationPolicy;
+use slingshot_workloads::{Congestor, Microbench};
 
 /// One heatmap cell.
 #[derive(Clone, Debug, Serialize)]
@@ -61,86 +56,55 @@ pub struct Fig12;
 
 impl Figure for Fig12 {
     const STEM: &'static str = "fig12";
+    const RESUMABLE: bool = true;
     const TRACE: Option<TraceHook> = Some(trace);
     type Output = Vec<Fig12Row>;
 
-    /// Run the sweep. Each cell runs quarantined; if the isolated baseline
-    /// itself fails, no impact can be formed and the whole figure becomes
-    /// error rows.
-    fn run(scale: Scale, _: Option<&SweepCache>) -> Outcome<Vec<Fig12Row>> {
-        let nodes = scale.congestion_nodes();
-        let iters = scale.iterations().max(4);
+    /// Run the sweep: every point `(bytes, burst, gap)` against the one
+    /// isolated baseline they share. Cells run quarantined and, with a
+    /// cache, resumable; if the baseline fails, every point becomes an
+    /// error row.
+    fn run(scale: Scale, cache: Option<&SweepCache>) -> Outcome<Vec<Fig12Row>> {
         let (sizes, bursts, gaps) = axes(scale);
         let mut points = Vec::new();
         for &bytes in &sizes {
             for &burst in &bursts {
-                for &gap in &gaps {
-                    points.push((bytes, burst, gap));
+                for &gap_us in &gaps {
+                    let aggressor = Congestor::Bursty {
+                        bytes,
+                        burst,
+                        gap_us,
+                    };
+                    points.push(((bytes, burst, gap_us), aggressor));
                 }
             }
         }
-        let (iso_results, loaded_results) = runner::join(
-            || {
-                runner::quarantine_map(
-                    &[()],
-                    |_| CellMeta {
-                        label: "isolated 128B alltoall baseline".into(),
-                        seed: 12,
-                    },
-                    |_| measure(nodes, None, iters, scale, None).map(|(mean, _)| mean),
-                )
-            },
-            || {
-                runner::quarantine_map(
-                    &points,
-                    |&(bytes, burst, gap)| CellMeta {
-                        label: format!(
+        impact_sweep(
+            cache,
+            &points,
+            |&(bytes, burst, gap), aggressor| SweepCell {
+                cell: cell(scale, aggressor),
+                victim: VICTIM,
+                iters: scale.iterations().max(4),
+                budget: scale.event_budget(),
+                meta: CellMeta {
+                    label: match aggressor {
+                        Some(_) => format!(
                             "bursty incast {} burst={burst} gap={gap}us",
                             fmt_bytes(bytes)
                         ),
-                        seed: 12,
+                        None => "isolated 128B alltoall baseline".into(),
                     },
-                    |&(bytes, burst, gap)| {
-                        measure(nodes, Some((bytes, burst, gap)), iters, scale, None)
-                            .map(|(mean, _)| mean)
-                    },
-                )
+                    seed: SEED,
+                },
             },
-        );
-        let (iso, mut failures) = runner::split_results(iso_results);
-        let (loaded, loaded_failures) = runner::split_results(loaded_results);
-        failures.extend(loaded_failures);
-        let Some(isolated) = iso.into_iter().next().flatten() else {
-            failures.push(CellFailure {
-                cell: "all loaded cells".into(),
-                seed: 12,
-                error: format!(
-                    "isolated baseline failed; {} completed cells dropped (no impact denominator)",
-                    loaded.iter().flatten().count()
-                ),
-                stall: None,
-            });
-            return Outcome {
-                output: Vec::new(),
-                failures,
-            };
-        };
-        let rows = points
-            .iter()
-            .zip(&loaded)
-            .filter_map(|(&(bytes, burst, gap), time)| {
-                time.map(|time| Fig12Row {
-                    aggressor_bytes: bytes,
-                    burst_size: burst,
-                    gap_us: gap,
-                    impact: time / isolated,
-                })
-            })
-            .collect();
-        Outcome {
-            output: rows,
-            failures,
-        }
+            |&(aggressor_bytes, burst_size, gap_us), _, impact| Fig12Row {
+                aggressor_bytes,
+                burst_size,
+                gap_us,
+                impact,
+            },
+        )
     }
 
     fn render(scale: Scale, rows: &Vec<Fig12Row>) {
@@ -162,6 +126,29 @@ impl Figure for Fig12 {
     }
 }
 
+/// The victim of every cell: a 128 B all-to-all.
+const VICTIM: Victim = Victim::Micro(Microbench::Alltoall, 128);
+
+/// Seed of every cell.
+const SEED: u64 = 12;
+
+/// The sweep's cell: Slingshot on the scale's congestion machine,
+/// interleaved 50/50 split.
+fn cell(scale: Scale, aggressor: Option<Congestor>) -> Cell {
+    let nodes = scale.congestion_nodes();
+    Cell {
+        profile: Profile::Slingshot,
+        nodes,
+        victim_nodes: nodes / 2,
+        policy: AllocationPolicy::Interleaved,
+        aggressor,
+        aggressor_ppn: 1,
+        seed: SEED,
+        cc: None,
+        routing: None,
+    }
+}
+
 /// The figure's traced cell: the 128 KiB / long-burst / short-gap corner
 /// the paper highlights as the worst bursty case (the control loop is
 /// slow enough for the burst to squeeze in).
@@ -172,57 +159,20 @@ pub fn trace(scale: Scale, dir: &str, tcfg: TelemetryConfig) {
     } else {
         sizes[sizes.len() / 2]
     };
-    let aggressor = Some((bytes, *bursts.last().unwrap(), gaps[0]));
-    let iters = scale.iterations().max(4);
-    let name = format!("fig12_{}_bursty", scale.label());
-    match measure(
-        scale.congestion_nodes(),
-        aggressor,
-        iters,
-        scale,
-        Some(tcfg),
-    ) {
-        Ok((_, report)) => export_report(dir, &name, &report.expect("telemetry was enabled")),
-        Err(e) => eprintln!("warning: traced cell {name} failed: {e}"),
-    }
-}
-
-/// Mean victim iteration time with an optional bursty aggressor
-/// `(bytes, burst, gap_us)`, and the telemetry report when `tcfg` is
-/// given (telemetry never perturbs the measurement — the recorder draws
-/// no RNG and the mean is identical either way).
-fn measure(
-    nodes: u32,
-    aggressor: Option<(u64, u64, u64)>,
-    iters: u32,
-    scale: Scale,
-    tcfg: Option<TelemetryConfig>,
-) -> Result<(f64, Option<TelemetryReport>), SimError> {
-    let machine = machine_for(nodes);
-    let mut builder = SystemBuilder::new(System::Custom(machine), Profile::Slingshot).seed(12);
-    if let Some(t) = tcfg {
-        builder = builder.telemetry(t);
-    }
-    let net = builder.build();
-    let mut eng = Engine::new(net, ProtocolStack::mpi());
-    let alloc = Allocation::split(nodes, nodes / 2, AllocationPolicy::Interleaved, 12);
-    if let Some((bytes, burst, gap)) = aggressor {
-        let job = Job::new(alloc.aggressor.clone());
-        let scripts = bursty_incast_aggressor(job.ranks(), bytes, burst, SimDuration::from_us(gap));
-        eng.add_job(job, scripts, 0, slingshot_des::SimTime::ZERO);
-    }
-    let ranks = alloc.victim.len() as u32;
-    let scripts: Vec<Script> = Victim::Micro(Microbench::Alltoall, 128).scripts(ranks, iters, 12);
-    let job = eng.add_job(Job::new(alloc.victim.clone()), scripts, 0, WARMUP);
-    eng.run_to_completion(scale.event_budget())?;
-    let s = Sample::from_values(
-        eng.iteration_durations(job)
-            .iter()
-            .map(|d| d.as_secs_f64())
-            .collect(),
+    let aggressor = Congestor::Bursty {
+        bytes,
+        burst: *bursts.last().unwrap(),
+        gap_us: gaps[0],
+    };
+    trace_cell(
+        dir,
+        &format!("fig12_{}_bursty", scale.label()),
+        &cell(scale, Some(aggressor)),
+        VICTIM,
+        scale.iterations().max(4),
+        scale.event_budget(),
+        tcfg,
     );
-    let report = eng.network_mut().take_telemetry_report();
-    Ok((s.mean(), report))
 }
 
 #[cfg(test)]

@@ -99,6 +99,8 @@ impl HeatmapOpts {
             aggressor,
             aggressor_ppn: self.aggressor_ppn,
             seed: self.seed,
+            cc: None,
+            routing: None,
         }
     }
 }

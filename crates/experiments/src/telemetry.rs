@@ -129,6 +129,8 @@ mod tests {
             aggressor,
             aggressor_ppn: 1,
             seed: 9,
+            cc: None,
+            routing: None,
         }
     }
 

@@ -6,6 +6,9 @@
 //! baseline never reads the aggressor PPN.
 
 use proptest::prelude::*;
+use slingshot::congestion::SlingshotCcParams;
+use slingshot::network::CcConfig;
+use slingshot::routing::RoutingAlgorithm;
 use slingshot::Profile;
 use slingshot_experiments::cache::hash_hex;
 use slingshot_experiments::{run_identity, Cell, Victim};
@@ -13,32 +16,72 @@ use slingshot_topology::AllocationPolicy;
 use slingshot_workloads::{Congestor, HpcApp, Microbench, TailApp};
 
 /// One gene per thing a run reads, in `Cell` field order, then victim,
-/// iterations and budget. Adding 1 to any gene changes what it decodes to.
+/// iterations, budget and the bursty aggressor's bytes, burst and gap.
+/// Adding 1 to any gene changes what it decodes to.
 fn genes() -> impl Strategy<Value = Vec<u64>> {
-    proptest::collection::vec(0u64..1 << 32, 10)
+    proptest::collection::vec(0u64..1 << 32, GENES)
+}
+
+const GENES: usize = 15;
+
+/// Whether the aggressor gene decodes to no aggressor.
+fn isolated(g: &[u64]) -> bool {
+    g[4].is_multiple_of(4)
+}
+
+/// Whether the aggressor gene decodes to the bursty one, the only
+/// aggressor that reads the last three genes.
+fn bursty(g: &[u64]) -> bool {
+    g[4] % 4 == 3
 }
 
 /// The identity of the run `g` decodes to; `aggressor`, if given,
 /// replaces the decoded aggressor.
 fn identity(g: &[u64], aggressor: Option<Option<Congestor>>) -> String {
     let profiles = [Profile::Aries, Profile::Slingshot, Profile::SlingshotEcn];
-    let aggressors = [None, Some(Congestor::Incast), Some(Congestor::AllToAll)];
+    let bursty = Congestor::Bursty {
+        bytes: g[12],
+        burst: g[13],
+        gap_us: g[14],
+    };
+    let aggressors = [
+        None,
+        Some(Congestor::Incast),
+        Some(Congestor::AllToAll),
+        Some(bursty),
+    ];
+    let cc = match g[7] % 3 {
+        0 => None,
+        1 => Some(CcConfig::None { window: g[7] / 3 }),
+        _ => Some(CcConfig::Slingshot(SlingshotCcParams {
+            max_window: g[7] / 3,
+            ..SlingshotCcParams::default()
+        })),
+    };
+    let routings = [
+        None,
+        Some(RoutingAlgorithm::Minimal),
+        Some(RoutingAlgorithm::Valiant),
+        Some(RoutingAlgorithm::Adaptive),
+    ];
     let cell = Cell {
         profile: profiles[g[0] as usize % 3],
         nodes: g[1] as u32,
         victim_nodes: g[2] as u32,
         policy: AllocationPolicy::ALL[g[3] as usize % 3],
-        aggressor: aggressor.unwrap_or(aggressors[g[4] as usize % 3]),
+        aggressor: aggressor.unwrap_or(aggressors[g[4] as usize % 4]),
         aggressor_ppn: g[5] as u32,
         seed: g[6],
+        cc,
+        routing: routings[g[8] as usize % 4],
     };
-    let victim = match g[7] % 4 {
-        0 => Victim::Micro(Microbench::Pingpong, g[7] / 4),
-        1 => Victim::Halo3d(g[7] / 4),
+    let victim = match g[9] % 4 {
+        0 => Victim::Micro(Microbench::Pingpong, g[9] / 4),
+        1 => Victim::Halo3d(g[9] / 4),
         2 => Victim::App(HpcApp::Lammps),
         _ => Victim::Tail(TailApp::Silo),
     };
-    run_identity(&cell, victim, g[8] as u32, g[9])
+    run_identity(&cell, victim, g[10] as u32, g[11])
 }
 
 proptest! {
@@ -62,10 +105,12 @@ proptest! {
     }
 
     /// Changing any single thing a run reads changes the hash (the PPN
-    /// only of a loaded run; see below).
+    /// only of a loaded run, see below; the burst shape only of a bursty
+    /// one).
     #[test]
-    fn any_field_change_changes_the_hash(g in genes(), field in 0usize..10) {
-        prop_assume!(field != 5 || g[4] % 3 != 0);
+    fn any_field_change_changes_the_hash(g in genes(), field in 0usize..GENES) {
+        prop_assume!(field != 5 || !isolated(&g));
+        prop_assume!(field < 12 || bursty(&g));
         let mut changed = g.clone();
         changed[field] += 1;
         prop_assert_ne!(hash_hex(&identity(&g, None)), hash_hex(&identity(&changed, None)));

@@ -42,16 +42,17 @@ fn help_exits_zero_without_running() {
 #[test]
 fn flags_the_figure_cannot_honour_exit_nonzero() {
     const TRACED: &str = "fig9_heatmap, fig11_fullscale, fig12_bursty";
-    const RESUMABLE: &str = "fig9_heatmap, fig10_distributions, fig11_fullscale";
+    const RESUMABLE: &str =
+        "fig9_heatmap, fig10_distributions, fig11_fullscale, fig12_bursty, ablation";
     let fig10 = env!("CARGO_BIN_EXE_fig10_distributions");
-    let fig12 = env!("CARGO_BIN_EXE_fig12_bursty");
+    let fig13 = env!("CARGO_BIN_EXE_fig13_tc_allreduce");
     for (out, able) in [
         (fig2(&["--telemetry", "/tmp/x"]), TRACED),
         (fig2(&["--telemetry=/tmp/x"]), TRACED),
         (fig2(&["--trace-sample", "4"]), TRACED),
         (run(fig10, &["--tiny", "--telemetry", "/tmp/x"]), TRACED),
         (fig2(&["--resume"]), RESUMABLE),
-        (run(fig12, &["--tiny", "--resume"]), RESUMABLE),
+        (run(fig13, &["--tiny", "--resume"]), RESUMABLE),
     ] {
         assert_eq!(out.status.code(), Some(2));
         let err = String::from_utf8_lossy(&out.stderr);

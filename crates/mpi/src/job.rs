@@ -38,12 +38,6 @@ impl Job {
     pub fn node_of(&self, rank: Rank) -> NodeId {
         self.nodes[(rank / self.ppn) as usize]
     }
-
-    /// Ranks hosted on the `i`-th node of the job.
-    pub fn ranks_of_node_index(&self, i: usize) -> impl Iterator<Item = Rank> {
-        let ppn = self.ppn;
-        (i as u32 * ppn)..((i as u32 + 1) * ppn)
-    }
 }
 
 #[cfg(test)]
@@ -58,8 +52,6 @@ mod tests {
         assert_eq!(job.node_of(2), NodeId(10));
         assert_eq!(job.node_of(3), NodeId(20));
         assert_eq!(job.node_of(5), NodeId(20));
-        let on_second: Vec<Rank> = job.ranks_of_node_index(1).collect();
-        assert_eq!(on_second, vec![3, 4, 5]);
     }
 
     #[test]

@@ -96,11 +96,6 @@ impl ProtocolStack {
         self.send_overhead + SimDuration::from_ps(self.copy_ps_per_byte * bytes)
     }
 
-    /// Total software cost of receiving `bytes`.
-    pub fn recv_cost(&self, bytes: u64) -> SimDuration {
-        self.recv_overhead + SimDuration::from_ps(self.copy_ps_per_byte * bytes)
-    }
-
     /// Whether a message of `bytes` uses the rendezvous protocol.
     pub fn is_rendezvous(&self, bytes: u64) -> bool {
         bytes > self.rendezvous_threshold
@@ -117,7 +112,7 @@ mod tests {
         // list: verbs < libfabric < MPI < UDP < TCP.
         let costs: Vec<u64> = ProtocolStack::ALL
             .iter()
-            .map(|s| s.send_cost(8).as_ps() + s.recv_cost(8).as_ps())
+            .map(|s| s.send_cost(8).as_ps())
             .collect();
         for w in costs.windows(2) {
             assert!(w[0] < w[1], "{costs:?}");

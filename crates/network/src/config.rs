@@ -121,11 +121,6 @@ impl NetworkConfig {
         self.injection_gbps * 1e9 / 8.0
     }
 
-    /// Injection rate in Gb/s (not affected by the taper).
-    pub fn effective_injection_gbps(&self) -> f64 {
-        self.injection_gbps
-    }
-
     /// Input buffer available per traffic class on each port.
     pub fn buffer_per_class(&self) -> u64 {
         (self.input_buffer_bytes / self.traffic_classes.len() as u64).max(4096)
@@ -152,8 +147,6 @@ mod tests {
         let full = c.link_bytes_per_sec();
         c.bandwidth_taper = 0.25;
         assert!((c.link_bytes_per_sec() - full * 0.25).abs() < 1.0);
-        // Injection is deliberately not tapered.
-        assert!((c.effective_injection_gbps() - 100.0).abs() < 1e-9);
     }
 
     #[test]

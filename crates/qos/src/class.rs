@@ -182,14 +182,6 @@ impl TrafficClassSet {
     pub fn is_empty(&self) -> bool {
         self.classes.is_empty()
     }
-
-    /// Class index for a packet's DSCP tag ([`DEFAULT_TC`] when unmatched).
-    pub fn class_of_dscp(&self, dscp: u8) -> usize {
-        self.classes
-            .iter()
-            .position(|c| c.dscp == dscp)
-            .unwrap_or(DEFAULT_TC)
-    }
 }
 
 #[cfg(test)]
@@ -214,8 +206,6 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(set.len(), 2);
-        assert_eq!(set.class_of_dscp(2), 1);
-        assert_eq!(set.class_of_dscp(99), DEFAULT_TC);
     }
 
     #[test]

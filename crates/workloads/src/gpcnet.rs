@@ -129,13 +129,24 @@ pub fn random_ring(n: u32, bytes: u64, iters: u32, seed: u64) -> Vec<Script> {
     out
 }
 
-/// The two congestor types of the paper's heatmaps.
+/// The congestor patterns: the two of the paper's heatmaps and the
+/// bursty incast of Fig. 12.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Congestor {
     /// Endpoint congestion: many-to-one `MPI_Put`.
     Incast,
     /// Intermediate congestion: all-to-all `MPI_Sendrecv`.
     AllToAll,
+    /// Bursty incast ([`bursty_incast_aggressor`]): bursts of `burst`
+    /// `bytes`-sized puts separated by `gap_us` microseconds of silence.
+    Bursty {
+        /// Message size, bytes.
+        bytes: u64,
+        /// Messages per burst.
+        burst: u64,
+        /// Gap between bursts, microseconds.
+        gap_us: u64,
+    },
 }
 
 impl Congestor {
@@ -144,14 +155,21 @@ impl Congestor {
         match self {
             Congestor::Incast => "incast",
             Congestor::AllToAll => "all-to-all",
+            Congestor::Bursty { .. } => "bursty incast",
         }
     }
 
-    /// Build the aggressor scripts for `n` ranks with default parameters.
+    /// Build the aggressor scripts for `n` ranks; the heatmap congestors
+    /// send [`AGGRESSOR_BYTES`] messages.
     pub fn scripts(self, n: u32) -> Vec<Script> {
         match self {
             Congestor::Incast => incast_aggressor(n, AGGRESSOR_BYTES, 4),
             Congestor::AllToAll => alltoall_aggressor(n, AGGRESSOR_BYTES),
+            Congestor::Bursty {
+                bytes,
+                burst,
+                gap_us,
+            } => bursty_incast_aggressor(n, bytes, burst, SimDuration::from_us(gap_us)),
         }
     }
 }
@@ -178,7 +196,12 @@ mod tests {
 
     #[test]
     fn bursty_has_gap_compute() {
-        let scripts = bursty_incast_aggressor(4, 1024, 10, SimDuration::from_us(5));
+        let scripts = Congestor::Bursty {
+            bytes: 1024,
+            burst: 10,
+            gap_us: 5,
+        }
+        .scripts(4);
         let has_gap = scripts[1]
             .ops
             .iter()

@@ -34,6 +34,8 @@ fn main() {
                 aggressor: Some(Congestor::Incast),
                 aggressor_ppn: 1,
                 seed: 7,
+                cc: None,
+                routing: None,
             };
             let (_, _, impact) = run_pair(&cell, victim, 5, 1_000_000_000);
             impacts.push(impact);

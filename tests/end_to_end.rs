@@ -21,6 +21,8 @@ fn headline_result_incast_isolation() {
         aggressor: Some(Congestor::Incast),
         aggressor_ppn: 1,
         seed: 3,
+        cc: None,
+        routing: None,
     };
     let (_, _, aries) = run_pair(&cell(Profile::Aries), victim, 4, 500_000_000);
     let (_, _, slingshot) = run_pair(&cell(Profile::Slingshot), victim, 4, 500_000_000);
@@ -42,6 +44,8 @@ fn ecn_ablation_sits_between_none_and_slingshot() {
         aggressor: Some(Congestor::Incast),
         aggressor_ppn: 1,
         seed: 5,
+        cc: None,
+        routing: None,
     };
     let (_, _, none) = run_pair(&mk(Profile::Aries), victim, 4, 500_000_000);
     let (_, _, ecn) = run_pair(&mk(Profile::SlingshotEcn), victim, 4, 500_000_000);
