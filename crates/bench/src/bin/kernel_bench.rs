@@ -20,7 +20,7 @@ use slingshot::network::{
 };
 use slingshot::qos::TrafficClassSet;
 use slingshot::rosetta::LatencyModel;
-use slingshot::routing::{AdaptiveParams, QuietView, RouteState, Router, RoutingAlgorithm, Via};
+use slingshot::routing::{QuietView, RouteState, Router, RoutingAlgorithm, Via};
 use slingshot::telemetry::{HopKind, TelemetryConfig, TelemetryHub};
 use slingshot::topology::{shandy, ChannelId, Liveness, NodeId, SwitchId};
 use slingshot::{Profile, System, SystemBuilder};
@@ -164,7 +164,7 @@ fn main() {
 
     let topo = shandy().build();
     let switches = topo.switch_count() as u64;
-    let router = Router::new(&topo, RoutingAlgorithm::Adaptive, AdaptiveParams::default());
+    let router = Router::new(&topo, RoutingAlgorithm::Adaptive, None);
 
     let mut benches = Vec::new();
 

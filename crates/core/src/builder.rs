@@ -2,7 +2,6 @@
 
 use slingshot_network::{CcConfig, Network, NetworkConfig};
 use slingshot_qos::TrafficClassSet;
-use slingshot_routing::RoutingAlgorithm;
 use slingshot_telemetry::TelemetryConfig;
 use slingshot_topology::{crystal, malbec, shandy, shandy_scaled, tiny, DragonflyParams};
 
@@ -65,7 +64,6 @@ pub struct SystemBuilder {
     profile: Profile,
     taper: f64,
     classes: Option<TrafficClassSet>,
-    routing: Option<RoutingAlgorithm>,
     seed: u64,
     telemetry: Option<TelemetryConfig>,
 }
@@ -78,7 +76,6 @@ impl SystemBuilder {
             profile,
             taper: 1.0,
             classes: None,
-            routing: None,
             seed: 0xC0FFEE,
             telemetry: None,
         }
@@ -95,12 +92,6 @@ impl SystemBuilder {
     /// Configure traffic classes (defaults to a single permissive class).
     pub fn traffic_classes(mut self, classes: TrafficClassSet) -> Self {
         self.classes = Some(classes);
-        self
-    }
-
-    /// Override the routing algorithm (defaults to adaptive).
-    pub fn routing(mut self, algo: RoutingAlgorithm) -> Self {
-        self.routing = Some(algo);
         self
     }
 
@@ -134,9 +125,6 @@ impl SystemBuilder {
         cfg.bandwidth_taper = self.taper;
         if let Some(classes) = &self.classes {
             cfg.traffic_classes = classes.clone();
-        }
-        if let Some(routing) = self.routing {
-            cfg.routing = routing;
         }
         cfg.seed = self.seed;
         cfg.telemetry = self.telemetry.map(|mut t| {
@@ -182,12 +170,10 @@ mod tests {
         let cfg = SystemBuilder::new(System::Tiny, Profile::Slingshot)
             .taper(0.25)
             .traffic_classes(TrafficClassSet::fig14())
-            .routing(RoutingAlgorithm::Minimal)
             .seed(99)
             .config();
         assert_eq!(cfg.bandwidth_taper, 0.25);
         assert_eq!(cfg.traffic_classes.len(), 2);
-        assert_eq!(cfg.routing, RoutingAlgorithm::Minimal);
         assert_eq!(cfg.seed, 99);
     }
 

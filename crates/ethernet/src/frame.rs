@@ -1,17 +1,16 @@
-//! Frame formats and message segmentation.
+//! Frame formats and message wire sizes.
 //!
 //! Slingshot mixes an HPC-optimized framing with standard Ethernet on the
 //! same ports at packet granularity (§II-F): the enhanced format reduces the
-//! minimum frame from 64 B to 32 B, allows dropping the Ethernet header, and
-//! removes the inter-packet gap.
+//! minimum frame from 64 B to 32 B and removes the inter-packet gap. Every
+//! packet carries the RoCEv2 encapsulation.
 
 use crate::headers::{
-    HeaderStack, MAX_PAYLOAD, SLINGSHOT_MIN_FRAME, STD_INTER_PACKET_GAP, STD_MIN_FRAME,
+    MAX_PAYLOAD, ROCEV2_OVERHEAD, SLINGSHOT_MIN_FRAME, STD_INTER_PACKET_GAP, STD_MIN_FRAME,
 };
-use serde::Serialize;
 
 /// Wire framing rules for a port.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FrameFormat {
     /// Standard Ethernet: 64 B minimum frame, 12 B inter-packet gap.
     StandardEthernet,
@@ -36,76 +35,24 @@ impl FrameFormat {
         }
     }
 
-    /// Bytes a frame with `payload` bytes and the given header stack
-    /// occupies on the wire, including minimum-frame padding and the
-    /// inter-packet gap.
-    pub fn wire_bytes(self, payload: u32, stack: HeaderStack) -> u32 {
-        let framed = payload + stack.overhead();
-        framed.max(self.min_frame()) + self.inter_packet_gap()
-    }
-
-    /// Wire efficiency of a frame: payload / wire bytes.
-    pub fn efficiency(self, payload: u32, stack: HeaderStack) -> f64 {
-        payload as f64 / self.wire_bytes(payload, stack) as f64
+    /// Bytes a RoCEv2 frame with `payload` bytes occupies on the wire,
+    /// including minimum-frame padding and the inter-packet gap.
+    pub fn wire_bytes(self, payload: u32) -> u32 {
+        (payload + ROCEV2_OVERHEAD).max(self.min_frame()) + self.inter_packet_gap()
     }
 }
 
-/// One packet of a segmented message.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
-pub struct PacketSpec {
-    /// Payload bytes carried.
-    pub payload: u32,
-    /// Total bytes on the wire (headers, padding, gap included).
-    pub wire_bytes: u32,
-    /// Index of this packet within the message.
-    pub index: u32,
-    /// Whether this is the final packet of the message.
-    pub last: bool,
-}
-
-/// Split a message of `message_bytes` into MTU-sized packets.
-///
-/// Returns an iterator to avoid allocating per-message vectors in the hot
-/// injection path. A zero-byte message still produces one (header-only)
+/// Total wire bytes for a whole message: full [`MAX_PAYLOAD`] packets plus
+/// one packet for the remainder. A zero-byte message is one header-only
 /// packet, matching how a zero-byte RDMA write behaves.
-pub fn segment(
-    message_bytes: u64,
-    format: FrameFormat,
-    stack: HeaderStack,
-) -> impl Iterator<Item = PacketSpec> {
-    segment_mtu(message_bytes, MAX_PAYLOAD, format, stack)
-}
-
-/// Like [`segment`] with an explicit MTU (payload bytes per packet).
-pub fn segment_mtu(
-    message_bytes: u64,
-    mtu: u32,
-    format: FrameFormat,
-    stack: HeaderStack,
-) -> impl Iterator<Item = PacketSpec> {
-    assert!(mtu > 0, "zero MTU");
-    let packets = if message_bytes == 0 {
-        1
-    } else {
-        message_bytes.div_ceil(mtu as u64)
-    };
-    (0..packets).map(move |i| {
-        let sent_so_far = i * mtu as u64;
-        let payload = (message_bytes - sent_so_far).min(mtu as u64) as u32;
-        PacketSpec {
-            payload,
-            wire_bytes: format.wire_bytes(payload, stack),
-            index: i as u32,
-            last: i + 1 == packets,
-        }
-    })
-}
-
-/// Total wire bytes for a whole message (sum over its packets).
-pub fn message_wire_bytes(message_bytes: u64, format: FrameFormat, stack: HeaderStack) -> u64 {
-    segment(message_bytes, format, stack)
-        .map(|p| p.wire_bytes as u64)
-        .sum()
+pub fn message_wire_bytes(message_bytes: u64, format: FrameFormat) -> u64 {
+    let full = message_bytes / MAX_PAYLOAD as u64;
+    let rest = (message_bytes % MAX_PAYLOAD as u64) as u32;
+    let mut total = full * format.wire_bytes(MAX_PAYLOAD) as u64;
+    if rest > 0 || full == 0 {
+        total += format.wire_bytes(rest) as u64;
+    }
+    total
 }
 
 #[cfg(test)]
@@ -115,96 +62,30 @@ mod tests {
     #[test]
     fn min_frame_padding_applies() {
         // 8 B payload + 62 B headers = 70 B > 64, no padding on standard.
-        assert_eq!(
-            FrameFormat::StandardEthernet.wire_bytes(8, HeaderStack::RoceV2),
-            70 + 12
-        );
-        // 1 B payload on Slingshot IP stack: 1+36=37 ≥ 32, no pad, no gap.
-        assert_eq!(
-            FrameFormat::SlingshotEnhanced.wire_bytes(1, HeaderStack::SlingshotIp),
-            37
-        );
-    }
-
-    #[test]
-    fn tiny_standard_frame_pads_to_64() {
-        // UDP stack is 54 B of headers; 2 B payload → 56 B padded to 64 (+gap).
-        assert_eq!(
-            FrameFormat::StandardEthernet.wire_bytes(2, HeaderStack::UdpIp),
-            64 + 12
-        );
+        assert_eq!(FrameFormat::StandardEthernet.wire_bytes(8), 70 + 12);
+        // A header-only standard frame (62 B) pads to 64 (+gap).
+        assert_eq!(FrameFormat::StandardEthernet.wire_bytes(0), 64 + 12);
+        // 1 B payload on Slingshot: 1+62 ≥ 32, no pad, no gap.
+        assert_eq!(FrameFormat::SlingshotEnhanced.wire_bytes(1), 63);
     }
 
     #[test]
     fn slingshot_small_frames_cheaper() {
         for payload in [0u32, 1, 8, 32] {
-            let std = FrameFormat::StandardEthernet.wire_bytes(payload, HeaderStack::RoceV2);
-            let ss = FrameFormat::SlingshotEnhanced.wire_bytes(payload, HeaderStack::SlingshotIp);
+            let std = FrameFormat::StandardEthernet.wire_bytes(payload);
+            let ss = FrameFormat::SlingshotEnhanced.wire_bytes(payload);
             assert!(ss < std, "payload {payload}: {ss} !< {std}");
         }
     }
 
     #[test]
-    fn segmentation_counts() {
-        let pkts: Vec<_> =
-            segment(10_000, FrameFormat::SlingshotEnhanced, HeaderStack::RoceV2).collect();
-        assert_eq!(pkts.len(), 3); // 4096 + 4096 + 1808
-        assert_eq!(pkts[0].payload, 4096);
-        assert_eq!(pkts[2].payload, 10_000 - 2 * 4096);
-        assert!(pkts[2].last && !pkts[0].last);
-        assert_eq!(pkts[1].index, 1);
-    }
-
-    #[test]
-    fn zero_byte_message_is_one_packet() {
-        let pkts: Vec<_> =
-            segment(0, FrameFormat::SlingshotEnhanced, HeaderStack::RoceV2).collect();
-        assert_eq!(pkts.len(), 1);
-        assert_eq!(pkts[0].payload, 0);
-        assert!(pkts[0].last);
-        assert_eq!(pkts[0].wire_bytes, 62); // headers only, above 32 B min
-    }
-
-    #[test]
-    fn exact_multiple_of_mtu() {
-        let pkts: Vec<_> =
-            segment(8192, FrameFormat::SlingshotEnhanced, HeaderStack::RoceV2).collect();
-        assert_eq!(pkts.len(), 2);
-        assert!(pkts.iter().all(|p| p.payload == 4096));
-    }
-
-    #[test]
-    fn payload_is_conserved() {
-        for size in [0u64, 1, 100, 4096, 4097, 1 << 20] {
-            let total: u64 = segment(size, FrameFormat::SlingshotEnhanced, HeaderStack::RoceV2)
-                .map(|p| p.payload as u64)
-                .sum();
-            assert_eq!(total, size);
-        }
-    }
-
-    #[test]
-    fn efficiency_improves_with_size() {
-        let small = FrameFormat::SlingshotEnhanced.efficiency(8, HeaderStack::RoceV2);
-        let large = FrameFormat::SlingshotEnhanced.efficiency(4096, HeaderStack::RoceV2);
-        assert!(large > small);
-        assert!(large > 0.98, "4 KiB efficiency {large}");
-    }
-
-    #[test]
-    fn message_wire_bytes_matches_sum() {
-        let m = message_wire_bytes(12_345, FrameFormat::StandardEthernet, HeaderStack::RoceV2);
-        let s: u64 = segment(12_345, FrameFormat::StandardEthernet, HeaderStack::RoceV2)
-            .map(|p| p.wire_bytes as u64)
-            .sum();
-        assert_eq!(m, s);
-    }
-
-    #[test]
-    fn custom_mtu() {
-        let pkts: Vec<_> =
-            segment_mtu(100, 30, FrameFormat::SlingshotEnhanced, HeaderStack::RoceV2).collect();
-        assert_eq!(pkts.len(), 4);
-        assert_eq!(pkts[3].payload, 10);
+    fn message_wire_bytes_counts_every_packet() {
+        let ss = FrameFormat::SlingshotEnhanced;
+        // 4096 + 4096 + 1808 payload bytes, 62 B of headers each.
+        assert_eq!(message_wire_bytes(10_000, ss), 10_000 + 3 * 62);
+        // An exact multiple of the MTU has no remainder packet.
+        assert_eq!(message_wire_bytes(8192, ss), 8192 + 2 * 62);
+        // Zero bytes is one header-only packet, above the 32 B minimum.
+        assert_eq!(message_wire_bytes(0, ss), 62);
     }
 }

@@ -1,19 +1,9 @@
-//! Protocol header sizes used by the Slingshot software stack.
+//! Per-packet encapsulation and frame-size constants.
 //!
 //! The paper (§II-G): HPC traffic is layered over RoCEv2; each packet carries
 //! up to 4 KiB of data plus Ethernet (26 B including preamble), IPv4 (20 B),
 //! UDP (8 B), InfiniBand (14 B) and a RoCEv2 CRC (4 B) — 62 B total.
 
-/// Ethernet header including the preamble, as counted by the paper.
-pub const ETHERNET_HEADER: u32 = 26;
-/// IPv4 header.
-pub const IPV4_HEADER: u32 = 20;
-/// UDP header.
-pub const UDP_HEADER: u32 = 8;
-/// InfiniBand transport headers carried by RoCEv2 (BTH + RETH share).
-pub const INFINIBAND_HEADER: u32 = 14;
-/// RoCEv2 invariant CRC trailer.
-pub const ROCE_CRC: u32 = 4;
 /// Full RoCEv2 encapsulation per packet.
 ///
 /// The paper states "a total of 62 bytes". (Its listed components actually
@@ -31,53 +21,3 @@ pub const STD_MIN_FRAME: u32 = 64;
 pub const SLINGSHOT_MIN_FRAME: u32 = 32;
 /// Standard Ethernet inter-packet gap in byte times.
 pub const STD_INTER_PACKET_GAP: u32 = 12;
-
-/// Per-protocol header stacks for the software layers of Fig. 5.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum HeaderStack {
-    /// Native RDMA verbs over RoCEv2 (62 B).
-    RoceV2,
-    /// IP-over-Slingshot without the Ethernet header (paper: "allows IP
-    /// packets to be sent without an Ethernet header").
-    SlingshotIp,
-    /// UDP/IP over standard Ethernet.
-    UdpIp,
-    /// TCP/IP over standard Ethernet (20 B TCP header, no options).
-    TcpIp,
-}
-
-impl HeaderStack {
-    /// Total header + trailer bytes added to each packet's payload.
-    pub const fn overhead(self) -> u32 {
-        match self {
-            HeaderStack::RoceV2 => ROCEV2_OVERHEAD,
-            HeaderStack::SlingshotIp => ROCEV2_OVERHEAD - ETHERNET_HEADER,
-            HeaderStack::UdpIp => ETHERNET_HEADER + IPV4_HEADER + UDP_HEADER,
-            HeaderStack::TcpIp => ETHERNET_HEADER + IPV4_HEADER + 20,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn paper_total_is_62() {
-        assert_eq!(ROCEV2_OVERHEAD, 62);
-    }
-
-    #[test]
-    fn slingshot_ip_drops_ethernet_header() {
-        assert_eq!(
-            HeaderStack::SlingshotIp.overhead(),
-            HeaderStack::RoceV2.overhead() - ETHERNET_HEADER
-        );
-    }
-
-    #[test]
-    fn stack_overheads() {
-        assert_eq!(HeaderStack::UdpIp.overhead(), 54);
-        assert_eq!(HeaderStack::TcpIp.overhead(), 66);
-    }
-}

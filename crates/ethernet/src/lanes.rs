@@ -1,15 +1,13 @@
-//! Link reliability features: FEC, link-level retry (LLR), lane degrade.
+//! Lane degrade: a port that loses SerDes lanes keeps running slower.
 //!
-//! §II-F: Slingshot implements low-latency Forward Error Correction
-//! (mandatory for Ethernet at ≥ 100 Gb/s), Link-Level Reliability to tolerate
-//! transient errors locally, and lane degrade to survive hard lane failures.
-//! The NIC adds end-to-end retry on top.
-
-use serde::Serialize;
+//! §II-F: Slingshot survives hard lane failures by degrading the port
+//! instead of taking it down. (LLR replay and the NIC's end-to-end retry
+//! are modelled by the network's fault machinery; FEC shows up only as the
+//! raw-to-effective lane rate below.)
 
 /// Per-lane SerDes description of a Rosetta port (§II-A): four lanes of
 /// 56 Gb/s PAM-4, of which 50 Gb/s survive FEC overhead.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct PortLanes {
     /// Number of operational lanes (4 when healthy).
     pub active_lanes: u8,
@@ -51,50 +49,6 @@ impl PortLanes {
     /// Whether the port still carries traffic.
     pub fn is_up(&self) -> bool {
         self.active_lanes > 0
-    }
-}
-
-/// Latency model for link reliability machinery.
-#[derive(Clone, Copy, Debug, Serialize)]
-pub struct ReliabilityModel {
-    /// Fixed latency added by the low-latency FEC codec per hop, ns.
-    pub fec_latency_ns: f64,
-    /// Probability a packet suffers a transient link error and is replayed
-    /// by LLR (per link traversal).
-    pub transient_error_rate: f64,
-    /// Latency of one LLR replay, ns (local retransmission — much cheaper
-    /// than end-to-end).
-    pub llr_replay_ns: f64,
-    /// Whether link-level retry is enabled (Slingshot: yes; plain Ethernet:
-    /// no — errors escalate to end-to-end retry).
-    pub llr_enabled: bool,
-    /// Latency of an end-to-end retry when LLR is absent, ns.
-    pub e2e_retry_ns: f64,
-}
-
-impl ReliabilityModel {
-    /// Slingshot defaults: ~30 ns low-latency FEC, LLR on, 1e-9 transient
-    /// error rate, 600 ns local replay.
-    pub const fn slingshot() -> Self {
-        ReliabilityModel {
-            fec_latency_ns: 30.0,
-            transient_error_rate: 1e-9,
-            llr_replay_ns: 600.0,
-            llr_enabled: true,
-            e2e_retry_ns: 10_000.0,
-        }
-    }
-
-    /// Standard Ethernet at 100 Gb/s: FEC (RS-544) with higher latency, no
-    /// LLR — transient errors cost an end-to-end retry.
-    pub const fn standard_ethernet() -> Self {
-        ReliabilityModel {
-            fec_latency_ns: 100.0,
-            transient_error_rate: 1e-9,
-            llr_replay_ns: 0.0,
-            llr_enabled: false,
-            e2e_retry_ns: 10_000.0,
-        }
     }
 }
 

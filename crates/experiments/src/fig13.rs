@@ -14,7 +14,7 @@ use crate::{driver::Figure, SweepCache};
 use serde::Serialize;
 use slingshot::{Profile, System, SystemBuilder};
 use slingshot_des::{SimDuration, SimTime};
-use slingshot_mpi::{coll, Engine, Job, JobId, MpiOp, ProtocolStack, Script};
+use slingshot_mpi::{coll, Engine, Job, MpiOp, ProtocolStack, Script};
 use slingshot_network::SimError;
 use slingshot_qos::{TrafficClass, TrafficClassSet};
 use slingshot_topology::{Allocation, AllocationPolicy};
@@ -49,34 +49,6 @@ fn alltoall_loop(ranks: u32, bytes: u64) -> Vec<Script> {
     coll::alltoall(ranks, bytes, 0)
         .into_iter()
         .map(|ops| Script::from_ops(ops).repeat_forever())
-        .collect()
-}
-
-/// Per-iteration `(start, duration)` of a looping marked job: iteration k
-/// spans the k-th to (k+1)-th mark of each rank; duration is the max over
-/// ranks (the paper's convention).
-pub fn loop_iterations(eng: &Engine, job: JobId) -> Vec<(SimTime, SimDuration)> {
-    use std::collections::HashMap;
-    let mut per_rank: HashMap<u32, Vec<SimTime>> = HashMap::new();
-    for m in eng.marks() {
-        if m.job == job {
-            per_rank.entry(m.rank).or_default().push(m.at);
-        }
-    }
-    if per_rank.is_empty() {
-        return Vec::new();
-    }
-    let iters = per_rank.values().map(Vec::len).min().unwrap();
-    (0..iters.saturating_sub(1))
-        .map(|k| {
-            let start = per_rank.values().map(|v| v[k]).min().unwrap();
-            let dur = per_rank
-                .values()
-                .map(|v| v[k + 1].since(v[k]))
-                .max()
-                .unwrap();
-            (start, dur)
-        })
         .collect()
 }
 
@@ -132,7 +104,7 @@ fn run_case(scale: Scale, same_class: bool, with_alltoall: bool) -> Result<RunOu
     };
     eng.run_until_time(horizon)?;
     Ok(RunOutput {
-        iterations: loop_iterations(&eng, ar_id),
+        iterations: eng.iterations(ar_id),
     })
 }
 

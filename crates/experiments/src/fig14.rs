@@ -33,30 +33,20 @@ pub struct Fig14Row {
 }
 
 /// Streaming scripts: each rank puts `msg` bytes to its partner across the
-/// job's own bisection, looping forever (`passes: None`) or for a fixed
-/// pass count.
-fn stream_scripts(ranks: u32, msg: u64, passes: Option<u32>) -> Vec<Script> {
+/// job's own bisection, looping forever.
+fn stream_scripts(ranks: u32, msg: u64) -> Vec<Script> {
     let half = ranks / 2;
     (0..ranks)
         .map(|r| {
             let partner = (r + half) % ranks;
-            let mut ops = vec![
+            Script::from_ops(vec![
                 MpiOp::Put {
                     dst: partner,
                     bytes: msg,
                 },
                 MpiOp::Fence,
-            ];
-            match passes {
-                Some(p) => {
-                    let body = ops.clone();
-                    for _ in 1..p {
-                        ops.extend(body.iter().copied());
-                    }
-                    Script::from_ops(ops)
-                }
-                None => Script::from_ops(ops).repeat_forever(),
-            }
+            ])
+            .repeat_forever()
         })
         .collect()
 }
@@ -102,16 +92,11 @@ fn run_case(scale: Scale, same_class: bool) -> Result<Vec<Fig14Row>, SimError> {
 
     let j1 = Job::new(job1_nodes.clone());
     let r1 = j1.ranks();
-    let j1_id = eng.add_job(j1, stream_scripts(r1, msg, None), 0, SimTime::ZERO);
+    let j1_id = eng.add_job(j1, stream_scripts(r1, msg), 0, SimTime::ZERO);
     let j2 = Job::new(job2_nodes.clone());
     let r2 = j2.ranks();
     let tc2 = if same_class { 0 } else { 1 };
-    eng.add_job(
-        j2,
-        stream_scripts(r2, msg, None),
-        tc2,
-        SimTime::from_us(900),
-    );
+    eng.add_job(j2, stream_scripts(r2, msg), tc2, SimTime::from_us(900));
 
     let step = SimTime::from_us(100);
     let mut rows = Vec::new();

@@ -176,13 +176,7 @@ impl Figure for Fig6 {
 }
 
 /// Aggregate all-to-all bandwidth: total exchanged payload over the
-/// collective's completion time. Panics on a simulation error — callers
-/// that isolate failures use [`try_alltoall_gbps`].
-pub fn alltoall_gbps(params: DragonflyParams, bytes: u64, ppn: u32, scale: Scale) -> f64 {
-    try_alltoall_gbps(params, bytes, ppn, scale).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`alltoall_gbps`] returning the typed simulation error.
+/// collective's completion time, or the typed simulation error.
 pub fn try_alltoall_gbps(
     params: DragonflyParams,
     bytes: u64,
@@ -208,14 +202,8 @@ pub fn try_alltoall_gbps(
 }
 
 /// Aggregate bisection bandwidth: every node pairs with its mirror in the
-/// other half; both stream a fixed volume; bandwidth = volume / time.
-/// Panics on a simulation error — callers that isolate failures use
-/// [`try_bisection_gbps`].
-pub fn bisection_gbps(params: DragonflyParams, msg_bytes: u64, scale: Scale) -> f64 {
-    try_bisection_gbps(params, msg_bytes, scale).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`bisection_gbps`] returning the typed simulation error.
+/// other half; both stream a fixed volume; bandwidth = volume / time, or
+/// the typed simulation error.
 pub fn try_bisection_gbps(
     params: DragonflyParams,
     msg_bytes: u64,
@@ -292,7 +280,7 @@ mod tests {
     fn large_alltoall_reaches_fraction_of_peak_and_256b_dips() {
         let params = shandy_scaled(2);
         let (_, theo) = theoretical_gbps(&params, 200.0);
-        let large = alltoall_gbps(params, 8 << 10, 1, Scale::Tiny);
+        let large = try_alltoall_gbps(params, 8 << 10, 1, Scale::Tiny).unwrap();
         // Scaled 2-group system with PPN 1 cannot saturate, but must reach
         // a large fraction of the injection-limited bound and a visible
         // fraction of the topology peak.
@@ -300,8 +288,8 @@ mod tests {
         // The 256 B algorithm switch produces a local throughput dip:
         // 256 B (Bruck, aggregated) outperforms 512 B-per-rank pairwise
         // relative to message size scaling.
-        let b256 = alltoall_gbps(params, 256, 1, Scale::Tiny);
-        let b512 = alltoall_gbps(params, 512, 1, Scale::Tiny);
+        let b256 = try_alltoall_gbps(params, 256, 1, Scale::Tiny).unwrap();
+        let b512 = try_alltoall_gbps(params, 512, 1, Scale::Tiny).unwrap();
         let scaling = b512 / b256;
         // Without the switch, doubling the size should roughly double
         // throughput in the overhead-bound regime; the switch cuts that.
@@ -312,7 +300,7 @@ mod tests {
     fn bisection_measures_positive_fraction() {
         let params = shandy_scaled(2);
         let (theo, _) = theoretical_gbps(&params, 200.0);
-        let measured = bisection_gbps(params, 64 << 10, Scale::Tiny);
+        let measured = try_bisection_gbps(params, 64 << 10, Scale::Tiny).unwrap();
         assert!(measured > 0.0);
         // Injection-limited: 256 nodes × 100 Gb/s = 25.6 Tb/s max; theo
         // bisection for 2 groups = 8 cables × 200 × 2 = 3.2 Tb/s — the

@@ -165,7 +165,7 @@ fn run_quarantined<U>(
 }
 
 /// [`par_map`] with fault isolation: each cell runs under
-/// [`run_quarantined`], so one panicking or stalled cell yields a
+/// `run_quarantined`, so one panicking or stalled cell yields a
 /// structured error row while every other cell completes normally.
 /// Output order matches input order; the all-success result is identical
 /// to `par_map(items, f)` wrapped in `Ok`.

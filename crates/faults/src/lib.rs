@@ -5,13 +5,13 @@
 //!
 //! A [`FaultSchedule`] is a time-sorted list of [`FaultEvent`]s — transient
 //! bit-error bursts, lane degrades, link-down/link-up flaps, and
-//! whole-switch failures — built either from a seeded RNG
-//! ([`FaultSchedule::random`]) or from an explicit JSON scenario spec
-//! ([`FaultSchedule::from_json_str`]). The network installs the schedule
-//! into its event queue and pairs it with a [`RecoveryConfig`] describing
-//! the recovery ladder: LLR replay (bounded retries), lane degrade
-//! (bandwidth loss), link down (reroute), and NIC end-to-end timeout/retry
-//! with exponential backoff.
+//! whole-switch failures — built from a seeded RNG
+//! ([`FaultSchedule::random`]) or from explicit events
+//! ([`FaultSchedule::new`]). The network installs the schedule into its
+//! event queue and pairs it with a [`RecoveryConfig`] describing the
+//! recovery ladder: LLR replay (bounded retries), lane degrade (bandwidth
+//! loss), link down (reroute), and NIC end-to-end timeout/retry with
+//! exponential backoff.
 //!
 //! Everything here is plain data: same seed + same parameters ⇒ the same
 //! schedule, byte for byte, at any thread count.
@@ -22,7 +22,7 @@ mod recovery;
 mod schedule;
 
 pub use recovery::{RecoveryConfig, E2E_BACKOFF_CAP};
-pub use schedule::{FaultEvent, FaultKind, FaultRates, FaultSchedule, ScheduleError};
+pub use schedule::{FaultEvent, FaultKind, FaultRates, FaultSchedule};
 
 /// A fault schedule plus the recovery policy to survive it: what the
 /// network needs to run a fault scenario.

@@ -1,8 +1,6 @@
 //! Recovery-policy knobs: how hard the network fights each fault class.
 
-use serde::{Serialize, Value};
 use slingshot_des::SimDuration;
-use slingshot_ethernet::ReliabilityModel;
 
 /// Retry attempt beyond which the end-to-end timeout stops growing: every
 /// attempt from here on waits `e2e_timeout * e2e_backoff^E2E_BACKOFF_CAP`.
@@ -12,9 +10,12 @@ pub const E2E_BACKOFF_CAP: u32 = 32;
 /// link down → reroute → end-to-end retry.
 #[derive(Clone, Copy, Debug)]
 pub struct RecoveryConfig {
-    /// Link reliability constants (FEC latency, base transient error rate,
-    /// LLR replay latency).
-    pub reliability: ReliabilityModel,
+    /// Probability a packet suffers a transient link error and is replayed
+    /// by LLR (per link traversal).
+    pub transient_error_rate: f64,
+    /// Latency of one LLR replay, ns (local retransmission — much cheaper
+    /// than end-to-end).
+    pub llr_replay_ns: f64,
     /// LLR replay attempts per packet before the link is declared bad and
     /// taken down.
     pub llr_max_retries: u8,
@@ -33,11 +34,13 @@ pub struct RecoveryConfig {
 }
 
 impl RecoveryConfig {
-    /// Slingshot defaults: LLR on with 7 local replays, 50 µs initial e2e
-    /// timeout doubling per retry up to 8 attempts, 20 µs link retrain.
+    /// Slingshot defaults: 1e-9 transient error rate, 600 ns LLR replay
+    /// with 7 local replays, 50 µs initial e2e timeout doubling per retry
+    /// up to 8 attempts, 20 µs link retrain.
     pub fn slingshot() -> Self {
         RecoveryConfig {
-            reliability: ReliabilityModel::slingshot(),
+            transient_error_rate: 1e-9,
+            llr_replay_ns: 600.0,
             llr_max_retries: 7,
             e2e_timeout: SimDuration::from_us(50),
             e2e_backoff: 2.0,
@@ -58,35 +61,6 @@ impl RecoveryConfig {
 impl Default for RecoveryConfig {
     fn default() -> Self {
         RecoveryConfig::slingshot()
-    }
-}
-
-// Hand-written: SimDuration has no serde impl; durations render in ns.
-impl Serialize for RecoveryConfig {
-    fn serialize(&self) -> Value {
-        Value::Object(vec![
-            ("reliability".to_string(), self.reliability.serialize()),
-            (
-                "llr_max_retries".to_string(),
-                Value::UInt(self.llr_max_retries as u64),
-            ),
-            (
-                "e2e_timeout_ns".to_string(),
-                Value::UInt(self.e2e_timeout.as_ps() / 1000),
-            ),
-            ("e2e_backoff".to_string(), Value::Float(self.e2e_backoff)),
-            (
-                "e2e_max_retries".to_string(),
-                Value::UInt(self.e2e_max_retries as u64),
-            ),
-            (
-                "link_repair_ns".to_string(),
-                match self.link_repair {
-                    Some(d) => Value::UInt(d.as_ps() / 1000),
-                    None => Value::Null,
-                },
-            ),
-        ])
     }
 }
 
@@ -112,6 +86,5 @@ mod tests {
         let r = RecoveryConfig::default();
         assert!(r.llr_max_retries > 0);
         assert!(r.e2e_max_retries > 0);
-        assert!(r.reliability.llr_enabled);
     }
 }

@@ -1,9 +1,7 @@
 //! Fault schedules: what breaks, when.
 
-use serde::{Serialize, Value};
 use slingshot_des::{DetRng, SimDuration, SimTime};
 use slingshot_topology::{ChannelId, SwitchId};
-use std::fmt;
 
 /// One kind of injected fault.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -52,20 +50,6 @@ pub enum FaultKind {
     },
 }
 
-impl FaultKind {
-    /// Stable JSON tag for this kind.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            FaultKind::TransientBurst { .. } => "transient_burst",
-            FaultKind::LaneDegrade { .. } => "lane_degrade",
-            FaultKind::LinkDown { .. } => "link_down",
-            FaultKind::LinkUp { .. } => "link_up",
-            FaultKind::SwitchDown { .. } => "switch_down",
-            FaultKind::SwitchUp { .. } => "switch_up",
-        }
-    }
-}
-
 /// A fault at an instant.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FaultEvent {
@@ -74,58 +58,6 @@ pub struct FaultEvent {
     /// What breaks.
     pub kind: FaultKind,
 }
-
-// The vendored serde_derive rejects data-carrying enum variants, so the
-// schedule's JSON shape is written by hand: one flat tagged object per
-// event, times in nanoseconds.
-impl Serialize for FaultEvent {
-    fn serialize(&self) -> Value {
-        let mut obj = vec![
-            ("at_ns".to_string(), Value::UInt(self.at.as_ns())),
-            ("kind".to_string(), Value::Str(self.kind.tag().to_string())),
-        ];
-        match self.kind {
-            FaultKind::TransientBurst {
-                channel,
-                error_rate,
-                duration,
-            } => {
-                obj.push(("channel".to_string(), Value::UInt(channel.0 as u64)));
-                obj.push(("error_rate".to_string(), Value::Float(error_rate)));
-                obj.push((
-                    "duration_ns".to_string(),
-                    Value::UInt(duration.as_ps() / 1000),
-                ));
-            }
-            FaultKind::LaneDegrade {
-                channel,
-                failed_lanes,
-            } => {
-                obj.push(("channel".to_string(), Value::UInt(channel.0 as u64)));
-                obj.push(("failed_lanes".to_string(), Value::UInt(failed_lanes as u64)));
-            }
-            FaultKind::LinkDown { channel } | FaultKind::LinkUp { channel } => {
-                obj.push(("channel".to_string(), Value::UInt(channel.0 as u64)));
-            }
-            FaultKind::SwitchDown { switch } | FaultKind::SwitchUp { switch } => {
-                obj.push(("switch".to_string(), Value::UInt(switch.0 as u64)));
-            }
-        }
-        Value::Object(obj)
-    }
-}
-
-/// Error loading a schedule from a JSON spec.
-#[derive(Debug)]
-pub struct ScheduleError(String);
-
-impl fmt::Display for ScheduleError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "fault schedule spec: {}", self.0)
-    }
-}
-
-impl std::error::Error for ScheduleError {}
 
 /// Whole-network fault rates for [`FaultSchedule::random`]. Rates are
 /// events per simulated second across the entire network; each event picks
@@ -175,47 +107,6 @@ impl FaultRates {
             switch_failures_per_sec: self.switch_failures_per_sec * factor,
             ..*self
         }
-    }
-}
-
-// Durations are rendered in nanoseconds (SimDuration itself has no serde
-// impl), so rate settings can be reported next to experiment rows.
-impl Serialize for FaultRates {
-    fn serialize(&self) -> Value {
-        Value::Object(vec![
-            (
-                "link_flaps_per_sec".to_string(),
-                Value::Float(self.link_flaps_per_sec),
-            ),
-            (
-                "flap_downtime_ns".to_string(),
-                Value::UInt(self.flap_downtime.as_ps() / 1000),
-            ),
-            (
-                "bursts_per_sec".to_string(),
-                Value::Float(self.bursts_per_sec),
-            ),
-            (
-                "burst_error_rate".to_string(),
-                Value::Float(self.burst_error_rate),
-            ),
-            (
-                "burst_duration_ns".to_string(),
-                Value::UInt(self.burst_duration.as_ps() / 1000),
-            ),
-            (
-                "lane_degrades_per_sec".to_string(),
-                Value::Float(self.lane_degrades_per_sec),
-            ),
-            (
-                "switch_failures_per_sec".to_string(),
-                Value::Float(self.switch_failures_per_sec),
-            ),
-            (
-                "switch_downtime_ns".to_string(),
-                Value::UInt(self.switch_downtime.as_ps() / 1000),
-            ),
-        ])
     }
 }
 
@@ -354,93 +245,6 @@ impl FaultSchedule {
         }
         FaultSchedule::new(events)
     }
-
-    /// Render the schedule as a JSON scenario spec.
-    pub fn to_json_string(&self) -> String {
-        serde_json::to_string_pretty(self).expect("schedule serialization cannot fail")
-    }
-
-    /// Load a schedule from a JSON scenario spec (the format
-    /// [`FaultSchedule::to_json_string`] writes).
-    pub fn from_json_str(s: &str) -> Result<Self, ScheduleError> {
-        let root = serde_json::from_str(s).map_err(|e| ScheduleError(e.to_string()))?;
-        let Value::Array(items) = root else {
-            return Err(ScheduleError("top level must be an array".to_string()));
-        };
-        let mut events = Vec::with_capacity(items.len());
-        for (i, item) in items.iter().enumerate() {
-            events.push(parse_event(item).map_err(|e| ScheduleError(format!("event {i}: {e}")))?);
-        }
-        Ok(FaultSchedule::new(events))
-    }
-}
-
-impl Serialize for FaultSchedule {
-    fn serialize(&self) -> Value {
-        Value::Array(self.events.iter().map(|e| e.serialize()).collect())
-    }
-}
-
-fn field<'a>(obj: &'a [(String, Value)], key: &str) -> Result<&'a Value, String> {
-    obj.iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("missing field {key:?}"))
-}
-
-fn as_u64(v: &Value, key: &str) -> Result<u64, String> {
-    match v {
-        Value::UInt(u) => Ok(*u),
-        Value::Int(i) if *i >= 0 => Ok(*i as u64),
-        Value::Float(f) if *f >= 0.0 && f.fract() == 0.0 => Ok(*f as u64),
-        _ => Err(format!("field {key:?} must be a non-negative integer")),
-    }
-}
-
-fn as_f64(v: &Value, key: &str) -> Result<f64, String> {
-    match v {
-        Value::UInt(u) => Ok(*u as f64),
-        Value::Int(i) => Ok(*i as f64),
-        Value::Float(f) => Ok(*f),
-        _ => Err(format!("field {key:?} must be a number")),
-    }
-}
-
-fn u64_field(obj: &[(String, Value)], key: &str) -> Result<u64, String> {
-    as_u64(field(obj, key)?, key)
-}
-
-fn parse_event(item: &Value) -> Result<FaultEvent, String> {
-    let Value::Object(obj) = item else {
-        return Err("must be an object".to_string());
-    };
-    let at = SimTime::from_ns(u64_field(obj, "at_ns")?);
-    let Value::Str(kind) = field(obj, "kind")? else {
-        return Err("field \"kind\" must be a string".to_string());
-    };
-    let channel = || u64_field(obj, "channel").map(|c| ChannelId(c as u32));
-    let switch = || u64_field(obj, "switch").map(|s| SwitchId(s as u32));
-    let kind = match kind.as_str() {
-        "transient_burst" => FaultKind::TransientBurst {
-            channel: channel()?,
-            error_rate: as_f64(field(obj, "error_rate")?, "error_rate")?,
-            duration: SimDuration::from_ns(u64_field(obj, "duration_ns")?),
-        },
-        "lane_degrade" => FaultKind::LaneDegrade {
-            channel: channel()?,
-            failed_lanes: u64_field(obj, "failed_lanes")?.min(u8::MAX as u64) as u8,
-        },
-        "link_down" => FaultKind::LinkDown {
-            channel: channel()?,
-        },
-        "link_up" => FaultKind::LinkUp {
-            channel: channel()?,
-        },
-        "switch_down" => FaultKind::SwitchDown { switch: switch()? },
-        "switch_up" => FaultKind::SwitchUp { switch: switch()? },
-        other => return Err(format!("unknown kind {other:?}")),
-    };
-    Ok(FaultEvent { at, kind })
 }
 
 #[cfg(test)]
@@ -509,63 +313,5 @@ mod tests {
         let lo = FaultSchedule::random(1, h, 48, 16, &rates).len();
         let hi = FaultSchedule::random(1, h, 48, 16, &rates.scaled(8.0)).len();
         assert!(hi > lo * 4, "8x rates gave {lo} -> {hi} events");
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let s = FaultSchedule::new(vec![
-            FaultEvent {
-                at: SimTime::from_us(5),
-                kind: FaultKind::TransientBurst {
-                    channel: ChannelId(3),
-                    error_rate: 0.25,
-                    duration: SimDuration::from_us(10),
-                },
-            },
-            FaultEvent {
-                at: SimTime::from_us(6),
-                kind: FaultKind::LaneDegrade {
-                    channel: ChannelId(4),
-                    failed_lanes: 2,
-                },
-            },
-            FaultEvent {
-                at: SimTime::from_us(7),
-                kind: FaultKind::SwitchDown {
-                    switch: SwitchId(1),
-                },
-            },
-            FaultEvent {
-                at: SimTime::from_us(8),
-                kind: FaultKind::SwitchUp {
-                    switch: SwitchId(1),
-                },
-            },
-            FaultEvent {
-                at: SimTime::from_us(9),
-                kind: FaultKind::LinkDown {
-                    channel: ChannelId(3),
-                },
-            },
-            FaultEvent {
-                at: SimTime::from_us(10),
-                kind: FaultKind::LinkUp {
-                    channel: ChannelId(3),
-                },
-            },
-        ]);
-        let text = s.to_json_string();
-        let loaded = FaultSchedule::from_json_str(&text).expect("round trip");
-        assert_eq!(loaded, s);
-    }
-
-    #[test]
-    fn spec_errors_are_reported() {
-        assert!(FaultSchedule::from_json_str("{}").is_err());
-        assert!(FaultSchedule::from_json_str("[{\"at_ns\": 1}]").is_err());
-        assert!(
-            FaultSchedule::from_json_str("[{\"at_ns\": 1, \"kind\": \"meteor_strike\"}]").is_err()
-        );
-        assert!(FaultSchedule::from_json_str("[{\"at_ns\": 1, \"kind\": \"link_down\"}]").is_err());
     }
 }

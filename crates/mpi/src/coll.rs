@@ -2,7 +2,7 @@
 //!
 //! Each collective is expanded into per-rank point-to-point fragments using
 //! the classic MPICH algorithms (Thakur, Rabenseifner & Gropp, 2005 — the
-//! paper's reference [35]): dissemination barrier, recursive doubling /
+//! paper's reference \[35\]): dissemination barrier, recursive doubling /
 //! ring allreduce, Bruck / pairwise all-to-all (with the 256-byte switch
 //! the paper observes in Fig. 6) and binomial broadcast.
 

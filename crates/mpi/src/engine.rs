@@ -523,30 +523,39 @@ impl Engine {
         }
     }
 
-    /// Per-iteration durations of a job whose script brackets iterations
-    /// with increasing `Mark` values: iteration `k` spans marks `k → k+1`;
-    /// its duration is the maximum over ranks (the paper's convention).
-    pub fn iteration_durations(&self, id: JobId) -> Vec<SimDuration> {
+    /// Per-iteration `(start, duration)` of a job whose script brackets
+    /// iterations with increasing `Mark` values: iteration `k` spans marks
+    /// `k → k+1`; it starts at the earliest rank's mark `k` and its
+    /// duration is the maximum over ranks (the paper's convention).
+    pub fn iterations(&self, id: JobId) -> Vec<(SimTime, SimDuration)> {
         let mut per_rank: HashMap<Rank, Vec<SimTime>> = HashMap::new();
         for m in &self.marks {
             if m.job == id {
                 per_rank.entry(m.rank).or_default().push(m.at);
             }
         }
-        if per_rank.is_empty() {
-            return Vec::new();
-        }
-        let iters = per_rank.values().map(|v| v.len()).min().unwrap_or(0);
-        let mut out = Vec::new();
-        for k in 0..iters.saturating_sub(1) {
-            let max_dur = per_rank
-                .values()
-                .map(|v| v[k + 1].since(v[k]))
-                .max()
-                .unwrap_or(SimDuration::ZERO);
-            out.push(max_dur);
-        }
-        out
+        let iters = per_rank.values().map(Vec::len).min().unwrap_or(0);
+        (0..iters.saturating_sub(1))
+            .map(|k| {
+                let start = per_rank
+                    .values()
+                    .map(|v| v[k])
+                    .min()
+                    .expect("a job with iterations has ranks");
+                let dur = per_rank
+                    .values()
+                    .map(|v| v[k + 1].since(v[k]))
+                    .max()
+                    .expect("a job with iterations has ranks");
+                (start, dur)
+            })
+            .collect()
+    }
+
+    /// Per-iteration durations of a marked job: [`Engine::iterations`]
+    /// without the start times.
+    pub fn iteration_durations(&self, id: JobId) -> Vec<SimDuration> {
+        self.iterations(id).into_iter().map(|(_, d)| d).collect()
     }
 }
 

@@ -239,6 +239,8 @@ fn iteration_durations_from_marks() {
     for d in iters {
         assert_eq!(d, SimDuration::from_us(10));
     }
+    let starts: Vec<SimTime> = eng.iterations(id).iter().map(|&(t, _)| t).collect();
+    assert_eq!(starts, [SimTime::ZERO, SimTime::from_us(10)]);
 }
 
 #[test]

@@ -2,11 +2,18 @@
 
 use slingshot_congestion::{CcConfig, SlingshotCcParams};
 use slingshot_des::SimDuration;
-use slingshot_ethernet::{FrameFormat, HeaderStack};
+use slingshot_ethernet::FrameFormat;
 use slingshot_qos::TrafficClassSet;
 use slingshot_rosetta::LatencyModel;
-use slingshot_routing::{AdaptiveParams, RoutingAlgorithm};
+use slingshot_routing::RoutingAlgorithm;
 use slingshot_topology::DragonflyParams;
+
+/// Input buffer per switch port, bytes, split evenly across traffic classes.
+const INPUT_BUFFER_BYTES: u64 = 256 << 10;
+
+/// Ejection-queue depth at which the destination reports endpoint
+/// congestion in its acks.
+pub(crate) const EP_CONGESTION_THRESHOLD: u64 = 48 << 10;
 
 /// Full configuration of a simulated network.
 #[derive(Clone, Debug)]
@@ -25,21 +32,12 @@ pub struct NetworkConfig {
     pub switch_latency: LatencyModel,
     /// Routing algorithm.
     pub routing: RoutingAlgorithm,
-    /// Adaptive-routing tunables.
-    pub adaptive: AdaptiveParams,
     /// Congestion control.
     pub cc: CcConfig,
     /// Traffic classes (a single permissive class unless QoS is exercised).
     pub traffic_classes: TrafficClassSet,
-    /// Input buffer per switch port, bytes, split evenly across classes.
-    pub input_buffer_bytes: u64,
-    /// Ejection-queue depth at which the destination reports endpoint
-    /// congestion in its acks.
-    pub ep_congestion_threshold: u64,
-    /// Wire framing.
+    /// Wire framing (every packet carries the RoCEv2 encapsulation).
     pub frame: FrameFormat,
-    /// Header stack per packet.
-    pub stack: HeaderStack,
     /// Fixed processing overhead added to every end-to-end ack return.
     pub ack_overhead: SimDuration,
     /// Latency of a node-local (src == dst) message.
@@ -69,13 +67,9 @@ impl NetworkConfig {
             bandwidth_taper: 1.0,
             switch_latency: LatencyModel::rosetta(),
             routing: RoutingAlgorithm::Adaptive,
-            adaptive: AdaptiveParams::default(),
             cc: CcConfig::Slingshot(SlingshotCcParams::default()),
             traffic_classes: TrafficClassSet::single(),
-            input_buffer_bytes: 256 << 10,
-            ep_congestion_threshold: 48 << 10,
             frame: FrameFormat::SlingshotEnhanced,
-            stack: HeaderStack::RoceV2,
             ack_overhead: SimDuration::from_ns(200),
             loopback_latency: SimDuration::from_ns(400),
             seed: 0xC0FFEE,
@@ -95,13 +89,9 @@ impl NetworkConfig {
             bandwidth_taper: 1.0,
             switch_latency: LatencyModel::aries(),
             routing: RoutingAlgorithm::Adaptive,
-            adaptive: AdaptiveParams::default(),
             cc: CcConfig::None { window: 16 << 20 },
             traffic_classes: TrafficClassSet::single(),
-            input_buffer_bytes: 256 << 10,
-            ep_congestion_threshold: 48 << 10,
             frame: FrameFormat::StandardEthernet,
-            stack: HeaderStack::RoceV2,
             ack_overhead: SimDuration::from_ns(300),
             loopback_latency: SimDuration::from_ns(600),
             seed: 0xC0FFEE,
@@ -123,7 +113,7 @@ impl NetworkConfig {
 
     /// Input buffer available per traffic class on each port.
     pub fn buffer_per_class(&self) -> u64 {
-        (self.input_buffer_bytes / self.traffic_classes.len() as u64).max(4096)
+        (INPUT_BUFFER_BYTES / self.traffic_classes.len() as u64).max(4096)
     }
 }
 

@@ -253,7 +253,7 @@ impl FaultRuntime {
     /// Per-traversal transient error probability on channel `ch` at `now`:
     /// the base rate plus any active burst.
     pub fn error_rate(&self, ch: usize, now: SimTime) -> f64 {
-        let base = self.recovery.reliability.transient_error_rate;
+        let base = self.recovery.transient_error_rate;
         if now < self.burst_until[ch] {
             base + self.burst_rate[ch]
         } else {
@@ -309,7 +309,7 @@ mod tests {
         let topo = slingshot_topology::tiny().build();
         let cfg = FaultConfig::new(slingshot_faults::FaultSchedule::empty());
         let mut rt = FaultRuntime::new(&cfg, &topo, 7);
-        let base = rt.recovery.reliability.transient_error_rate;
+        let base = rt.recovery.transient_error_rate;
         rt.burst_rate[0] = 0.25;
         rt.burst_until[0] = SimTime::from_us(10);
         assert!((rt.error_rate(0, SimTime::from_us(5)) - (base + 0.25)).abs() < 1e-12);

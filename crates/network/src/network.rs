@@ -1,6 +1,6 @@
 //! The assembled packet-level network simulator.
 
-use crate::config::NetworkConfig;
+use crate::config::{NetworkConfig, EP_CONGESTION_THRESHOLD};
 use crate::error::{
     ClassVcCredits, NicHotspot, PortHotspot, SimError, StallReport, STALL_REPORT_TOP_N,
 };
@@ -470,7 +470,7 @@ impl Network {
         let unacked = if src == dst {
             0
         } else {
-            message_wire_bytes(bytes, self.cfg.frame, self.cfg.stack)
+            message_wire_bytes(bytes, self.cfg.frame)
         };
         // Receiver-side dedup bitmap, one bit per chunk (fault mode only;
         // loopback messages never produce copies).
@@ -760,7 +760,7 @@ impl Network {
             let msg_id = *nic.active.front().expect("checked non-empty");
             let st = &self.messages[msg_id.0 as usize];
             let payload = st.remaining_to_inject.min(MAX_PAYLOAD as u64) as u32;
-            let wire = self.cfg.frame.wire_bytes(payload, self.cfg.stack);
+            let wire = self.cfg.frame.wire_bytes(payload);
             // Chunks leave the NIC in offset order, MAX_PAYLOAD apart.
             let chunk = ((st.bytes - st.remaining_to_inject) / MAX_PAYLOAD as u64) as u32;
             let dst = st.dst;
@@ -917,15 +917,8 @@ impl Network {
         }
         // Routing decisions read the live load view; split borrows keep the
         // router's view disjoint from the RNG and packet.
-        let router = match &self.faults {
-            Some(rt) => Router::with_liveness(
-                &self.topo,
-                self.cfg.routing,
-                self.cfg.adaptive,
-                &rt.liveness,
-            ),
-            None => Router::new(&self.topo, self.cfg.routing, self.cfg.adaptive),
-        };
+        let liveness = self.faults.as_ref().map(|rt| &rt.liveness);
+        let router = Router::new(&self.topo, self.cfg.routing, liveness);
         let view = LoadView {
             switches: &self.switches,
             chan_port: &self.chan_port,
@@ -1216,7 +1209,7 @@ impl Network {
             pkt.llr += 1;
             rt.stats.llr_replays += 1;
             self.kernel.llr_replays += 1;
-            let replay = SimDuration::from_ns_f64(rt.recovery.reliability.llr_replay_ns);
+            let replay = SimDuration::from_ns_f64(rt.recovery.llr_replay_ns);
             if let Some(t) = self.telemetry.as_deref_mut() {
                 t.hub.count(CountKind::LlrReplay, now.as_ps());
                 if pkt.traced {
@@ -1465,7 +1458,7 @@ impl Network {
         let (src, dst, tc, bytes) = (st.src, st.dst, st.tc, st.bytes);
         let offset = chunk as u64 * MAX_PAYLOAD as u64;
         let payload = (bytes - offset).min(MAX_PAYLOAD as u64) as u32;
-        let wire = self.cfg.frame.wire_bytes(payload, self.cfg.stack);
+        let wire = self.cfg.frame.wire_bytes(payload);
         let rt = self.faults.as_mut().expect("e2e timer outside fault mode");
         let Some(entry) = rt.retry.get_mut(&(msg.0, chunk)) else {
             return; // acknowledged before the timer fired
@@ -1618,7 +1611,7 @@ impl Network {
         let (src, dst, wire) = (pkt.src.0, pkt.dst.0, pkt.wire);
         let (msg, chunk, copy, depth) = (pkt.msg, pkt.chunk, pkt.copy, pkt.ep_depth);
         self.pkts.free(h);
-        let congested = depth >= self.cfg.ep_congestion_threshold;
+        let congested = depth >= EP_CONGESTION_THRESHOLD;
         if let Some(rt) = self.faults.as_mut() {
             if rt.retry.get(&(msg.0, chunk)).map(|e| e.copy) == Some(copy) {
                 rt.retry.remove(&(msg.0, chunk));

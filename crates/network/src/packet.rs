@@ -63,7 +63,7 @@ pub struct Packet {
     pub traced: bool,
 }
 
-/// Handle to a packet stored in the network's [`PacketSlab`]: events and
+/// Handle to a packet stored in the network's packet slab: events and
 /// queues carry this 4-byte index instead of moving the packet itself.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PacketHandle(pub u32);

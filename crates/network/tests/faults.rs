@@ -327,7 +327,7 @@ fn acked_copies_cost_at_most_two_timer_events_per_line() {
         },
     );
     let mut faults = FaultConfig::new(schedule);
-    faults.recovery.reliability.transient_error_rate = 0.0;
+    faults.recovery.transient_error_rate = 0.0;
     let timeout = faults.recovery.e2e_timeout;
     cfg.faults = Some(faults);
     let mut net = Network::new(cfg);

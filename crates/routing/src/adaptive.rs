@@ -18,36 +18,22 @@ pub enum RoutingAlgorithm {
     Adaptive,
 }
 
-/// Tunables of the adaptive decision.
-#[derive(Clone, Copy, Debug)]
-pub struct AdaptiveParams {
-    /// Minimal first-hop candidates examined (≤ 2 in hardware).
-    pub minimal_candidates: usize,
-    /// Non-minimal candidates examined (≤ 2 in hardware; minimal +
-    /// non-minimal together give the paper's "up to four paths").
-    pub nonminimal_candidates: usize,
-    /// Multiplicative bias applied to non-minimal path cost. The paper:
-    /// "adaptive routing biases packets to take minimal paths more
-    /// frequently, to compensate for the higher cost of non-minimal paths".
-    pub nonminimal_bias: f64,
-    /// Constant cost (bytes) added per switch-to-switch hop, converting hop
-    /// count into the queue-depth cost unit.
-    pub hop_cost_bytes: u64,
-}
+// Tunables of the adaptive decision (both profiles use these values).
 
-impl Default for AdaptiveParams {
-    fn default() -> Self {
-        AdaptiveParams {
-            minimal_candidates: 2,
-            nonminimal_candidates: 2,
-            nonminimal_bias: 2.0,
-            hop_cost_bytes: 4096,
-        }
-    }
-}
+/// Minimal first-hop candidates examined (≤ 2 in hardware).
+const MINIMAL_CANDIDATES: usize = 2;
+/// Non-minimal candidates examined (≤ 2 in hardware; minimal + non-minimal
+/// together give the paper's "up to four paths").
+const NONMINIMAL_CANDIDATES: usize = 2;
+/// Multiplicative bias applied to non-minimal path cost. The paper:
+/// "adaptive routing biases packets to take minimal paths more frequently,
+/// to compensate for the higher cost of non-minimal paths".
+const NONMINIMAL_BIAS: f64 = 2.0;
+/// Constant cost (bytes) added per switch-to-switch hop, converting hop
+/// count into the queue-depth cost unit.
+const HOP_COST_BYTES: u64 = 4096;
 
-/// Per-hop forwarding outcome (liveness-aware form of
-/// [`Router::next_channel`]).
+/// Per-hop forwarding outcome of [`Router::next_hop`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum HopDecision {
     /// Forward on this channel.
@@ -64,7 +50,6 @@ pub enum HopDecision {
 pub struct Router<'a> {
     topo: &'a Dragonfly,
     algo: RoutingAlgorithm,
-    params: AdaptiveParams,
     /// Fault-mode channel/switch liveness. `None` (the default) is the
     /// healthy fast path: candidate filtering compiles down to the
     /// original all-alive code and consumes identical RNG draws.
@@ -72,30 +57,19 @@ pub struct Router<'a> {
 }
 
 impl<'a> Router<'a> {
-    /// New router over a fully healthy network.
-    pub fn new(topo: &'a Dragonfly, algo: RoutingAlgorithm, params: AdaptiveParams) -> Self {
-        Router {
-            topo,
-            algo,
-            params,
-            liveness: None,
-        }
-    }
-
-    /// New router consulting `liveness`: dead channels and channels landing
-    /// on dead switches are skipped when picking candidates (still without
-    /// allocating — the borrowed CSR slices are filtered in place).
-    pub fn with_liveness(
+    /// New router over `topo`. With a `liveness` mask, dead channels and
+    /// channels landing on dead switches are skipped when picking
+    /// candidates (still without allocating — the borrowed CSR slices are
+    /// filtered in place); `None` routes over a fully healthy network.
+    pub fn new(
         topo: &'a Dragonfly,
         algo: RoutingAlgorithm,
-        params: AdaptiveParams,
-        liveness: &'a Liveness,
+        liveness: Option<&'a Liveness>,
     ) -> Self {
         Router {
             topo,
             algo,
-            params,
-            liveness: Some(liveness),
+            liveness,
         }
     }
 
@@ -136,31 +110,6 @@ impl<'a> Router<'a> {
             RoutingAlgorithm::Adaptive => self.adaptive_choice(src, dst, view, rng),
         };
         RouteState::new(dst, via)
-    }
-
-    /// Per-switch forwarding: pick the output channel for a packet at
-    /// `cur`, updating its `state` phase. `None` means the packet has
-    /// arrived at its destination switch and should be ejected.
-    ///
-    /// Compatibility wrapper over [`Router::next_hop`] for healthy-network
-    /// callers; a [`HopDecision::Stuck`] outcome (only reachable with a
-    /// liveness mask) maps to `None` here, so mask-aware callers should use
-    /// `next_hop` directly.
-    pub fn next_channel<V: CongestionView>(
-        &self,
-        cur: SwitchId,
-        state: &mut RouteState,
-        view: &V,
-        rng: &mut DetRng,
-    ) -> Option<ChannelId> {
-        match self.next_hop(cur, state, view, rng) {
-            HopDecision::Forward(ch) => Some(ch),
-            HopDecision::Eject => None,
-            HopDecision::Stuck => {
-                debug_assert!(false, "stuck packet needs liveness-aware handling");
-                None
-            }
-        }
     }
 
     /// Per-switch forwarding with explicit dead-end reporting: pick the
@@ -250,11 +199,11 @@ impl<'a> Router<'a> {
         let minimal_hops = self.topo.min_hops(src, dst) as u64;
         let min_first_hops = self.topo.next_hops_toward_switch(src, dst);
         let min_cost = self
-            .sample_costs(min_first_hops, self.params.minimal_candidates, view, rng)
-            .map(|load| load + minimal_hops * self.params.hop_cost_bytes);
+            .sample_costs(min_first_hops, MINIMAL_CANDIDATES, view, rng)
+            .map(|load| load + minimal_hops * HOP_COST_BYTES);
 
         let mut best_detour: Option<(f64, Via)> = None;
-        for _ in 0..self.params.nonminimal_candidates {
+        for _ in 0..NONMINIMAL_CANDIDATES {
             let Some(via) = self.random_detour(src, dst, rng) else {
                 break;
             };
@@ -267,8 +216,7 @@ impl<'a> Router<'a> {
                 continue;
             };
             let detour_hops = minimal_hops + 2; // detours add ~2 hops
-            let cost = (load + detour_hops * self.params.hop_cost_bytes) as f64
-                * self.params.nonminimal_bias;
+            let cost = (load + detour_hops * HOP_COST_BYTES) as f64 * NONMINIMAL_BIAS;
             if best_detour.map(|(c, _)| cost < c).unwrap_or(true) {
                 best_detour = Some((cost, via));
             }
@@ -400,13 +348,14 @@ mod tests {
         let mut cur = src;
         let mut path = vec![cur];
         for _ in 0..10 {
-            match router.next_channel(cur, &mut state, view, rng) {
-                Some(ch) => {
+            match router.next_hop(cur, &mut state, view, rng) {
+                HopDecision::Forward(ch) => {
                     cur = router.topology().channel(ch).to;
                     state.hops += 1;
                     path.push(cur);
                 }
-                None => break,
+                HopDecision::Eject => break,
+                HopDecision::Stuck => panic!("stuck on a healthy network: {path:?}"),
             }
         }
         assert_eq!(cur, dst, "packet did not arrive: {path:?}");
@@ -416,7 +365,7 @@ mod tests {
     #[test]
     fn minimal_routes_stay_within_diameter() {
         let t = topo();
-        let router = Router::new(&t, RoutingAlgorithm::Minimal, AdaptiveParams::default());
+        let router = Router::new(&t, RoutingAlgorithm::Minimal, None);
         let mut rng = DetRng::seed_from(1);
         for s in 0..16u32 {
             for d in 0..16u32 {
@@ -429,7 +378,7 @@ mod tests {
     #[test]
     fn valiant_routes_arrive_within_five_hops() {
         let t = topo();
-        let router = Router::new(&t, RoutingAlgorithm::Valiant, AdaptiveParams::default());
+        let router = Router::new(&t, RoutingAlgorithm::Valiant, None);
         let mut rng = DetRng::seed_from(2);
         for s in 0..16u32 {
             for d in 0..16u32 {
@@ -442,7 +391,7 @@ mod tests {
     #[test]
     fn adaptive_on_quiet_network_goes_minimal() {
         let t = topo();
-        let router = Router::new(&t, RoutingAlgorithm::Adaptive, AdaptiveParams::default());
+        let router = Router::new(&t, RoutingAlgorithm::Adaptive, None);
         let mut rng = DetRng::seed_from(3);
         let mut nonminimal = 0;
         for _ in 0..200 {
@@ -459,7 +408,7 @@ mod tests {
     #[test]
     fn adaptive_detours_around_congestion() {
         let t = topo();
-        let router = Router::new(&t, RoutingAlgorithm::Adaptive, AdaptiveParams::default());
+        let router = Router::new(&t, RoutingAlgorithm::Adaptive, None);
         let mut rng = DetRng::seed_from(4);
         // Saturate every minimal first hop from switch 0 toward group 1.
         let dst = SwitchId(5); // group 1
@@ -481,7 +430,7 @@ mod tests {
     #[test]
     fn adaptive_packets_still_arrive_under_congestion() {
         let t = topo();
-        let router = Router::new(&t, RoutingAlgorithm::Adaptive, AdaptiveParams::default());
+        let router = Router::new(&t, RoutingAlgorithm::Adaptive, None);
         let mut rng = DetRng::seed_from(5);
         let mut loads = vec![0u64; t.channels().len()];
         for (i, l) in loads.iter_mut().enumerate() {
@@ -499,7 +448,7 @@ mod tests {
     #[test]
     fn least_loaded_prefers_empty_channel() {
         let t = topo();
-        let router = Router::new(&t, RoutingAlgorithm::Adaptive, AdaptiveParams::default());
+        let router = Router::new(&t, RoutingAlgorithm::Adaptive, None);
         let mut rng = DetRng::seed_from(6);
         // Two parallel global channels from group 0 to group 1: load one.
         let dst = SwitchId(4);
@@ -513,10 +462,12 @@ mod tests {
             }
             let view = TableView(loads);
             for _ in 0..20 {
-                let ch = router
-                    .next_channel(SwitchId(0), &mut state, &view, &mut rng)
-                    .unwrap();
-                assert_eq!(ch, cands[0], "picked a loaded channel");
+                let hop = router.next_hop(SwitchId(0), &mut state, &view, &mut rng);
+                assert_eq!(
+                    hop,
+                    HopDecision::Forward(cands[0]),
+                    "picked a loaded channel"
+                );
                 state = router.decide(SwitchId(0), dst, &QuietView, &mut rng);
             }
         }
@@ -528,14 +479,9 @@ mod tests {
         // mask must make the same decisions AND consume the same number of
         // RNG draws as one with no mask at all.
         let t = topo();
-        let bare = Router::new(&t, RoutingAlgorithm::Adaptive, AdaptiveParams::default());
+        let bare = Router::new(&t, RoutingAlgorithm::Adaptive, None);
         let live = Liveness::for_topology(&t);
-        let masked = Router::with_liveness(
-            &t,
-            RoutingAlgorithm::Adaptive,
-            AdaptiveParams::default(),
-            &live,
-        );
+        let masked = Router::new(&t, RoutingAlgorithm::Adaptive, Some(&live));
         let mut loads = vec![0u64; t.channels().len()];
         for (i, l) in loads.iter_mut().enumerate() {
             *l = (i as u64 * 37) % 5; // plenty of ties to force draws
@@ -548,8 +494,8 @@ mod tests {
                 let mut sa = bare.decide(SwitchId(s), SwitchId(d), &view, &mut rng_a);
                 let mut sb = masked.decide(SwitchId(s), SwitchId(d), &view, &mut rng_b);
                 assert_eq!(sa.via, sb.via);
-                let ca = bare.next_channel(SwitchId(s), &mut sa, &view, &mut rng_a);
-                let cb = masked.next_channel(SwitchId(s), &mut sb, &view, &mut rng_b);
+                let ca = bare.next_hop(SwitchId(s), &mut sa, &view, &mut rng_a);
+                let cb = masked.next_hop(SwitchId(s), &mut sb, &view, &mut rng_b);
                 assert_eq!(ca, cb);
             }
         }
@@ -570,12 +516,7 @@ mod tests {
         for &c in &cands[..cands.len() - 1] {
             live.set_channel(c, false);
         }
-        let router = Router::with_liveness(
-            &t,
-            RoutingAlgorithm::Adaptive,
-            AdaptiveParams::default(),
-            &live,
-        );
+        let router = Router::new(&t, RoutingAlgorithm::Adaptive, Some(&live));
         let mut rng = DetRng::seed_from(12);
         let mut state = RouteState::new(dst, Via::Direct);
         for _ in 0..20 {
@@ -595,12 +536,7 @@ mod tests {
         for &c in t.next_hops_toward_switch(SwitchId(0), dst) {
             live.set_channel(c, false);
         }
-        let router = Router::with_liveness(
-            &t,
-            RoutingAlgorithm::Minimal,
-            AdaptiveParams::default(),
-            &live,
-        );
+        let router = Router::new(&t, RoutingAlgorithm::Minimal, Some(&live));
         let mut rng = DetRng::seed_from(13);
         let mut state = RouteState::new(dst, Via::Direct);
         assert_eq!(
@@ -617,12 +553,7 @@ mod tests {
         for &c in t.next_hops_toward_switch(SwitchId(0), dst) {
             live.set_channel(c, false);
         }
-        let router = Router::with_liveness(
-            &t,
-            RoutingAlgorithm::Adaptive,
-            AdaptiveParams::default(),
-            &live,
-        );
+        let router = Router::new(&t, RoutingAlgorithm::Adaptive, Some(&live));
         let mut rng = DetRng::seed_from(14);
         let mut detours = 0;
         for _ in 0..100 {
@@ -645,12 +576,7 @@ mod tests {
         let cands: Vec<ChannelId> = t.next_hops_toward_switch(SwitchId(0), dst).to_vec();
         assert!(!cands.is_empty());
         live.set_switch(dst, false);
-        let router = Router::with_liveness(
-            &t,
-            RoutingAlgorithm::Minimal,
-            AdaptiveParams::default(),
-            &live,
-        );
+        let router = Router::new(&t, RoutingAlgorithm::Minimal, Some(&live));
         let mut rng = DetRng::seed_from(15);
         let mut state = RouteState::new(dst, Via::Direct);
         assert_eq!(
@@ -670,7 +596,7 @@ mod tests {
             intra_links_per_pair: 1,
         }
         .build();
-        let router = Router::new(&t, RoutingAlgorithm::Valiant, AdaptiveParams::default());
+        let router = Router::new(&t, RoutingAlgorithm::Valiant, None);
         let mut rng = DetRng::seed_from(7);
         // Cross-group traffic in a 2-group system can only detour via
         // switches; packets must still arrive.

@@ -18,7 +18,7 @@
 mod adaptive;
 mod plan;
 
-pub use adaptive::{AdaptiveParams, HopDecision, Router, RoutingAlgorithm};
+pub use adaptive::{HopDecision, Router, RoutingAlgorithm};
 pub use plan::{RoutePhase, RouteState, Via};
 
 use slingshot_topology::ChannelId;

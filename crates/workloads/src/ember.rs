@@ -1,4 +1,4 @@
-//! Ember communication-pattern microbenchmarks (paper reference [50]):
+//! Ember communication-pattern microbenchmarks (paper reference \[50\]):
 //! halo3d, sweep3d, and incast — the `hal`, `swp`, `inc` columns of the
 //! Fig. 9 heatmap.
 

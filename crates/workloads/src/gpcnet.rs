@@ -1,4 +1,4 @@
-//! GPCNet-style congestor patterns (paper §III-A, reference [6]).
+//! GPCNet-style congestor patterns (paper §III-A, reference \[6\]).
 //!
 //! The paper generates *endpoint congestion* with a many-to-one incast of
 //! `MPI_Put` messages and *intermediate congestion* with an all-to-all of
