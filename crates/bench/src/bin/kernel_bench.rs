@@ -336,6 +336,28 @@ fn main() {
         },
     ));
 
+    // The steady state of a simulation: a hold of 1,600 pending events
+    // (alltoall's high-water mark is 1,598), each op popping the earliest
+    // and pushing it again 1–21 ns later. A xorshift picks the delay, so
+    // the record times the queue alone.
+    let mut held = EventQueue::with_capacity(1600);
+    for i in 0..1600u64 {
+        held.push(SimTime::from_ps(i * 997 % 20_000), i);
+    }
+    let mut jitter: u64 = 0x2545_F491_4F6C_DD1D;
+    benches.push(bench(
+        "event_queue_hold_1600",
+        200_000 * scale,
+        true,
+        || {
+            let (t, v) = held.pop().expect("the hold never drains");
+            jitter ^= jitter << 13;
+            jitter ^= jitter >> 7;
+            jitter ^= jitter << 17;
+            held.push(t + SimDuration::from_ps(1_000 + jitter % 20_000), v);
+        },
+    ));
+
     let mut rng = DetRng::seed_from(7);
     benches.push(bench("det_rng_below_1k", 2_000 * scale, true, || {
         let mut acc = 0u64;

@@ -14,46 +14,94 @@
 //! eager `push` at reservation time would have popped it, so the global
 //! `(time, sequence)` order is unchanged while the heap stays small.
 //!
-//! # Implementation: one binary heap
+//! # Implementation: an 8-ary heap of packed keys
 //!
-//! The pending set is a single [`BinaryHeap`]. The simulations this
-//! workspace runs hold a few hundred to a few thousand pending events
-//! (standing populations of 140–790 across Fig. 11's engines, and at most
-//! 1,836, fig6 at `--quick`, in any measured run), where the heap's
-//! O(log n) is 8–11 levels of one contiguous, cache-hot array.
+//! Each pending event is one 16-byte key, compared as a `u128`:
+//!
+//! ```text
+//!  127            64 63             24 23       0
+//! +----------------+-----------------+----------+
+//! |  time (ps)     |  sequence       |  slot    |
+//! +----------------+-----------------+----------+
+//! ```
+//!
+//! Sequence numbers are unique among pending events, so the key order is
+//! exactly the `(time, sequence)` order; the slot, the event's index in a
+//! side slab with a LIFO free list, never decides a comparison. The keys
+//! form a min-heap with eight children per node, and sifting moves keys
+//! only: an event is written to its slot once and read back once.
+//!
+//! A pop takes the root and walks the hole to the bottom, each level moving
+//! up the smallest of eight children, then sifts the heap's last key up
+//! from the hole (Floyd's pop). The smallest child is picked by a
+//! three-round pairwise tournament whose selects are data moves, not
+//! branches on the key comparisons, which no predictor can learn. The
+//! array is padded past the last key with at least seven `u128::MAX` keys,
+//! so every node with a child has a full group of eight and the
+//! tournament needs no length check.
+//!
+//! Both packed fields are bounded by `assert!`: 2^40 sequence numbers per
+//! queue and 2^24 concurrently pending events. The longest run measured,
+//! Fig. 12 at `--paper`, dispatches 978 M events, and the largest
+//! population, Fig. 13's at `--paper`, is 12,614 pending events.
+//!
+//! The simulations this workspace runs hold a few hundred to a few
+//! thousand pending events (1,598 in simbench's `alltoall_collective`,
+//! 1,836 in fig6 at `--quick`): three or four
+//! levels below an 8-ary heap's root, where a binary heap has 7–10. A sampling
+//! profile of simbench (`ITIMER_PROF` samples of the instruction pointer,
+//! about 2.6–2.9 k per workload, resolved to source lines) put the former
+//! `std::collections::BinaryHeap` pop at 34.6 % of `alltoall_collective`,
+//! 25.6 % of `qos_faults` and 21.9 % of `incast_congestion`, its push at
+//! another 3–4 %. Its hot instructions loaded child keys on a dependent
+//! chain and branched on comparisons no predictor can learn.
 
 use crate::time::SimTime;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::hint::select_unpredictable;
 
-/// One pending event.
-struct Entry<E> {
-    time: SimTime,
-    seq: u64,
-    event: E,
+/// Children per heap node.
+const ARITY: usize = 8;
+/// Low key bits that hold the event's slab slot.
+const SLOT_BITS: u32 = 24;
+/// Concurrently pending events a queue can hold.
+const SLOT_LIMIT: usize = 1 << SLOT_BITS;
+/// Sequence numbers a queue can hand out: they fill the key's 40 bits
+/// between time and slot.
+const SEQ_LIMIT: u64 = 1 << (64 - SLOT_BITS);
+/// Padding key past the heap's end: larger than any real key.
+const VACANT: u128 = u128::MAX;
+
+/// The heap key of an event at `time` under `seq`, stored at `slot`.
+#[inline]
+fn pack(time: SimTime, seq: u64, slot: usize) -> u128 {
+    (time.as_ps() as u128) << 64 | (seq << SLOT_BITS | slot as u64) as u128
 }
 
-// `BinaryHeap` is a max-heap; order entries *descending* by `(time, seq)`
-// so its maximum is the earliest event. `E` itself never participates.
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.time, other.seq).cmp(&(self.time, self.seq))
+/// Index of the smallest of the eight keys starting at `first`; ties go to
+/// the lower index, so a real key always beats the padding after it.
+///
+/// A three-round pairwise tournament that carries each winner's key and
+/// index by conditional moves: no branch depends on a key comparison, and
+/// no round waits on a load indexed by the previous round's winner.
+#[inline(always)]
+fn min_child(keys: &[u128], first: usize) -> usize {
+    #[inline(always)]
+    fn pick(x: (u128, usize), y: (u128, usize)) -> (u128, usize) {
+        let y_smaller = y.0 < x.0;
+        (
+            select_unpredictable(y_smaller, y.0, x.0),
+            select_unpredictable(y_smaller, y.1, x.1),
+        )
     }
+    let k: &[u128; ARITY] = keys[first..first + ARITY]
+        .try_into()
+        .expect("a node's child group is padded to eight keys");
+    let a = pick((k[0], 0), (k[1], 1));
+    let b = pick((k[2], 2), (k[3], 3));
+    let c = pick((k[4], 4), (k[5], 5));
+    let d = pick((k[6], 6), (k[7], 7));
+    first + pick(pick(a, b), pick(c, d)).1
 }
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        (self.time, self.seq) == (other.time, other.seq)
-    }
-}
-
-impl<E> Eq for Entry<E> {}
 
 /// A future-event list: the core of the discrete-event simulator.
 ///
@@ -68,7 +116,14 @@ impl<E> Eq for Entry<E> {}
 /// assert!(q.pop().is_none());
 /// ```
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
+    /// The heap: `keys[..len]` in heap order, then at least `ARITY - 1`
+    /// [`VACANT`] keys.
+    keys: Vec<u128>,
+    len: usize,
+    /// Event payloads, indexed by the slot in each key; `None` when free.
+    slots: Vec<Option<E>>,
+    /// Free slots, reused last-freed first.
+    free: Vec<u32>,
     next_seq: u64,
     now: SimTime,
     popped: u64,
@@ -88,8 +143,13 @@ impl<E> EventQueue<E> {
 
     /// An empty queue sized for roughly `cap` concurrently pending events.
     pub fn with_capacity(cap: usize) -> Self {
+        let mut keys = Vec::with_capacity(cap + ARITY);
+        keys.resize(ARITY - 1, VACANT);
         EventQueue {
-            heap: BinaryHeap::with_capacity(cap),
+            keys,
+            len: 0,
+            slots: Vec::with_capacity(cap),
+            free: Vec::with_capacity(cap),
             next_seq: 0,
             now: SimTime::ZERO,
             popped: 0,
@@ -101,28 +161,26 @@ impl<E> EventQueue<E> {
     /// Scheduling in the past is a logic error; debug builds panic.
     #[inline]
     pub fn push(&mut self, time: SimTime, event: E) {
-        debug_assert!(
-            time >= self.now,
-            "scheduling into the past: {time:?} < now {:?}",
-            self.now
-        );
         let seq = self.reserve();
-        self.heap.push(Entry { time, seq, event });
+        self.push_reserved(time, seq, event);
     }
 
     /// Take the next sequence number without scheduling anything. The
     /// number orders exactly as a [`Self::push`] made now would have; hand
     /// it to [`Self::push_reserved`] to schedule the event later.
+    ///
+    /// Panics once a queue has handed out 2^40 numbers.
     #[inline]
     pub fn reserve(&mut self) -> u64 {
         let seq = self.next_seq;
+        assert!(seq < SEQ_LIMIT, "event sequence numbers exhausted");
         self.next_seq += 1;
         seq
     }
 
     /// Schedule `event` at `time` under `seq`, a number taken earlier with
-    /// [`Self::reserve`]. Each reserved number may be pushed at most once;
-    /// scheduling in the past or under an unreserved number is a logic
+    /// [`Self::reserve`]. Each reserved number may be pushed at most once.
+    /// An unreserved number panics; scheduling in the past is a logic
     /// error, and debug builds panic.
     #[inline]
     pub fn push_reserved(&mut self, time: SimTime, seq: u64, event: E) {
@@ -131,24 +189,84 @@ impl<E> EventQueue<E> {
             "scheduling into the past: {time:?} < now {:?}",
             self.now
         );
-        debug_assert!(seq < self.next_seq, "sequence {seq} was never reserved");
-        self.heap.push(Entry { time, seq, event });
+        assert!(seq < self.next_seq, "sequence {seq} was never reserved");
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                let slot = slot as usize;
+                self.slots[slot] = Some(event);
+                slot
+            }
+            None => {
+                let slot = self.slots.len();
+                assert!(slot < SLOT_LIMIT, "more than 2^24 pending events");
+                self.slots.push(Some(event));
+                slot
+            }
+        };
+        if self.keys.len() < self.len + ARITY {
+            self.keys.push(VACANT);
+        }
+        let hole = self.len;
+        self.len += 1;
+        self.sift_up(hole, pack(time, seq, slot));
     }
 
     /// Remove and return the earliest event, advancing [`Self::now`].
     #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let entry = self.heap.pop()?;
-        debug_assert!(entry.time >= self.now, "time went backwards");
-        self.now = entry.time;
+        if self.len == 0 {
+            return None;
+        }
+        let top = self.keys[0];
+        self.len -= 1;
+        let last = std::mem::replace(&mut self.keys[self.len], VACANT);
+        if self.len > 0 {
+            // Floyd's pop: walk the hole left by the root down to a leaf,
+            // then settle the last key from there.
+            let mut hole = 0;
+            loop {
+                let first = hole * ARITY + 1;
+                if first >= self.len {
+                    break;
+                }
+                let child = min_child(&self.keys, first);
+                self.keys[hole] = self.keys[child];
+                hole = child;
+            }
+            self.sift_up(hole, last);
+        }
+
+        let time = SimTime::from_ps((top >> 64) as u64);
+        let slot = (top as u64 & ((1 << SLOT_BITS) - 1)) as usize;
+        let event = self.slots[slot]
+            .take()
+            .expect("a heap key names a full slot");
+        self.free.push(slot as u32);
+        debug_assert!(time >= self.now, "time went backwards");
+        self.now = time;
         self.popped += 1;
-        Some((entry.time, entry.event))
+        Some((time, event))
+    }
+
+    /// Move `key` from `hole` towards the root until its parent is smaller.
+    #[inline]
+    fn sift_up(&mut self, mut hole: usize, key: u128) {
+        while hole > 0 {
+            let parent = (hole - 1) / ARITY;
+            let above = self.keys[parent];
+            if above < key {
+                break;
+            }
+            self.keys[hole] = above;
+            hole = parent;
+        }
+        self.keys[hole] = key;
     }
 
     /// Time of the earliest pending event, if any.
     #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
+        (self.len > 0).then(|| SimTime::from_ps((self.keys[0] >> 64) as u64))
     }
 
     /// Current simulated time: the timestamp of the last popped event.
@@ -160,13 +278,13 @@ impl<E> EventQueue<E> {
     /// Number of pending events.
     #[inline]
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.len
     }
 
     /// Whether no events are pending.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len == 0
     }
 
     /// Total number of events processed so far.

@@ -2,6 +2,7 @@
 
 use proptest::prelude::*;
 use slingshot_des::{serialization_time, EventQueue, SimDuration, SimTime};
+use std::collections::BTreeMap;
 
 proptest! {
     /// Popping returns events in nondecreasing time order, and equal times
@@ -21,6 +22,66 @@ proptest! {
             times.iter().enumerate().map(|(i, &t)| (t, i)).collect();
         expected.sort_by_key(|&(t, _)| t); // sort_by_key is stable
         prop_assert_eq!(popped, expected);
+    }
+
+    /// Every pop of any interleaving of `push`, `reserve`, a later
+    /// `push_reserved` and `pop` matches a `BTreeMap` keyed by
+    /// `(time, seq)`. Up to 5,000 events are pushed first, so pops cross
+    /// four and five heap levels; deltas of 0–63 ps make same-time ties
+    /// common.
+    #[test]
+    fn interleaved_ops_match_ordered_map(
+        prefill in 0usize..5_000,
+        seed in any::<u64>(),
+        ops in proptest::collection::vec((0u8..10, 0u64..64, any::<usize>()), 0..3_000),
+    ) {
+        let mut q = EventQueue::new();
+        let mut model: BTreeMap<(u64, u64), u64> = BTreeMap::new();
+        let mut reserved: Vec<u64> = Vec::new();
+        let mut next_seq = 0u64;
+        let mut x = seed | 1;
+        for id in 0..prefill as u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let t = x % 4_096;
+            q.push(SimTime::from_ps(t), id);
+            model.insert((t, next_seq), id);
+            next_seq += 1;
+        }
+        for (id, (kind, delta, pick)) in (prefill as u64..).zip(ops) {
+            let t = q.now().as_ps() + delta;
+            match kind {
+                0..=3 => {
+                    q.push(SimTime::from_ps(t), id);
+                    model.insert((t, next_seq), id);
+                    next_seq += 1;
+                }
+                4 => {
+                    prop_assert_eq!(q.reserve(), next_seq);
+                    reserved.push(next_seq);
+                    next_seq += 1;
+                }
+                5 if !reserved.is_empty() => {
+                    let seq = reserved.swap_remove(pick % reserved.len());
+                    q.push_reserved(SimTime::from_ps(t), seq, id);
+                    model.insert((t, seq), id);
+                }
+                _ => {
+                    let want = model.pop_first().map(|((t, _), id)| (SimTime::from_ps(t), id));
+                    prop_assert_eq!(q.pop(), want);
+                }
+            }
+            prop_assert_eq!(q.len(), model.len());
+            prop_assert_eq!(
+                q.peek_time(),
+                model.keys().next().map(|&(t, _)| SimTime::from_ps(t))
+            );
+        }
+        while let Some(((t, _), id)) = model.pop_first() {
+            prop_assert_eq!(q.pop(), Some((SimTime::from_ps(t), id)));
+        }
+        prop_assert!(q.pop().is_none());
     }
 
     /// `now()` never decreases, whatever interleaving of pushes and pops.
