@@ -167,12 +167,6 @@ impl Sample {
             count: self.values.len(),
         }
     }
-
-    /// Merge another sample into this one.
-    pub fn extend_from(&mut self, other: &Sample) {
-        self.values.extend_from_slice(&other.values);
-        self.sorted = false;
-    }
 }
 
 #[cfg(test)]
@@ -236,14 +230,5 @@ mod tests {
         assert!((s.mean() - 2.0).abs() < 1e-12);
         assert_eq!(s.min(), 1.0);
         assert_eq!(s.max(), 3.0);
-    }
-
-    #[test]
-    fn extend_from_merges() {
-        let mut a = Sample::from_values(vec![1.0, 2.0]);
-        let b = Sample::from_values(vec![3.0, 4.0]);
-        a.extend_from(&b);
-        assert_eq!(a.len(), 4);
-        assert_eq!(a.median(), 2.5);
     }
 }

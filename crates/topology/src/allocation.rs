@@ -106,22 +106,6 @@ impl Allocation {
             }
         }
     }
-
-    /// Victim-fraction splits used by the paper's heatmaps
-    /// (10 % / 50 % / 90 % of nodes to the victim), with the paper's choice
-    /// of odd/power-of-two/even counts when `total_nodes == 512`
-    /// (53 / 256 / 460).
-    pub fn paper_split_counts(total_nodes: u32) -> [u32; 3] {
-        if total_nodes == 512 {
-            [53, 256, 460]
-        } else {
-            [
-                (total_nodes as f64 * 0.10).round().max(1.0) as u32,
-                total_nodes / 2,
-                (total_nodes as f64 * 0.90).round() as u32,
-            ]
-        }
-    }
 }
 
 #[cfg(test)]
@@ -172,14 +156,6 @@ mod tests {
         assert_ne!(a1.victim, a3.victim);
         assert_partition(&a1, 64);
         assert_eq!(a1.victim.len(), 20);
-    }
-
-    #[test]
-    fn paper_splits() {
-        assert_eq!(Allocation::paper_split_counts(512), [53, 256, 460]);
-        let [lo, mid, hi] = Allocation::paper_split_counts(128);
-        assert_eq!(mid, 64);
-        assert!(lo >= 1 && hi < 128);
     }
 
     #[test]

@@ -32,12 +32,6 @@ impl LinkClass {
     pub fn propagation_ns(self) -> f64 {
         self.length_metres() * NS_PER_METRE
     }
-
-    /// Whether this is an optical link (relevant for cost models and the
-    /// paper's observation that optical links dominate network cost).
-    pub const fn is_optical(self) -> bool {
-        matches!(self, LinkClass::GlobalOptical)
-    }
 }
 
 #[cfg(test)]
@@ -51,12 +45,5 @@ mod tests {
         );
         assert!((LinkClass::LocalCopper.propagation_ns() - 13.0).abs() < 1e-9);
         assert!((LinkClass::GlobalOptical.propagation_ns() - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn optical_classification() {
-        assert!(LinkClass::GlobalOptical.is_optical());
-        assert!(!LinkClass::LocalCopper.is_optical());
-        assert!(!LinkClass::EdgeCopper.is_optical());
     }
 }

@@ -82,53 +82,6 @@ pub fn alltoall_aggressor(n: u32, bytes: u64) -> Vec<Script> {
         .collect()
 }
 
-/// GPCNet's *random ring* victim: each rank exchanges `bytes` with two
-/// pseudo-random partners per iteration (a shuffled ring), the canonical
-/// two-sided latency/bandwidth probe of the benchmark. Iterations are
-/// bracketed with `Mark`s like the other victims.
-pub fn random_ring(n: u32, bytes: u64, iters: u32, seed: u64) -> Vec<Script> {
-    use slingshot_des::DetRng;
-    assert!(n >= 2);
-    let mut rng = DetRng::seed_from(seed ^ 0x51C0_11E5);
-    let mut scripts = vec![Vec::new(); n as usize];
-    for it in 0..iters {
-        // A random permutation defines the ring order for this iteration.
-        let mut order: Vec<u32> = (0..n).collect();
-        rng.shuffle(&mut order);
-        let pos_of = {
-            let mut pos = vec![0u32; n as usize];
-            for (i, &r) in order.iter().enumerate() {
-                pos[r as usize] = i as u32;
-            }
-            pos
-        };
-        for r in 0..n {
-            scripts[r as usize].push(MpiOp::Mark(it));
-            let p = pos_of[r as usize];
-            let next = order[((p + 1) % n) as usize];
-            let prev = order[((p + n - 1) % n) as usize];
-            // Exchange with both ring neighbours; tags keyed by direction.
-            scripts[r as usize].push(MpiOp::Sendrecv {
-                dst: next,
-                src: prev,
-                bytes,
-                tag: it * 2,
-            });
-            scripts[r as usize].push(MpiOp::Sendrecv {
-                dst: prev,
-                src: next,
-                bytes,
-                tag: it * 2 + 1,
-            });
-        }
-    }
-    let mut out: Vec<Script> = scripts.into_iter().map(Script::from_ops).collect();
-    for s in &mut out {
-        s.push(MpiOp::Mark(iters));
-    }
-    out
-}
-
 /// The congestor patterns: the two of the paper's heatmaps and the
 /// bursty incast of Fig. 12.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -242,38 +195,6 @@ mod tests {
                 .collect();
             assert_eq!(partners.len(), 4);
             assert!(!partners.contains(&(r as u32)));
-        }
-    }
-
-    #[test]
-    fn random_ring_matches_and_is_seeded() {
-        use slingshot_mpi::coll::validate_matching;
-        for n in [2u32, 5, 8, 13] {
-            let scripts = random_ring(n, 4096, 3, 7);
-            let frags: Vec<Vec<MpiOp>> = scripts.iter().map(|s| s.ops.clone()).collect();
-            validate_matching(&frags).unwrap_or_else(|e| panic!("n={n}: {e}"));
-        }
-        let a = random_ring(8, 64, 2, 1);
-        let b = random_ring(8, 64, 2, 1);
-        let c = random_ring(8, 64, 2, 2);
-        assert_eq!(a[0].ops, b[0].ops);
-        assert_ne!(
-            a.iter().map(|s| s.ops.clone()).collect::<Vec<_>>(),
-            c.iter().map(|s| s.ops.clone()).collect::<Vec<_>>(),
-            "different seeds must shuffle differently"
-        );
-    }
-
-    #[test]
-    fn random_ring_has_two_exchanges_per_iteration() {
-        let scripts = random_ring(6, 128, 4, 3);
-        for s in &scripts {
-            let exchanges = s
-                .ops
-                .iter()
-                .filter(|op| matches!(op, MpiOp::Sendrecv { .. }))
-                .count();
-            assert_eq!(exchanges, 8);
         }
     }
 
