@@ -6,14 +6,14 @@
 //! (GPCNet's metric, Equation 1 of the paper).
 
 use crate::cache::SweepCache;
+use crate::run::{execute, Run, Stop};
 use crate::runner::{self, CellFailure, CellMeta, Outcome};
 use crate::scale::Scale;
-use serde::Serialize;
-use slingshot::network::{CcConfig, Network};
+use slingshot::network::CcConfig;
 use slingshot::routing::RoutingAlgorithm;
-use slingshot::{Profile, System, SystemBuilder, TelemetryConfig, TelemetryReport};
+use slingshot::{Profile, System, SystemBuilder};
 use slingshot_des::{SimDuration, SimTime};
-use slingshot_mpi::{Engine, Job, ProtocolStack, Script};
+use slingshot_mpi::{Job, ProtocolStack, Script};
 use slingshot_network::SimError;
 use slingshot_stats::Sample;
 use slingshot_topology::{shandy, Allocation, AllocationPolicy, DragonflyParams};
@@ -109,21 +109,6 @@ pub struct Cell {
     pub routing: Option<RoutingAlgorithm>,
 }
 
-/// Result of one cell run.
-#[derive(Clone, Copy, Debug, Serialize)]
-pub struct CellResult {
-    /// Mean victim iteration time, seconds.
-    pub mean_secs: f64,
-    /// Median victim iteration time, seconds.
-    pub median_secs: f64,
-    /// 99th percentile, seconds.
-    pub p99_secs: f64,
-    /// 95th percentile, seconds.
-    pub p95_secs: f64,
-    /// Iterations measured.
-    pub iterations: usize,
-}
-
 /// Pick a machine shape that exactly fits `nodes` endpoints: the paper's
 /// Shandy for ≥ 512 nodes, otherwise a fully-populated two-group system
 /// (the shape of Crystal and of the paper's 128-node Malbec subset).
@@ -168,108 +153,61 @@ fn injected_stall_budget(victim: Victim) -> Option<u64> {
     }
 }
 
-/// Run one cell with one victim; returns per-iteration stats, or the
-/// typed simulation error (stall with diagnosis, credit underflow,
-/// matching deadlock) if the run could not complete.
-pub fn try_run_cell(
-    cell: &Cell,
-    victim: Victim,
-    iters: u32,
-    event_budget: u64,
-) -> Result<CellResult, SimError> {
-    try_run_cell_traced(cell, victim, iters, event_budget, None).map(|(r, _)| r)
-}
+impl Cell {
+    /// The [`Run`] of this cell with one victim: the aggressor (if any)
+    /// from time zero, then the measured victim from [`WARMUP`], stopped
+    /// at the victim's completion.
+    pub fn run(&self, victim: Victim, iters: u32, budget: u64) -> Run {
+        let machine = machine_for(self.nodes);
+        let mut net = SystemBuilder::new(System::Custom(machine), self.profile)
+            .seed(self.seed)
+            .config();
+        net.cc = self.cc.unwrap_or(net.cc);
+        net.routing = self.routing.unwrap_or(net.routing);
+        let budget = injected_stall_budget(victim).unwrap_or(budget);
+        let mut run = Run::new(net, ProtocolStack::mpi(), Stop::Completion { budget });
 
-/// [`try_run_cell`] with optional time-resolved telemetry. When a
-/// [`TelemetryConfig`] is given the network records bucketed counters and
-/// a sampled packet flight, returned alongside the timing result; `None`
-/// runs the exact uninstrumented cell (telemetry never consumes RNG
-/// draws, so the [`CellResult`] is identical either way).
-pub fn try_run_cell_traced(
-    cell: &Cell,
-    victim: Victim,
-    iters: u32,
-    event_budget: u64,
-    telemetry: Option<TelemetryConfig>,
-) -> Result<(CellResult, Option<TelemetryReport>), SimError> {
-    let machine = machine_for(cell.nodes);
-    let mut builder = SystemBuilder::new(System::Custom(machine), cell.profile).seed(cell.seed);
-    if let Some(tcfg) = telemetry {
-        builder = builder.telemetry(tcfg);
-    }
-    let mut config = builder.config();
-    config.cc = cell.cc.unwrap_or(config.cc);
-    config.routing = cell.routing.unwrap_or(config.routing);
-    let mut eng = Engine::new(Network::new(config), ProtocolStack::mpi());
-
-    let alloc = Allocation::split(cell.nodes, cell.victim_nodes, cell.policy, cell.seed);
-
-    if let Some(congestor) = cell.aggressor {
-        if alloc.aggressor.len() >= 2 {
-            let aggr_job = Job::with_ppn(alloc.aggressor.clone(), cell.aggressor_ppn);
-            let scripts = congestor.scripts(aggr_job.ranks());
-            eng.add_job(aggr_job, scripts, 0, SimTime::ZERO);
+        let alloc = Allocation::split(self.nodes, self.victim_nodes, self.policy, self.seed);
+        if let Some(congestor) = self.aggressor {
+            if alloc.aggressor.len() >= 2 {
+                let aggr_job = Job::with_ppn(alloc.aggressor.clone(), self.aggressor_ppn);
+                let scripts = congestor.scripts(aggr_job.ranks());
+                run.add_job(aggr_job, scripts, 0, SimTime::ZERO);
+            }
         }
+
+        let ranks = victim.ranks_for(self.victim_nodes);
+        assert!(ranks >= 2, "victim needs at least two ranks");
+        let victim_nodes: Vec<_> = alloc.victim[..ranks as usize].to_vec();
+        let scripts = victim.scripts(ranks, iters, self.seed);
+        run.add_measured_job(Job::new(victim_nodes), scripts, 0, WARMUP);
+        run
     }
-
-    let ranks = victim.ranks_for(cell.victim_nodes);
-    assert!(ranks >= 2, "victim needs at least two ranks");
-    let victim_nodes: Vec<_> = alloc.victim[..ranks as usize].to_vec();
-    let scripts = victim.scripts(ranks, iters, cell.seed);
-    let victim_job = eng.add_job(Job::new(victim_nodes), scripts, 0, WARMUP);
-
-    let budget = injected_stall_budget(victim).unwrap_or(event_budget);
-    eng.run_to_completion(budget)?;
-
-    let durations = eng.iteration_durations(victim_job);
-    assert!(!durations.is_empty(), "victim produced no iterations");
-    let mut sample = Sample::from_values(durations.iter().map(|d| d.as_secs_f64()).collect());
-    let report = eng.network_mut().take_telemetry_report();
-    Ok((
-        CellResult {
-            mean_secs: sample.mean(),
-            median_secs: sample.median(),
-            p99_secs: sample.percentile(99.0),
-            p95_secs: sample.percentile(95.0),
-            iterations: sample.len(),
-        },
-        report,
-    ))
 }
 
-/// [`try_run_cell`] for callers that treat any simulation error as fatal
-/// (unit tests and examples). Panics with the error's display — inside
-/// [`crate::runner::quarantine_map`] that panic still becomes a
-/// structured error row.
-pub fn run_cell(cell: &Cell, victim: Victim, iters: u32, event_budget: u64) -> CellResult {
-    try_run_cell(cell, victim, iters, event_budget).unwrap_or_else(|e| panic!("{e}"))
+/// Mean victim iteration time in seconds of one cell run, or the typed
+/// simulation error (stall with diagnosis, credit underflow, matching
+/// deadlock) if the run could not complete.
+fn mean_secs(run: Run) -> Result<f64, SimError> {
+    let iterations = execute(run, None)?.iterations;
+    assert!(!iterations.is_empty(), "victim produced no iterations");
+    let secs = iterations.iter().map(|(_, d)| d.as_secs_f64()).collect();
+    Ok(Sample::from_values(secs).mean())
 }
 
-/// Congestion impact `C = Tc / Ti` from a loaded and an isolated result
-/// (means, as in the paper's Equation 1).
-fn congestion_impact(loaded: &CellResult, isolated: &CellResult) -> f64 {
-    loaded.mean_secs / isolated.mean_secs
-}
-
-/// Run the isolated baseline and one loaded cell; returns
-/// `(isolated, loaded, impact)`.
-pub fn run_pair(
-    cell: &Cell,
-    victim: Victim,
-    iters: u32,
-    budget: u64,
-) -> (CellResult, CellResult, f64) {
-    let isolated_cell = Cell {
+/// Congestion impact `C = Tc / Ti` (means, as in the paper's Equation 1)
+/// of `cell` over the same cell without its aggressor. Panics on a
+/// simulation error (unit tests and examples).
+pub fn run_pair(cell: &Cell, victim: Victim, iters: u32, budget: u64) -> f64 {
+    let mean = |c: Cell| mean_secs(c.run(victim, iters, budget)).unwrap_or_else(|e| panic!("{e}"));
+    let isolated = mean(Cell {
         aggressor: None,
         ..*cell
-    };
-    let isolated = run_cell(&isolated_cell, victim, iters, budget);
-    let loaded = run_cell(cell, victim, iters, budget);
-    let impact = congestion_impact(&loaded, &isolated);
-    (isolated, loaded, impact)
+    });
+    mean(*cell) / isolated
 }
 
-/// The identity of one simulated run: everything [`try_run_cell`] reads,
+/// The identity of one simulated run: everything [`Cell::run`] reads,
 /// rendered through `Debug`, so a field added to [`Cell`] or [`Victim`]
 /// enters it without further code. An isolated run never reads
 /// `aggressor_ppn`, so it is zeroed there. Two sweep points with equal
@@ -282,7 +220,7 @@ pub fn run_identity(cell: &Cell, victim: Victim, iters: u32, budget: u64) -> Str
     format!("{:?}", (cell, victim, iters, budget))
 }
 
-/// One sweep point of a congestion figure: what [`try_run_cell`] runs,
+/// One sweep point of a congestion figure: what [`Cell::run`] builds,
 /// and the label its error row carries.
 pub struct SweepCell {
     /// The simulated cell.
@@ -328,7 +266,7 @@ pub fn impact_sweep<B: Sync, R>(
         cache,
         &runs,
         |p| p.meta.clone(),
-        |p| try_run_cell(&p.cell, p.victim, p.iters, p.budget).map(|r| r.mean_secs),
+        |p| mean_secs(p.cell.run(p.victim, p.iters, p.budget)),
     );
     // A failed baseline is reported once; the points it leaves without a
     // row are reported below.
@@ -438,9 +376,11 @@ mod tests {
             cc: None,
             routing: None,
         };
-        let r = run_cell(&cell, Victim::Micro(Microbench::Barrier, 8), 3, 50_000_000);
-        assert_eq!(r.iterations, 3);
-        assert!(r.mean_secs > 0.0 && r.mean_secs < 1e-3);
+        let run = cell.run(Victim::Micro(Microbench::Barrier, 8), 3, 50_000_000);
+        let iterations = execute(run, None).expect("isolated cell runs").iterations;
+        assert_eq!(iterations.len(), 3);
+        let mean = iterations.iter().map(|(_, d)| d.as_secs_f64()).sum::<f64>() / 3.0;
+        assert!(mean > 0.0 && mean < 1e-3);
     }
 
     #[test]
@@ -460,12 +400,12 @@ mod tests {
             routing: None,
         };
         let victim = Victim::Micro(Microbench::Pingpong, 8);
-        let (_, _, aries_impact) = run_pair(&base, victim, 4, 400_000_000);
+        let aries_impact = run_pair(&base, victim, 4, 400_000_000);
         let ss_cell = Cell {
             profile: Profile::Slingshot,
             ..base
         };
-        let (_, _, ss_impact) = run_pair(&ss_cell, victim, 4, 400_000_000);
+        let ss_impact = run_pair(&ss_cell, victim, 4, 400_000_000);
         assert!(
             aries_impact > 2.0,
             "aries incast impact only {aries_impact:.2}"

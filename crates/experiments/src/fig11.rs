@@ -174,10 +174,11 @@ pub fn trace(scale: Scale, dir: &str, tcfg: TelemetryConfig) {
     trace_cell(
         dir,
         &format!("fig11_{}_worst", scale.label()),
-        &cell(scale, 75, Some(Congestor::Incast)),
-        Victim::App(HpcApp::Lammps),
-        scale.iterations(),
-        scale.event_budget(),
+        cell(scale, 75, Some(Congestor::Incast)).run(
+            Victim::App(HpcApp::Lammps),
+            scale.iterations(),
+            scale.event_budget(),
+        ),
         tcfg,
     );
 }

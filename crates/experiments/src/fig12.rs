@@ -167,10 +167,7 @@ pub fn trace(scale: Scale, dir: &str, tcfg: TelemetryConfig) {
     trace_cell(
         dir,
         &format!("fig12_{}_bursty", scale.label()),
-        &cell(scale, Some(aggressor)),
-        VICTIM,
-        scale.iterations().max(4),
-        scale.event_budget(),
+        cell(scale, Some(aggressor)).run(VICTIM, scale.iterations().max(4), scale.event_budget()),
         tcfg,
     );
 }

@@ -8,14 +8,14 @@
 
 use crate::congestion::machine_for;
 use crate::report::Table;
+use crate::run::{execute, Run, Stop};
 use crate::runner::{self, CellMeta, Outcome};
 use crate::scale::Scale;
 use crate::{driver::Figure, SweepCache};
 use serde::Serialize;
 use slingshot::{Profile, System, SystemBuilder};
-use slingshot_des::{SimDuration, SimTime};
-use slingshot_mpi::{coll, Engine, Job, MpiOp, ProtocolStack, Script};
-use slingshot_network::SimError;
+use slingshot_des::SimTime;
+use slingshot_mpi::{coll, Job, MpiOp, ProtocolStack, Script};
 use slingshot_qos::{TrafficClass, TrafficClassSet};
 use slingshot_topology::{Allocation, AllocationPolicy};
 
@@ -62,11 +62,10 @@ fn two_classes() -> TrafficClassSet {
     .expect("static config")
 }
 
-struct RunOutput {
-    iterations: Vec<(SimTime, SimDuration)>,
-}
-
-fn run_case(scale: Scale, same_class: bool, with_alltoall: bool) -> Result<RunOutput, SimError> {
+/// One case of the figure: the measured looping allreduce from time zero
+/// and, `with_alltoall`, the alltoall from 400 µs (in its own class unless
+/// `same_class`), until a fixed horizon.
+pub(crate) fn case(scale: Scale, same_class: bool, with_alltoall: bool) -> Run {
     let nodes = scale.congestion_nodes();
     let classes = if same_class {
         TrafficClassSet::single()
@@ -77,35 +76,31 @@ fn run_case(scale: Scale, same_class: bool, with_alltoall: bool) -> Result<RunOu
         .taper(0.25)
         .traffic_classes(classes)
         .seed(13)
-        .build();
-    let mut eng = Engine::new(net, ProtocolStack::mpi());
+        .config();
+    let horizon = match scale {
+        Scale::Tiny => SimTime::from_ms(1),
+        _ => SimTime::from_ms(3),
+    };
+    let mut run = Run::new(net, ProtocolStack::mpi(), Stop::Horizon(horizon));
     let alloc = Allocation::split(nodes, nodes / 2, AllocationPolicy::Interleaved, 13);
     let ppn = if scale == Scale::Paper { 16 } else { 2 };
 
     let ar_job = Job::with_ppn(alloc.victim.clone(), ppn);
     let ar_ranks = ar_job.ranks();
-    let ar_id = eng.add_job(ar_job, allreduce_loop(ar_ranks, 8), 0, SimTime::ZERO);
+    run.add_job(ar_job, allreduce_loop(ar_ranks, 8), 0, SimTime::ZERO);
 
     if with_alltoall {
         let a2a_job = Job::with_ppn(alloc.aggressor.clone(), ppn);
         let a2a_ranks = a2a_job.ranks();
         let tc = if same_class { 0 } else { 1 };
-        eng.add_job(
+        run.add_job(
             a2a_job,
             alltoall_loop(a2a_ranks, 256 << 10),
             tc,
             SimTime::from_us(400),
         );
     }
-
-    let horizon = match scale {
-        Scale::Tiny => SimTime::from_ms(1),
-        _ => SimTime::from_ms(3),
-    };
-    eng.run_until_time(horizon)?;
-    Ok(RunOutput {
-        iterations: eng.iterations(ar_id),
-    })
+    run
 }
 
 /// Fig. 13 for the figure driver.
@@ -131,27 +126,21 @@ impl Figure for Fig13 {
                 seed: 13,
             },
             |&same_class| {
-                let out = run_case(scale, same_class, true)?;
+                let iterations = execute(case(scale, same_class, true), None)?.iterations;
                 // Baseline: iterations that completed before the alltoall starts.
-                let quiet: Vec<f64> = out
-                    .iterations
+                let quiet: Vec<f64> = iterations
                     .iter()
                     .filter(|(t, _)| *t < SimTime::from_us(350))
                     .map(|(_, d)| d.as_secs_f64())
                     .collect();
                 let quiet_mean = if quiet.is_empty() {
                     // Fall back to an isolated run.
-                    let iso = run_case(scale, same_class, false)?;
-                    iso.iterations
-                        .iter()
-                        .map(|(_, d)| d.as_secs_f64())
-                        .sum::<f64>()
-                        / iso.iterations.len().max(1) as f64
+                    let iso = execute(case(scale, same_class, false), None)?.iterations;
+                    iso.iter().map(|(_, d)| d.as_secs_f64()).sum::<f64>() / iso.len().max(1) as f64
                 } else {
                     quiet.iter().sum::<f64>() / quiet.len() as f64
                 };
-                Ok(out
-                    .iterations
+                Ok(iterations
                     .iter()
                     .map(|(start, dur)| Fig13Row {
                         same_class,

@@ -9,13 +9,14 @@
 //! share.
 
 use crate::report::Table;
+use crate::run::{Run, Stop};
 use crate::runner::{self, CellMeta, Outcome};
 use crate::scale::Scale;
 use crate::{driver::Figure, SweepCache};
 use serde::Serialize;
 use slingshot::{Profile, System, SystemBuilder};
 use slingshot_des::SimTime;
-use slingshot_mpi::{Engine, Job, MpiOp, ProtocolStack, Script};
+use slingshot_mpi::{Job, MpiOp, ProtocolStack, Script};
 use slingshot_network::SimError;
 use slingshot_qos::TrafficClassSet;
 
@@ -71,8 +72,10 @@ fn run_case(scale: Scale, same_class: bool) -> Result<Vec<Fig14Row>, SimError> {
         .taper(0.25)
         .traffic_classes(classes)
         .seed(14)
-        .build();
-    let mut eng = Engine::new(net, ProtocolStack::ib_verbs());
+        .config();
+    let horizon_ms = 4.0;
+    let horizon = SimTime::from_us((horizon_ms * 1000.0) as u64);
+    let mut run = Run::new(net, ProtocolStack::ib_verbs(), Stop::Horizon(horizon));
     // Interleave the two jobs over all nodes; partner = rank + half keeps
     // every stream crossing the group bisection.
     let job1_nodes: Vec<_> = (0..nodes)
@@ -85,24 +88,24 @@ fn run_case(scale: Scale, same_class: bool) -> Result<Vec<Fig14Row>, SimError> {
         .collect();
 
     let msg: u64 = 256 << 10;
-    let horizon_ms = 4.0;
     // Job 1 streams until stopped ~55 % into the window (the paper's job
     // 1 terminates mid-experiment, letting job 2 ramp to full bandwidth).
     let stop_job1_at = SimTime::from_us((horizon_ms * 1000.0 * 0.55) as u64);
 
     let j1 = Job::new(job1_nodes.clone());
     let r1 = j1.ranks();
-    let j1_id = eng.add_job(j1, stream_scripts(r1, msg), 0, SimTime::ZERO);
+    run.add_job(j1, stream_scripts(r1, msg), 0, SimTime::ZERO);
     let j2 = Job::new(job2_nodes.clone());
     let r2 = j2.ranks();
     let tc2 = if same_class { 0 } else { 1 };
-    eng.add_job(j2, stream_scripts(r2, msg), tc2, SimTime::from_us(900));
+    run.add_job(j2, stream_scripts(r2, msg), tc2, SimTime::from_us(900));
+    // Job 1 is the measured job: its id is the one to stop.
+    let (mut eng, j1_id) = run.into_engine(None);
 
     let step = SimTime::from_us(100);
     let mut rows = Vec::new();
     let mut prev = [0u64; 2];
     let mut t = SimTime::ZERO;
-    let horizon = SimTime::from_us((horizon_ms * 1000.0) as u64);
     let mut stopped = false;
     while t < horizon {
         t = SimTime(t.as_ps() + step.as_ps());

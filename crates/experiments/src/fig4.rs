@@ -6,13 +6,14 @@
 //! 16 KiB, and occasionally *higher* bandwidth across groups (more paths).
 
 use crate::report::{fmt_bytes, Table};
+use crate::run::{execute, Run, Stop};
 use crate::runner::{self, CellMeta, Outcome};
 use crate::scale::Scale;
 use crate::{driver::Figure, SweepCache};
 use serde::Serialize;
 use slingshot::{Profile, System, SystemBuilder};
 use slingshot_des::SimTime;
-use slingshot_mpi::{Engine, Job, MpiOp, ProtocolStack, Script};
+use slingshot_mpi::{Job, MpiOp, ProtocolStack, Script};
 use slingshot_network::SimError;
 use slingshot_stats::{BoxSummary, Sample};
 use slingshot_topology::{malbec, NodeId};
@@ -140,14 +141,22 @@ impl Figure for Fig4 {
     }
 }
 
-fn measure(distance: Distance, bytes: u64, iters: u32) -> Result<Fig4Row, SimError> {
+/// Half round-trip times, µs, of a two-rank ping-pong of `bytes` between
+/// the nodes of `pair` on an idle Malbec: rank 0 marks each of `iters`
+/// iterations, sends and waits for the echo. Shared with Fig. 5.
+pub(crate) fn pingpong_half_rtts_us(
+    stack: ProtocolStack,
+    seed: u64,
+    (a, b): (NodeId, NodeId),
+    bytes: u64,
+    iters: u32,
+    budget: u64,
+) -> Result<Sample, SimError> {
     let net = SystemBuilder::new(System::Custom(malbec()), Profile::Slingshot)
-        .seed(4)
-        .build();
-    let mut eng = Engine::new(net, ProtocolStack::mpi());
-    let (a, b) = distance.node_pair();
-    let mut s0 = Script::new();
-    let mut s1 = Script::new();
+        .seed(seed)
+        .config();
+    let mut run = Run::new(net, stack, Stop::Completion { budget });
+    let (mut s0, mut s1) = (Script::new(), Script::new());
     for i in 0..iters {
         s0.push(MpiOp::Mark(i));
         s0.push(MpiOp::Send {
@@ -164,10 +173,17 @@ fn measure(distance: Distance, bytes: u64, iters: u32) -> Result<Fig4Row, SimErr
         });
     }
     s0.push(MpiOp::Mark(iters));
-    let job = eng.add_job(Job::new(vec![a, b]), vec![s0, s1], 0, SimTime::ZERO);
-    eng.run_to_completion(2_000_000_000)?;
-    let rtts = eng.iteration_durations(job);
-    let mut half_us = Sample::from_values(rtts.iter().map(|d| d.as_us_f64() / 2.0).collect());
+    run.add_job(Job::new(vec![a, b]), vec![s0, s1], 0, SimTime::ZERO);
+    let rtts = execute(run, None)?.iterations;
+    Ok(Sample::from_values(
+        rtts.iter().map(|(_, d)| d.as_us_f64() / 2.0).collect(),
+    ))
+}
+
+fn measure(distance: Distance, bytes: u64, iters: u32) -> Result<Fig4Row, SimError> {
+    let pair = distance.node_pair();
+    let mut half_us =
+        pingpong_half_rtts_us(ProtocolStack::mpi(), 4, pair, bytes, iters, 2_000_000_000)?;
     let latency_us = half_us.box_summary();
     let bandwidth_gbps = (bytes * 8) as f64 / (latency_us.median * 1_000.0);
     Ok(Fig4Row {

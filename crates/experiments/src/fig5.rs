@@ -5,16 +5,13 @@
 //! ~3.3 µs TCP at 8 B); large messages converge toward wire bandwidth,
 //! with the kernel stacks penalized by their memory copies.
 
+use crate::fig4::pingpong_half_rtts_us;
 use crate::report::{fmt_bytes, Table};
 use crate::runner::{self, CellMeta, Outcome};
 use crate::scale::Scale;
 use crate::{driver::Figure, SweepCache};
 use serde::Serialize;
-use slingshot::{Profile, System, SystemBuilder};
-use slingshot_des::SimTime;
-use slingshot_mpi::{Engine, Job, MpiOp, ProtocolStack, Script};
-use slingshot_network::SimError;
-use slingshot_stats::Sample;
+use slingshot_mpi::ProtocolStack;
 use slingshot_topology::NodeId;
 
 /// One series point.
@@ -72,7 +69,12 @@ impl Figure for Fig5 {
                 label: format!("{} {}", stack.name, crate::report::fmt_bytes(bytes)),
                 seed: 5,
             },
-            |&(stack, bytes)| median_half_rtt(stack, bytes, iters),
+            |&(stack, bytes)| {
+                // Adjacent-switch node pair on a quiet system (the
+                // measurement setup of the paper's Fig. 5).
+                let pair = (NodeId(0), NodeId(16));
+                Ok(pingpong_half_rtts_us(stack, 5, pair, bytes, iters, 4_000_000_000)?.median())
+            },
         );
         let (medians, failures) = runner::split_results(results);
         let rows = points
@@ -109,50 +111,6 @@ impl Figure for Fig5 {
             "paper inset at 8 B: verbs ~1.3 us, MPI slightly above libfabric, UDP ~2.3, TCP ~3.3"
         );
     }
-}
-
-fn median_half_rtt(stack: ProtocolStack, bytes: u64, iters: u32) -> Result<f64, SimError> {
-    // Adjacent-switch node pair on a quiet system (the measurement setup
-    // of the paper's Fig. 5).
-    let net = SystemBuilder::new(
-        System::Custom(slingshot_topology::malbec()),
-        Profile::Slingshot,
-    )
-    .seed(5)
-    .build();
-    let mut eng = Engine::new(net, stack);
-    let mut s0 = Script::new();
-    let mut s1 = Script::new();
-    for i in 0..iters {
-        s0.push(MpiOp::Mark(i));
-        s0.push(MpiOp::Send {
-            dst: 1,
-            bytes,
-            tag: i,
-        });
-        s0.push(MpiOp::Recv { src: 1, tag: i });
-        s1.push(MpiOp::Recv { src: 0, tag: i });
-        s1.push(MpiOp::Send {
-            dst: 0,
-            bytes,
-            tag: i,
-        });
-    }
-    s0.push(MpiOp::Mark(iters));
-    let job = eng.add_job(
-        Job::new(vec![NodeId(0), NodeId(16)]),
-        vec![s0, s1],
-        0,
-        SimTime::ZERO,
-    );
-    eng.run_to_completion(4_000_000_000)?;
-    let mut sample = Sample::from_values(
-        eng.iteration_durations(job)
-            .iter()
-            .map(|d| d.as_us_f64() / 2.0)
-            .collect(),
-    );
-    Ok(sample.median())
 }
 
 #[cfg(test)]

@@ -8,13 +8,14 @@
 //! algorithm switches from Bruck to pairwise.
 
 use crate::report::{fmt_bytes, Table};
+use crate::run::{execute, Run, Stop};
 use crate::runner::{self, CellMeta, Outcome};
 use crate::scale::Scale;
 use crate::{driver::Figure, SweepCache};
 use serde::Serialize;
 use slingshot::{Profile, System, SystemBuilder};
-use slingshot_des::{SimDuration, SimTime};
-use slingshot_mpi::{coll, Engine, Job, MpiOp, ProtocolStack, Script};
+use slingshot_des::SimTime;
+use slingshot_mpi::{coll, Job, MpiOp, ProtocolStack, Script};
 use slingshot_network::SimError;
 use slingshot_topology::{shandy_scaled, DragonflyParams, NodeId};
 
@@ -175,6 +176,28 @@ impl Figure for Fig6 {
     }
 }
 
+/// Run `scripts` as one job over every node of an idle Slingshot
+/// `params` and return its `payload_bytes` over the job's duration, in
+/// Gb/s, or the typed simulation error.
+fn job_gbps(
+    params: DragonflyParams,
+    seed: u64,
+    ppn: u32,
+    scripts: Vec<Script>,
+    payload_bytes: u64,
+    scale: Scale,
+) -> Result<f64, SimError> {
+    let net = SystemBuilder::new(System::Custom(params), Profile::Slingshot)
+        .seed(seed)
+        .config();
+    let budget = scale.event_budget();
+    let mut run = Run::new(net, ProtocolStack::mpi(), Stop::Completion { budget });
+    let nodes: Vec<NodeId> = (0..params.total_nodes()).map(NodeId).collect();
+    run.add_job(Job::with_ppn(nodes, ppn), scripts, 0, SimTime::ZERO);
+    let dur = execute(run, None)?.job_duration.expect("job finished");
+    Ok(payload_bytes as f64 * 8.0 / dur.as_ns_f64())
+}
+
 /// Aggregate all-to-all bandwidth: total exchanged payload over the
 /// collective's completion time, or the typed simulation error.
 pub fn try_alltoall_gbps(
@@ -183,22 +206,13 @@ pub fn try_alltoall_gbps(
     ppn: u32,
     scale: Scale,
 ) -> Result<f64, SimError> {
-    let net = SystemBuilder::new(System::Custom(params), Profile::Slingshot)
-        .seed(6)
-        .build();
-    let mut eng = Engine::new(net, ProtocolStack::mpi());
-    let nodes: Vec<NodeId> = (0..params.total_nodes()).map(NodeId).collect();
-    let job = Job::with_ppn(nodes, ppn);
-    let n = job.ranks();
+    let n = params.total_nodes() * ppn;
     let scripts: Vec<Script> = coll::alltoall(n, bytes, 0)
         .into_iter()
         .map(Script::from_ops)
         .collect();
-    let id = eng.add_job(job, scripts, 0, SimTime::ZERO);
-    eng.run_to_completion(scale.event_budget())?;
-    let dur = eng.job_duration(id).expect("alltoall finished");
     let total_payload = n as u64 * (n as u64 - 1) * bytes;
-    Ok(total_payload as f64 * 8.0 / dur.as_ns_f64())
+    job_gbps(params, 6, ppn, scripts, total_payload, scale)
 }
 
 /// Aggregate bisection bandwidth: every node pairs with its mirror in the
@@ -209,10 +223,6 @@ pub fn try_bisection_gbps(
     msg_bytes: u64,
     scale: Scale,
 ) -> Result<f64, SimError> {
-    let net = SystemBuilder::new(System::Custom(params), Profile::Slingshot)
-        .seed(66)
-        .build();
-    let mut eng = Engine::new(net, ProtocolStack::mpi());
     let n = params.total_nodes();
     let half = n / 2;
     let per_node: u64 = match scale {
@@ -234,12 +244,8 @@ pub fn try_bisection_gbps(
         ops.push(MpiOp::Fence);
         scripts.push(Script::from_ops(ops));
     }
-    let nodes: Vec<NodeId> = (0..n).map(NodeId).collect();
-    let id = eng.add_job(Job::new(nodes), scripts, 0, SimTime::ZERO);
-    eng.run_to_completion(scale.event_budget())?;
-    let dur: SimDuration = eng.job_duration(id).expect("bisection finished");
     let total = n as u64 * messages * msg_bytes;
-    Ok(total as f64 * 8.0 / dur.as_ns_f64())
+    job_gbps(params, 66, 1, scripts, total, scale)
 }
 
 #[cfg(test)]

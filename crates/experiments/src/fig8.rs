@@ -8,12 +8,14 @@
 
 use crate::congestion::{machine_for, WARMUP};
 use crate::report::Table;
+use crate::run::{execute, Run, Stop};
 use crate::runner::{self, CellMeta, Outcome};
 use crate::scale::Scale;
 use crate::{driver::Figure, SweepCache};
 use serde::Serialize;
 use slingshot::{Profile, System, SystemBuilder};
-use slingshot_mpi::{Engine, Job, ProtocolStack};
+use slingshot_des::SimTime;
+use slingshot_mpi::{Job, ProtocolStack};
 use slingshot_network::SimError;
 use slingshot_stats::Sample;
 use slingshot_topology::{Allocation, AllocationPolicy};
@@ -151,8 +153,9 @@ fn measure(
     let machine = machine_for(nodes);
     let net = SystemBuilder::new(System::Custom(machine), profile)
         .seed(8)
-        .build();
-    let mut eng = Engine::new(net, ProtocolStack::mpi());
+        .config();
+    let budget = scale.event_budget();
+    let mut run = Run::new(net, ProtocolStack::mpi(), Stop::Completion { budget });
 
     // 10 % of nodes to the victim — but always enough victim nodes to
     // span two switches, so client and server are not co-located on one
@@ -164,7 +167,7 @@ fn measure(
     if congested && alloc.aggressor.len() >= 2 {
         let job = Job::new(alloc.aggressor.clone());
         let scripts = Congestor::Incast.scripts(job.ranks());
-        eng.add_job(job, scripts, 0, slingshot_des::SimTime::ZERO);
+        run.add_job(job, scripts, 0, SimTime::ZERO);
     }
 
     // Client on the first victim node, server on the last — spanning the
@@ -177,15 +180,10 @@ fn measure(
         1.0
     };
     let (c, s) = app.scripts_scaled(scale.tail_requests(), 8, service_scale);
-    let job = eng.add_job(Job::new(vec![client, server]), vec![c, s], 0, WARMUP);
-    eng.run_to_completion(scale.event_budget())?;
+    run.add_measured_job(Job::new(vec![client, server]), vec![c, s], 0, WARMUP);
 
-    let mut lat = Sample::from_values(
-        eng.iteration_durations(job)
-            .iter()
-            .map(|d| d.as_ms_f64())
-            .collect(),
-    );
+    let requests = execute(run, None)?.iterations;
+    let mut lat = Sample::from_values(requests.iter().map(|(_, d)| d.as_ms_f64()).collect());
     Ok(Fig8Row {
         app: app.label(),
         profile: match profile {

@@ -253,10 +253,8 @@ pub fn trace(scale: Scale, dir: &str, tcfg: TelemetryConfig) {
         trace_cell(
             dir,
             &format!("fig9_{}_{case}", scale.label()),
-            &opts.cell(Profile::Slingshot, share, aggressor),
-            victim,
-            opts.iters,
-            opts.budget,
+            opts.cell(Profile::Slingshot, share, aggressor)
+                .run(victim, opts.iters, opts.budget),
             tcfg,
         );
     }

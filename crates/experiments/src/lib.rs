@@ -6,6 +6,9 @@
 //! them; the `src/bin/figN_*.rs` binaries and `all_figures` run them
 //! through [`driver::drive`], which drops JSON under `results/`.
 //!
+//! Every figure that drives an MPI engine describes its simulation as a
+//! [`run::Run`] and simulates it with [`run::execute`].
+//!
 //! Sweeps fan their independent simulation points across worker threads
 //! (see [`runner`]); pass `--jobs N` to any binary. Output is
 //! bit-identical at every thread count because each point seeds its own
@@ -30,15 +33,13 @@ pub mod fig8;
 pub mod fig9;
 pub mod report;
 pub mod resilience;
+pub mod run;
 pub mod runner;
 pub mod scale;
 pub mod telemetry;
 
 pub use cache::SweepCache;
-pub use congestion::{
-    default_victims, machine_for, run_cell, run_identity, run_pair, try_run_cell,
-    try_run_cell_traced, Cell, CellResult, Victim,
-};
+pub use congestion::{default_victims, machine_for, run_identity, run_pair, Cell, Victim};
 pub use driver::Figure;
 pub use runner::{CellFailure, CellMeta, Outcome};
 pub use scale::{RunConfig, Scale};

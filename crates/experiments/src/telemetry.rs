@@ -11,7 +11,7 @@
 //! identical to its untraced twin and the trace files are byte-identical
 //! at any `--jobs` level.
 
-use crate::congestion::{try_run_cell_traced, Cell, Victim};
+use crate::run::{execute, Run};
 use crate::scale::RunConfig;
 use slingshot::telemetry::{jsonl, perfetto, HopKind};
 use slingshot::{TelemetryConfig, TelemetryReport};
@@ -87,21 +87,18 @@ pub fn mean_voq_wait_ps(report: &TelemetryReport) -> Option<f64> {
     (count > 0).then(|| sum / count as f64)
 }
 
-/// Run one cell under the flight recorder and export its trace. Errors
-/// warn instead of failing: the traced cell is an observability add-on,
+/// Execute `run` under the flight recorder and export its trace. Errors
+/// warn instead of failing: the traced run is an observability add-on,
 /// not part of the figure's result set.
 pub(crate) fn trace_cell(
     dir: &str,
     name: &str,
-    cell: &Cell,
-    victim: Victim,
-    iters: u32,
-    budget: u64,
+    run: Run,
     tcfg: TelemetryConfig,
 ) -> Option<TelemetryReport> {
-    match try_run_cell_traced(cell, victim, iters, budget, Some(tcfg)) {
-        Ok((_, report)) => {
-            let report = report.expect("telemetry was enabled for this cell");
+    match execute(run, Some(tcfg)) {
+        Ok(measured) => {
+            let report = measured.telemetry.expect("telemetry was enabled");
             export_report(dir, name, &report);
             Some(report)
         }
@@ -115,13 +112,15 @@ pub(crate) fn trace_cell(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner;
+    use crate::congestion::{Cell, Victim};
+    use crate::scale::Scale;
+    use crate::{fig13, runner};
     use slingshot::Profile;
     use slingshot_topology::AllocationPolicy;
     use slingshot_workloads::{Congestor, Microbench};
 
-    fn tiny_cell(aggressor: Option<Congestor>) -> Cell {
-        Cell {
+    fn tiny_run(aggressor: Option<Congestor>) -> Run {
+        let cell = Cell {
             profile: Profile::Slingshot,
             nodes: 32,
             victim_nodes: 16,
@@ -131,48 +130,37 @@ mod tests {
             seed: 9,
             cc: None,
             routing: None,
-        }
+        };
+        cell.run(Victim::Micro(Microbench::Alltoall, 128), 3, 400_000_000)
     }
 
-    const VICTIM: Victim = Victim::Micro(Microbench::Alltoall, 128);
-    const BUDGET: u64 = 400_000_000;
-
+    /// Both stop rules: a congestion cell stops at the victim's
+    /// completion, Fig. 13's timeline at its horizon.
     #[test]
     fn telemetry_does_not_perturb_the_measurement() {
-        let plain = try_run_cell_traced(&tiny_cell(None), VICTIM, 3, BUDGET, None)
-            .expect("untraced cell runs");
-        let traced = try_run_cell_traced(
-            &tiny_cell(None),
-            VICTIM,
-            3,
-            BUDGET,
-            Some(TelemetryConfig::sampled(1)),
-        )
-        .expect("traced cell runs");
-        assert!(plain.1.is_none());
-        let report = traced.1.expect("report present");
-        assert!(!report.events.is_empty(), "recorder sampled packets");
-        // Bit-identical timing: the recorder draws no RNG and adds no events.
-        assert_eq!(plain.0.mean_secs.to_bits(), traced.0.mean_secs.to_bits());
-        assert_eq!(plain.0.p99_secs.to_bits(), traced.0.p99_secs.to_bits());
-        assert_eq!(plain.0.iterations, traced.0.iterations);
+        let runs: [fn() -> Run; 2] = [|| tiny_run(None), || fig13::case(Scale::Tiny, true, true)];
+        for run in runs {
+            let plain = execute(run(), None).expect("untraced run");
+            let traced = execute(run(), Some(TelemetryConfig::sampled(1))).expect("traced run");
+            assert!(plain.telemetry.is_none());
+            let report = traced.telemetry.expect("report present");
+            assert!(!report.events.is_empty(), "recorder sampled packets");
+            // Bit-identical timing: the recorder draws no RNG and adds no events.
+            assert!(!plain.iterations.is_empty());
+            assert_eq!(plain.iterations, traced.iterations);
+            assert_eq!(plain.job_duration, traced.job_duration);
+        }
     }
 
     #[test]
     fn voq_wait_widens_under_incast() {
-        let tcfg = TelemetryConfig::sampled(1);
-        let (_, iso) = try_run_cell_traced(&tiny_cell(None), VICTIM, 3, BUDGET, Some(tcfg))
-            .expect("isolated runs");
-        let (_, loaded) = try_run_cell_traced(
-            &tiny_cell(Some(Congestor::Incast)),
-            VICTIM,
-            3,
-            BUDGET,
-            Some(tcfg),
-        )
-        .expect("congested runs");
-        let iso_wait = mean_voq_wait_ps(&iso.unwrap()).expect("isolated spans");
-        let loaded_wait = mean_voq_wait_ps(&loaded.unwrap()).expect("congested spans");
+        let wait = |aggressor| {
+            let measured =
+                execute(tiny_run(aggressor), Some(TelemetryConfig::sampled(1))).expect("cell runs");
+            mean_voq_wait_ps(&measured.telemetry.unwrap()).expect("complete spans")
+        };
+        let iso_wait = wait(None);
+        let loaded_wait = wait(Some(Congestor::Incast));
         // The heatmap's impact numbers, seen at packet level: queues are
         // visibly longer under the aggressor.
         assert!(
@@ -184,15 +172,9 @@ mod tests {
     #[test]
     fn traces_are_identical_across_jobs() {
         let render = || {
-            let (_, report) = try_run_cell_traced(
-                &tiny_cell(Some(Congestor::Incast)),
-                VICTIM,
-                3,
-                BUDGET,
-                Some(TelemetryConfig::sampled(4)),
-            )
-            .expect("cell runs");
-            let report = report.unwrap();
+            let run = tiny_run(Some(Congestor::Incast));
+            let measured = execute(run, Some(TelemetryConfig::sampled(4))).expect("cell runs");
+            let report = measured.telemetry.unwrap();
             (perfetto::to_chrome_trace(&report), jsonl::to_jsonl(&report))
         };
         let serial = runner::with_jobs(1, render);
@@ -228,8 +210,7 @@ mod tests {
             ..RunConfig::default()
         };
         let (_, tcfg) = config_for(&run).unwrap();
-        let report = trace_cell(&dir_s, "cell", &tiny_cell(None), VICTIM, 3, BUDGET, tcfg)
-            .expect("traced cell runs");
+        let report = trace_cell(&dir_s, "cell", tiny_run(None), tcfg).expect("traced cell runs");
         assert!(dir.join("cell.perfetto.json").exists());
         assert!(dir.join("cell.jsonl").exists());
         assert_eq!(report.sample_every, 2);

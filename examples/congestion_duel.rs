@@ -37,7 +37,7 @@ fn main() {
                 cc: None,
                 routing: None,
             };
-            let (_, _, impact) = run_pair(&cell, victim, 5, 1_000_000_000);
+            let impact = run_pair(&cell, victim, 5, 1_000_000_000);
             impacts.push(impact);
         }
         println!(

@@ -24,8 +24,8 @@ fn headline_result_incast_isolation() {
         cc: None,
         routing: None,
     };
-    let (_, _, aries) = run_pair(&cell(Profile::Aries), victim, 4, 500_000_000);
-    let (_, _, slingshot) = run_pair(&cell(Profile::Slingshot), victim, 4, 500_000_000);
+    let aries = run_pair(&cell(Profile::Aries), victim, 4, 500_000_000);
+    let slingshot = run_pair(&cell(Profile::Slingshot), victim, 4, 500_000_000);
     assert!(aries > 2.0, "aries {aries:.2}");
     assert!(slingshot < 2.0, "slingshot {slingshot:.2}");
     assert!(aries / slingshot > 2.0);
@@ -47,9 +47,9 @@ fn ecn_ablation_sits_between_none_and_slingshot() {
         cc: None,
         routing: None,
     };
-    let (_, _, none) = run_pair(&mk(Profile::Aries), victim, 4, 500_000_000);
-    let (_, _, ecn) = run_pair(&mk(Profile::SlingshotEcn), victim, 4, 500_000_000);
-    let (_, _, ss) = run_pair(&mk(Profile::Slingshot), victim, 4, 500_000_000);
+    let none = run_pair(&mk(Profile::Aries), victim, 4, 500_000_000);
+    let ecn = run_pair(&mk(Profile::SlingshotEcn), victim, 4, 500_000_000);
+    let ss = run_pair(&mk(Profile::Slingshot), victim, 4, 500_000_000);
     assert!(
         ss <= ecn * 1.1,
         "slingshot ({ss:.2}) should beat or match ECN ({ecn:.2})"
