@@ -38,6 +38,7 @@ pub struct Run {
     jobs: Vec<(Job, Vec<Script>, usize, SimTime)>,
     /// Index into `jobs` of the job read back.
     measured: usize,
+    /// Stop rule.
     stop: Stop,
 }
 
