@@ -5,6 +5,7 @@
 use slingshot_ethernet::MAX_PAYLOAD;
 use slingshot_faults::{FaultConfig, FaultKind, FaultSchedule};
 use slingshot_network::{Network, NetworkConfig, Notification};
+use slingshot_telemetry::{CountKind, TelemetryConfig};
 use slingshot_topology::{tiny, DragonflyParams, NodeId};
 
 use slingshot_des::{SimDuration, SimTime};
@@ -217,12 +218,10 @@ fn fault_scenarios_are_deterministic() {
     assert_eq!(a.take_notifications(), b.take_notifications());
 }
 
-#[test]
-fn every_recovery_path_quiesces_with_an_empty_packet_slab() {
-    // Error bursts hard enough to exhaust LLR on some links (drop + link
-    // retrain), plus an outage of the destination switch (drops recovered
-    // by end-to-end retransmits): every packet slot — originals, replayed
-    // packets, retransmit copies — must be freed by quiescence.
+/// Error bursts hard enough to exhaust LLR on some links (drop + link
+/// retrain), plus an outage of the destination switch (drops recovered by
+/// end-to-end retransmits): every rung of the recovery ladder runs.
+fn recovery_ladder_config() -> NetworkConfig {
     let mut cfg = NetworkConfig::slingshot(tiny());
     let (n_channels, dst_switch) = {
         let topo = cfg.topology.build();
@@ -251,7 +250,14 @@ fn every_recovery_path_quiesces_with_an_empty_packet_slab() {
         FaultKind::SwitchUp { switch: dst_switch },
     );
     cfg.faults = Some(FaultConfig::new(schedule));
-    let mut net = Network::new(cfg);
+    cfg
+}
+
+#[test]
+fn every_recovery_path_quiesces_with_an_empty_packet_slab() {
+    // Every packet slot — originals, replayed packets, retransmit copies —
+    // must be freed by quiescence.
+    let mut net = Network::new(recovery_ladder_config());
     drive_traffic(&mut net);
 
     let stats = net.fault_stats().expect("fault mode");
@@ -265,6 +271,41 @@ fn every_recovery_path_quiesces_with_an_empty_packet_slab() {
     assert_eq!(delivered_count(&net.take_notifications()), 4);
     net.assert_fault_conservation();
     net.assert_quiescent_invariants();
+}
+
+#[test]
+fn fault_mode_telemetry_matches_the_counters_and_traces_every_rung() {
+    // Tracing every packet through the whole recovery ladder must not
+    // change the run, each fault count series must sum to its kernel
+    // counter, and the flight recorder must see every kind of recovery hop.
+    let mut plain = Network::new(recovery_ladder_config());
+    drive_traffic(&mut plain);
+    let mut cfg = recovery_ladder_config();
+    cfg.telemetry = Some(TelemetryConfig::sampled(1));
+    let mut traced = Network::new(cfg);
+    drive_traffic(&mut traced);
+
+    assert_eq!(traced.stats(), plain.stats());
+    assert_eq!(traced.fault_stats(), plain.fault_stats());
+    let k = traced.kernel_stats();
+    assert_eq!(k, plain.kernel_stats());
+    let report = traced.take_telemetry_report().expect("telemetry enabled");
+    for (kind, counter) in [
+        (CountKind::LlrReplay, k.llr_replays),
+        (CountKind::Dropped, k.packets_dropped),
+        (CountKind::E2eRetransmit, k.e2e_retransmits),
+        (CountKind::RouteMinimal, k.adaptive_minimal),
+        (CountKind::RouteValiant, k.adaptive_nonminimal),
+    ] {
+        assert_eq!(report.count(kind).total(), counter as f64, "{kind:?}");
+    }
+    assert_eq!(report.events_evicted, 0, "the ring overflowed");
+    for name in ["llr_replay", "dropped", "e2e_retransmit"] {
+        assert!(
+            report.events.iter().any(|e| e.kind.name() == name),
+            "no {name} hop traced"
+        );
+    }
 }
 
 #[test]
