@@ -9,12 +9,13 @@
 //! RNG draws, byte-identical results).
 
 use crate::packet::MessageId;
+use crate::switch::PortKind;
 use fxhash::FxHashMap;
 use serde::Serialize;
 use slingshot_des::{DetRng, SimTime};
 use slingshot_ethernet::PortLanes;
 use slingshot_faults::{FaultConfig, FaultSchedule, RecoveryConfig, E2E_BACKOFF_CAP};
-use slingshot_topology::{Dragonfly, Liveness};
+use slingshot_topology::{Dragonfly, Liveness, SwitchId};
 use std::collections::VecDeque;
 
 /// Why a packet copy was destroyed in the fabric.
@@ -164,7 +165,7 @@ pub(crate) struct FaultRuntime {
     /// Timer lines per NIC: `min(e2e_max_retries, E2E_BACKOFF_CAP) + 1`.
     levels: u32,
     /// Last copy id handed out (0 is reserved for "no fault mode").
-    pub next_copy: u32,
+    next_copy: u32,
     /// Fault-plane RNG (forked from the network seed; never touches the
     /// main simulation stream).
     pub rng: DetRng,
@@ -248,6 +249,19 @@ impl FaultRuntime {
     /// Deadlines still filed across all timer lines (zero once quiesced).
     pub fn timers_pending(&self) -> usize {
         self.lines.iter().map(VecDeque::len).sum()
+    }
+
+    /// Why a packet leaving switch `sw` through an output port of `kind`
+    /// dies there: the switch is down, or the port's channel is; `None`
+    /// when both are up.
+    pub fn dead_output(&self, sw: SwitchId, kind: PortKind) -> Option<DropReason> {
+        if !self.liveness.is_switch_up(sw) {
+            return Some(DropReason::SwitchDown);
+        }
+        match kind {
+            PortKind::Channel(ch) if !self.liveness.is_channel_up(ch) => Some(DropReason::LinkDown),
+            _ => None,
+        }
     }
 
     /// Per-traversal transient error probability on channel `ch` at `now`:

@@ -99,6 +99,20 @@ fn start_e2e_timer(
     }
 }
 
+/// Record hop `kind` of `pkt` in the flight recorder. The packet's own
+/// `traced` flag is checked first, then the telemetry `Option`: `traced` is
+/// never set with telemetry off, so an untraced packet costs one branch.
+#[inline]
+fn trace(telemetry: &mut Option<Box<NetTelemetry>>, pkt: &Packet, now: SimTime, kind: HopKind) {
+    if !pkt.traced {
+        return;
+    }
+    if let Some(t) = telemetry.as_deref_mut() {
+        let (msg, chunk, copy, tc) = (pkt.msg.0, pkt.chunk, pkt.copy, pkt.tc);
+        t.hub.record_event(now.as_ps(), msg, chunk, copy, tc, kind);
+    }
+}
+
 /// Hop budget for route healing: a packet whose route has already grown
 /// this long is dropped instead of re-detoured (recovered end-to-end), so
 /// an unreachable destination cannot make copies wander forever.
@@ -449,10 +463,7 @@ impl Network {
         let mut labels = Vec::new();
         for (si, sw) in self.switches.iter().enumerate() {
             for (pi, p) in sw.ports.iter().enumerate() {
-                labels.push(match p.kind {
-                    PortKind::Channel(ch) => format!("sw{si}/p{pi} ch:{}", ch.0),
-                    PortKind::Eject(n) => format!("sw{si}/p{pi} eject:{}", n.0),
-                });
+                labels.push(format!("sw{si}/p{pi} {}", p.kind));
             }
         }
         Some(t.hub.into_report(&labels))
@@ -611,10 +622,7 @@ impl Network {
                 PortHotspot {
                     switch: si,
                     port: pi,
-                    drives: match p.kind {
-                        PortKind::Channel(ch) => format!("ch:{}", ch.0),
-                        PortKind::Eject(n) => format!("eject:{}", n.0),
-                    },
+                    drives: p.kind.to_string(),
                     queued_wire: p.queued_wire,
                     outstanding: p.outstanding.iter().sum(),
                     busy: p.busy,
@@ -759,13 +767,11 @@ impl Network {
         for _ in 0..nic.active.len() {
             let msg_id = *nic.active.front().expect("checked non-empty");
             let st = &self.messages[msg_id.0 as usize];
-            let payload = st.remaining_to_inject.min(MAX_PAYLOAD as u64) as u32;
-            let wire = self.cfg.frame.wire_bytes(payload);
             // Chunks leave the NIC in offset order, MAX_PAYLOAD apart.
             let chunk = ((st.bytes - st.remaining_to_inject) / MAX_PAYLOAD as u64) as u32;
-            let dst = st.dst;
+            let (payload, wire) = st.chunk_size(chunk, self.cfg.frame);
             let tc = st.tc;
-            let pair = &mut nic.pairs[dst.index()];
+            let pair = &mut nic.pairs[st.dst.index()];
             let cc_ok = self.cfg.cc.may_send(pair, wire as u64, now);
             let credit_ok = nic.credits[tc as usize] >= wire as u64;
             if cc_ok && credit_ok {
@@ -781,24 +787,7 @@ impl Network {
                 } else {
                     nic.active.rotate_left(1);
                 }
-                let mut pkt = Packet {
-                    msg: msg_id,
-                    src: NodeId(node),
-                    dst,
-                    payload,
-                    wire,
-                    tc,
-                    routed: false,
-                    route: RouteState::new(self.topo.switch_of_node(dst), Via::Direct),
-                    cur_source: InSource::Node(NodeId(node)),
-                    path_delay: SimDuration::ZERO,
-                    ep_depth: 0,
-                    born: now,
-                    chunk,
-                    copy: 0,
-                    llr: 0,
-                    traced: false,
-                };
+                let mut pkt = self.new_packet(msg_id, chunk, 0, now);
                 if let Some(rt) = self.faults.as_mut() {
                     let copy = rt.alloc_copy();
                     pkt.copy = copy;
@@ -807,24 +796,42 @@ impl Network {
                     rt.stats.copies_injected += 1;
                     start_e2e_timer(&mut self.queue, rt, &pkt, 0, now + ser);
                 }
-                if let Some(t) = self.telemetry.as_deref_mut() {
-                    if t.hub.sampled(msg_id.0, chunk) {
-                        pkt.traced = true;
-                        t.hub.record_event(
-                            now.as_ps(),
-                            msg_id.0,
-                            chunk,
-                            pkt.copy,
-                            tc,
-                            HopKind::NicSerializeStart,
-                        );
-                    }
-                }
+                trace(&mut self.telemetry, &pkt, now, HopKind::NicSerializeStart);
                 let pkt = self.pkts.alloc(pkt);
                 self.queue.push(now + ser, Event::NicTxDone { node, pkt });
                 return;
             }
             nic.active.rotate_left(1);
+        }
+    }
+
+    /// Copy `copy` of chunk `chunk` of message `msg`, leaving its source
+    /// NIC at `now` with its route still to be decided. The flight
+    /// recorder samples by `(msg, chunk)` and ignores the copy id, so a
+    /// retransmit copy is traced exactly when its chunk's first copy was.
+    fn new_packet(&self, msg: MessageId, chunk: u32, copy: u32, now: SimTime) -> Packet {
+        let st = &self.messages[msg.0 as usize];
+        let (payload, wire) = st.chunk_size(chunk, self.cfg.frame);
+        Packet {
+            msg,
+            src: st.src,
+            dst: st.dst,
+            payload,
+            wire,
+            tc: st.tc,
+            routed: false,
+            route: RouteState::new(self.topo.switch_of_node(st.dst), Via::Direct),
+            cur_source: InSource::Node(st.src),
+            path_delay: SimDuration::ZERO,
+            ep_depth: 0,
+            born: now,
+            chunk,
+            copy,
+            llr: 0,
+            traced: self
+                .telemetry
+                .as_ref()
+                .is_some_and(|t| t.hub.sampled(msg.0, chunk)),
         }
     }
 
@@ -853,18 +860,7 @@ impl Network {
         debug_assert_eq!(entry.map(|e| e.copy), Some(pkt.copy), "stale retx copy");
         let attempt = entry.map_or(0, |e| e.attempt);
         start_e2e_timer(&mut self.queue, rt, pkt, attempt, now + ser);
-        if pkt.traced {
-            if let Some(t) = self.telemetry.as_deref_mut() {
-                t.hub.record_event(
-                    now.as_ps(),
-                    pkt.msg.0,
-                    pkt.chunk,
-                    pkt.copy,
-                    pkt.tc,
-                    HopKind::NicSerializeStart,
-                );
-            }
-        }
+        trace(&mut self.telemetry, pkt, now, HopKind::NicSerializeStart);
         self.queue
             .push(now + ser, Event::NicTxDone { node, pkt: h });
     }
@@ -875,18 +871,7 @@ impl Network {
         let prop = nic.prop;
         let pkt = &mut self.pkts[h];
         pkt.path_delay += prop;
-        if pkt.traced {
-            if let Some(t) = self.telemetry.as_deref_mut() {
-                t.hub.record_event(
-                    now.as_ps(),
-                    pkt.msg.0,
-                    pkt.chunk,
-                    pkt.copy,
-                    pkt.tc,
-                    HopKind::NicTxDone,
-                );
-            }
-        }
+        trace(&mut self.telemetry, pkt, now, HopKind::NicTxDone);
         let sw = self.topo.switch_of_node(NodeId(node)).0;
         self.queue
             .push(now + prop, Event::ArriveSwitch { sw, pkt: h });
@@ -903,18 +888,7 @@ impl Network {
             }
         }
         let pkt = &mut self.pkts[h];
-        if pkt.traced {
-            if let Some(t) = self.telemetry.as_deref_mut() {
-                t.hub.record_event(
-                    now.as_ps(),
-                    pkt.msg.0,
-                    pkt.chunk,
-                    pkt.copy,
-                    pkt.tc,
-                    HopKind::SwitchArrive { sw },
-                );
-            }
-        }
+        trace(&mut self.telemetry, pkt, now, HopKind::SwitchArrive { sw });
         // Routing decisions read the live load view; split borrows keep the
         // router's view disjoint from the RNG and packet.
         let liveness = self.faults.as_ref().map(|rt| &rt.liveness);
@@ -992,17 +966,8 @@ impl Network {
             // The output port may have died while the packet crossed the
             // fabric; dead ports must not accumulate backlog (their queues
             // were flushed when they went down).
-            let reason = if !rt.liveness.is_switch_up(SwitchId(sw)) {
-                Some(DropReason::SwitchDown)
-            } else {
-                match self.switches[sw as usize].ports[port as usize].kind {
-                    PortKind::Channel(ch) if !rt.liveness.is_channel_up(ch) => {
-                        Some(DropReason::LinkDown)
-                    }
-                    _ => None,
-                }
-            };
-            if let Some(reason) = reason {
+            let kind = self.switches[sw as usize].ports[port as usize].kind;
+            if let Some(reason) = rt.dead_output(SwitchId(sw), kind) {
                 self.record_drop(h, reason, now);
                 return;
             }
@@ -1019,18 +984,10 @@ impl Network {
         if let Some(t) = self.telemetry.as_deref_mut() {
             let gport = t.port_base[sw as usize] + port;
             t.hub.on_port_queue(gport, now.as_ps(), depth);
-            if pkt.traced {
-                let vc = vc_of(pkt.route.hops) as u8;
-                t.hub.record_event(
-                    now.as_ps(),
-                    pkt.msg.0,
-                    pkt.chunk,
-                    pkt.copy,
-                    pkt.tc,
-                    HopKind::VoqEnqueue { sw, port, vc },
-                );
-            }
         }
+        let vc = vc_of(pkt.route.hops) as u8;
+        let hop = HopKind::VoqEnqueue { sw, port, vc };
+        trace(&mut self.telemetry, pkt, now, hop);
         self.try_start_tx(sw, port, now);
     }
 
@@ -1057,16 +1014,7 @@ impl Network {
                 .on_port_tx(gport, tc as u8, now.as_ps(), head.wire as u64);
             t.hub.on_port_queue(gport, now.as_ps(), depth);
             let pkt = &self.pkts[head.pkt];
-            if pkt.traced {
-                t.hub.record_event(
-                    now.as_ps(),
-                    pkt.msg.0,
-                    pkt.chunk,
-                    pkt.copy,
-                    pkt.tc,
-                    HopKind::TxStart { sw, port },
-                );
-            }
+            trace(&mut self.telemetry, pkt, now, HopKind::TxStart { sw, port });
         }
         self.queue.push(
             now + ser,
@@ -1107,19 +1055,8 @@ impl Network {
             }
         }
         self.switches[sw as usize].ports[port as usize].busy = false;
-        let pkt = &self.pkts[h];
-        if pkt.traced {
-            if let Some(t) = self.telemetry.as_deref_mut() {
-                t.hub.record_event(
-                    now.as_ps(),
-                    pkt.msg.0,
-                    pkt.chunk,
-                    pkt.copy,
-                    pkt.tc,
-                    HopKind::TxDone { sw, port },
-                );
-            }
-        }
+        let hop = HopKind::TxDone { sw, port };
+        trace(&mut self.telemetry, &self.pkts[h], now, hop);
         // Return the input-buffer credit for the source this packet arrived
         // from (it has now left this switch).
         // The upstream sender consumed its credit at the packet's VC as of
@@ -1186,18 +1123,14 @@ impl Network {
         now: SimTime,
     ) -> TxVerdict {
         let rt = self.faults.as_mut().expect("fault mode");
-        if !rt.liveness.is_switch_up(SwitchId(sw)) {
-            self.drop_at_port(sw, port, h, DropReason::SwitchDown, now);
+        // The switch died, or the link was cut, mid-serialization.
+        if let Some(reason) = rt.dead_output(SwitchId(sw), kind) {
+            self.drop_at_port(sw, port, h, reason, now);
             return TxVerdict::Dropped;
         }
         let PortKind::Channel(ch) = kind else {
             return TxVerdict::Proceed;
         };
-        if !rt.liveness.is_channel_up(ch) {
-            // The link was cut mid-serialization.
-            self.drop_at_port(sw, port, h, DropReason::LinkDown, now);
-            return TxVerdict::Dropped;
-        }
         let rate = rt.error_rate(ch.index(), now);
         if rate <= 0.0 || !rt.rng.chance(rate) {
             return TxVerdict::Proceed;
@@ -1212,17 +1145,9 @@ impl Network {
             let replay = SimDuration::from_ns_f64(rt.recovery.llr_replay_ns);
             if let Some(t) = self.telemetry.as_deref_mut() {
                 t.hub.count(CountKind::LlrReplay, now.as_ps());
-                if pkt.traced {
-                    t.hub.record_event(
-                        now.as_ps(),
-                        pkt.msg.0,
-                        pkt.chunk,
-                        pkt.copy,
-                        pkt.tc,
-                        HopKind::LlrReplay { sw, port },
-                    );
-                }
             }
+            let hop = HopKind::LlrReplay { sw, port };
+            trace(&mut self.telemetry, pkt, now, hop);
             self.queue
                 .push(now + replay, Event::TxDone { sw, port, pkt: h });
             TxVerdict::Replayed
@@ -1292,19 +1217,11 @@ impl Network {
         let pkt = &self.pkts[h];
         if let Some(t) = self.telemetry.as_deref_mut() {
             t.hub.count(CountKind::Dropped, now.as_ps());
-            if pkt.traced {
-                t.hub.record_event(
-                    now.as_ps(),
-                    pkt.msg.0,
-                    pkt.chunk,
-                    pkt.copy,
-                    pkt.tc,
-                    HopKind::Dropped {
-                        reason: reason as u8,
-                    },
-                );
-            }
         }
+        let hop = HopKind::Dropped {
+            reason: reason as u8,
+        };
+        trace(&mut self.telemetry, pkt, now, hop);
         let rt = self.faults.as_mut().expect("drop outside fault mode");
         match reason {
             DropReason::LinkDown => rt.stats.dropped_link_down += 1,
@@ -1455,68 +1372,35 @@ impl Network {
     /// the chunk up for good.
     fn e2e_timeout(&mut self, msg: MessageId, chunk: u32, copy: u32, now: SimTime) {
         let st = &self.messages[msg.0 as usize];
-        let (src, dst, tc, bytes) = (st.src, st.dst, st.tc, st.bytes);
-        let offset = chunk as u64 * MAX_PAYLOAD as u64;
-        let payload = (bytes - offset).min(MAX_PAYLOAD as u64) as u32;
-        let wire = self.cfg.frame.wire_bytes(payload);
+        let (src, dst) = (st.src, st.dst);
+        let (_, wire) = st.chunk_size(chunk, self.cfg.frame);
         let rt = self.faults.as_mut().expect("e2e timer outside fault mode");
-        let Some(entry) = rt.retry.get_mut(&(msg.0, chunk)) else {
+        let Some(&entry) = rt.retry.get(&(msg.0, chunk)) else {
             return; // acknowledged before the timer fired
         };
         if entry.copy != copy {
             return; // timer of a superseded copy; a newer one is pending
         }
         rt.stats.e2e_timeouts += 1;
+        self.nics[src.index()].sub_in_flight(dst, wire);
         if entry.attempt >= rt.recovery.e2e_max_retries {
             rt.retry.remove(&(msg.0, chunk));
             rt.stats.e2e_giveups += 1;
-            self.nics[src.index()].sub_in_flight(dst, wire);
             // The freed window may admit the NIC's next chunk.
             self.try_inject(src.0, now);
             return;
         }
-        entry.attempt += 1;
-        rt.next_copy += 1;
-        let new_copy = rt.next_copy;
-        entry.copy = new_copy;
+        let copy = rt.alloc_copy();
+        let attempt = entry.attempt + 1;
+        rt.retry
+            .insert((msg.0, chunk), RetryEntry { copy, attempt });
         rt.stats.e2e_retransmits += 1;
         self.kernel.e2e_retransmits += 1;
-        self.nics[src.index()].sub_in_flight(dst, wire);
-        let mut pkt = Packet {
-            msg,
-            src,
-            dst,
-            payload,
-            wire,
-            tc,
-            routed: false,
-            route: RouteState::new(self.topo.switch_of_node(dst), Via::Direct),
-            cur_source: InSource::Node(src),
-            path_delay: SimDuration::ZERO,
-            ep_depth: 0,
-            born: now,
-            chunk,
-            copy: new_copy,
-            llr: 0,
-            traced: false,
-        };
         if let Some(t) = self.telemetry.as_deref_mut() {
             t.hub.count(CountKind::E2eRetransmit, now.as_ps());
-            // The retransmit copy inherits the chunk's sampling decision
-            // (the hash ignores the copy id), so a traced flight stays
-            // traced across end-to-end recovery.
-            if t.hub.sampled(msg.0, chunk) {
-                pkt.traced = true;
-                t.hub.record_event(
-                    now.as_ps(),
-                    msg.0,
-                    chunk,
-                    new_copy,
-                    tc,
-                    HopKind::E2eRetransmit,
-                );
-            }
         }
+        let pkt = self.new_packet(msg, chunk, copy, now);
+        trace(&mut self.telemetry, &pkt, now, HopKind::E2eRetransmit);
         let h = self.pkts.alloc(pkt);
         self.nics[src.index()].retx.push_back(h);
         self.try_inject(src.0, now);
@@ -1545,19 +1429,8 @@ impl Network {
 
     fn arrive_nic(&mut self, h: PacketHandle, now: SimTime) {
         let pkt = &self.pkts[h];
-        if pkt.traced {
-            if let Some(t) = self.telemetry.as_deref_mut() {
-                t.hub.record_event(
-                    now.as_ps(),
-                    pkt.msg.0,
-                    pkt.chunk,
-                    pkt.copy,
-                    pkt.tc,
-                    HopKind::NicArrive,
-                );
-            }
-        }
-        if self.faults.is_some() {
+        trace(&mut self.telemetry, pkt, now, HopKind::NicArrive);
+        if let Some(rt) = self.faults.as_mut() {
             let st = &mut self.messages[pkt.msg.0 as usize];
             let word = (pkt.chunk / 64) as usize;
             let bit = 1u64 << (pkt.chunk & 63);
@@ -1565,28 +1438,35 @@ impl Network {
                 // Retransmitted copy of an already-delivered chunk (the
                 // original's ack was lost or late): ack it so the sender
                 // stops retrying, but deliver nothing twice.
-                let rt = self.faults.as_mut().expect("checked");
                 rt.stats.delivered_duplicate += 1;
                 self.push_ack(h, now);
                 return;
             }
             st.delivered_chunks[word] |= bit;
-            let rt = self.faults.as_mut().expect("checked");
             rt.stats.delivered_unique += 1;
         }
         if let Some(sample) = &mut self.packet_latency {
             sample.push(now.since(pkt.born).as_ns_f64());
         }
         self.stats.packets_delivered += 1;
-        self.stats.payload_delivered += pkt.payload as u64;
-        self.delivered_payload[pkt.dst.index()] += pkt.payload as u64;
-        let st = &mut self.messages[pkt.msg.0 as usize];
-        debug_assert!(st.remaining_to_deliver >= pkt.payload as u64);
-        st.remaining_to_deliver -= pkt.payload as u64;
+        let (msg, payload) = (pkt.msg, pkt.payload as u64);
+        self.deliver(msg, payload, now);
+        // End-to-end ack on the dedicated ack plane: queue-free return.
+        self.push_ack(h, now);
+    }
+
+    /// Hand `payload` bytes of message `msg` to its destination; the last
+    /// of its bytes completes the message.
+    fn deliver(&mut self, msg: MessageId, payload: u64, now: SimTime) {
+        let st = &mut self.messages[msg.0 as usize];
+        debug_assert!(st.remaining_to_deliver >= payload);
+        st.remaining_to_deliver -= payload;
+        self.stats.payload_delivered += payload;
+        self.delivered_payload[st.dst.index()] += payload;
         if st.remaining_to_deliver == 0 {
             self.stats.messages_delivered += 1;
             self.notifications.push(Notification::Delivered {
-                msg: pkt.msg,
+                msg,
                 src: st.src,
                 dst: st.dst,
                 bytes: st.bytes,
@@ -1595,8 +1475,6 @@ impl Network {
                 delivered_at: now,
             });
         }
-        // End-to-end ack on the dedicated ack plane: queue-free return.
-        self.push_ack(h, now);
     }
 
     /// Schedule the end-to-end ack for a delivered packet copy; the ack
@@ -1607,14 +1485,14 @@ impl Network {
     }
 
     fn ack_arrive(&mut self, h: PacketHandle, now: SimTime) {
-        let pkt = &self.pkts[h];
-        let (src, dst, wire) = (pkt.src.0, pkt.dst.0, pkt.wire);
-        let (msg, chunk, copy, depth) = (pkt.msg, pkt.chunk, pkt.copy, pkt.ep_depth);
+        let pkt = self.pkts[h];
         self.pkts.free(h);
+        let (src, msg, wire, depth) = (pkt.src.0, pkt.msg, pkt.wire, pkt.ep_depth);
         let congested = depth >= EP_CONGESTION_THRESHOLD;
         if let Some(rt) = self.faults.as_mut() {
-            if rt.retry.get(&(msg.0, chunk)).map(|e| e.copy) == Some(copy) {
-                rt.retry.remove(&(msg.0, chunk));
+            let key = (msg.0, pkt.chunk);
+            if rt.retry.get(&key).map(|e| e.copy) == Some(pkt.copy) {
+                rt.retry.remove(&key);
             } else {
                 // Ack of a superseded copy (its duplicate delivery) or of a
                 // chunk already resolved: the window and message accounting
@@ -1624,7 +1502,7 @@ impl Network {
                 return;
             }
         }
-        let pair = self.nics[src as usize].sub_in_flight(NodeId(dst), wire);
+        let pair = self.nics[src as usize].sub_in_flight(pkt.dst, wire);
         let window_before = pair.window;
         self.cfg.cc.on_ack(
             pair,
@@ -1643,12 +1521,8 @@ impl Network {
                 window_before >= t.cc_max && window_after < t.cc_max,
                 window_before < t.cc_max && window_after >= t.cc_max,
             );
-            if t.hub.sampled(msg.0, chunk) {
-                let tc = self.messages[msg.0 as usize].tc;
-                t.hub
-                    .record_event(now.as_ps(), msg.0, chunk, copy, tc, HopKind::AckArrive);
-            }
         }
+        trace(&mut self.telemetry, &pkt, now, HopKind::AckArrive);
         let st = &mut self.messages[msg.0 as usize];
         debug_assert!(st.unacked_wire >= wire as u64);
         st.unacked_wire -= wire as u64;
@@ -1662,19 +1536,8 @@ impl Network {
     fn loopback(&mut self, msg: MessageId, now: SimTime) {
         let st = &mut self.messages[msg.0 as usize];
         st.remaining_to_inject = 0;
-        st.remaining_to_deliver = 0;
-        self.stats.messages_delivered += 1;
-        self.stats.payload_delivered += st.bytes;
-        self.delivered_payload[st.dst.index()] += st.bytes;
-        self.notifications.push(Notification::Delivered {
-            msg,
-            src: st.src,
-            dst: st.dst,
-            bytes: st.bytes,
-            tag: st.tag,
-            submitted_at: st.submitted_at,
-            delivered_at: now,
-        });
+        let bytes = st.bytes;
+        self.deliver(msg, bytes, now);
         self.notifications
             .push(Notification::SendAcked { msg, at: now });
     }

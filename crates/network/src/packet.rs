@@ -1,6 +1,7 @@
 //! Packets, messages, and simulator notifications.
 
 use slingshot_des::{SimDuration, SimTime};
+use slingshot_ethernet::{FrameFormat, MAX_PAYLOAD};
 use slingshot_routing::RouteState;
 use slingshot_topology::{ChannelId, NodeId};
 use std::ops::{Index, IndexMut};
@@ -207,6 +208,16 @@ pub(crate) struct MessageState {
     /// retransmitted copies of an already-delivered chunk are acked but
     /// not delivered twice.
     pub delivered_chunks: Vec<u64>,
+}
+
+impl MessageState {
+    /// Payload and wire bytes of chunk `chunk` in `frame`: every chunk
+    /// carries `MAX_PAYLOAD` bytes except the last, which carries the rest.
+    pub fn chunk_size(&self, chunk: u32, frame: FrameFormat) -> (u32, u32) {
+        let offset = chunk as u64 * MAX_PAYLOAD as u64;
+        let payload = (self.bytes - offset).min(MAX_PAYLOAD as u64) as u32;
+        (payload, frame.wire_bytes(payload))
+    }
 }
 
 #[cfg(test)]

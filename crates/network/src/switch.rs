@@ -27,6 +27,7 @@ use slingshot_des::{SimDuration, SimTime};
 use slingshot_qos::{QosScheduler, TrafficClassSet};
 use slingshot_topology::{ChannelId, NodeId};
 use std::collections::VecDeque;
+use std::fmt;
 
 /// Virtual channels per traffic class: the longest route (Valiant:
 /// local-global-local-global-local) crosses five channels.
@@ -39,6 +40,17 @@ pub enum PortKind {
     Channel(ChannelId),
     /// The ejection link toward a locally attached node.
     Eject(NodeId),
+}
+
+/// `ch:<id>` or `eject:<node>`: the label telemetry reports and stall
+/// reports give a port.
+impl fmt::Display for PortKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            PortKind::Channel(ch) => write!(f, "ch:{}", ch.0),
+            PortKind::Eject(n) => write!(f, "eject:{}", n.0),
+        }
+    }
 }
 
 /// Per-VC escape reserve: one maximum-size packet on the wire.
