@@ -252,7 +252,7 @@ impl TelemetryHub {
 pub struct PortReport {
     /// Global port index.
     pub port: u32,
-    /// Human-readable location, e.g. `sw3/p2 ch14` or `sw0/p17 eject n5`.
+    /// Human-readable location, e.g. `sw3/p2 ch:14` or `sw0/p17 eject:5`.
     pub label: String,
     /// Transmitted wire bytes per bucket.
     pub tx: RateSeries,

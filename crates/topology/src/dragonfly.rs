@@ -443,22 +443,10 @@ impl Dragonfly {
         SwitchId(node.0 / self.params.endpoints_per_switch)
     }
 
-    /// Group of a node.
-    #[inline]
-    pub fn group_of_node(&self, node: NodeId) -> GroupId {
-        self.group_of(self.switch_of_node(node))
-    }
-
     /// Nodes attached to a switch.
     pub fn nodes_of_switch(&self, sw: SwitchId) -> impl Iterator<Item = NodeId> {
         let p = self.params.endpoints_per_switch;
         (sw.0 * p..(sw.0 + 1) * p).map(NodeId)
-    }
-
-    /// All switches in a group.
-    pub fn switches_of_group(&self, grp: GroupId) -> impl Iterator<Item = SwitchId> {
-        let a = self.params.switches_per_group;
-        (grp.0 * a..(grp.0 + 1) * a).map(SwitchId)
     }
 
     /// Direct channels from `from` to `to` (parallel cables included).
@@ -643,14 +631,6 @@ impl Dragonfly {
             .map(|c| c.id)
             .collect()
     }
-
-    /// Total global (optical) directed channel count.
-    pub fn global_channel_count(&self) -> usize {
-        self.channels
-            .iter()
-            .filter(|c| c.class == LinkClass::GlobalOptical)
-            .count()
-    }
 }
 
 #[cfg(test)]
@@ -725,8 +705,12 @@ mod tests {
         assert_eq!(d.nodes_of_switch(SwitchId(1)).count(), 4);
         let nodes: Vec<_> = d.nodes_of_switch(SwitchId(1)).collect();
         assert_eq!(nodes[0], NodeId(4));
+        let group2: Vec<_> = (0..d.switch_count())
+            .map(SwitchId)
+            .filter(|&sw| d.group_of(sw) == GroupId(2))
+            .collect();
         assert_eq!(
-            d.switches_of_group(GroupId(2)).collect::<Vec<_>>(),
+            group2,
             vec![SwitchId(8), SwitchId(9), SwitchId(10), SwitchId(11)]
         );
     }
@@ -755,7 +739,7 @@ mod tests {
         let d = small().build();
         // Count directed optical channels from group 0 into group 1.
         let mut count = 0;
-        for sw in d.switches_of_group(GroupId(0)) {
+        for sw in (0..4).map(SwitchId) {
             count += d.global_channels(sw, GroupId(1)).len();
         }
         assert_eq!(count, 2);
@@ -895,7 +879,10 @@ mod tests {
             intra_links_per_pair: 1,
         };
         let d = p.build();
-        assert_eq!(d.global_channel_count(), 0);
+        assert!(d
+            .channels()
+            .iter()
+            .all(|c| c.class != LinkClass::GlobalOptical));
         assert_eq!(p.diameter(), 1);
     }
 
