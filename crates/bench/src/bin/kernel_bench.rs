@@ -399,7 +399,7 @@ fn main() {
     ));
 
     let mut rng = DetRng::seed_from(6);
-    let hub = TelemetryHub::new(TelemetryConfig::sampled(16), 64, 2, 4);
+    let hub = TelemetryHub::new(TelemetryConfig::sampled(16), 0, 64, 2, 4);
     benches.push(bench(
         "telemetry_sampling_hash",
         200_000 * scale,
@@ -413,7 +413,7 @@ fn main() {
     // Bucket bump with the sink enabled. Time cycles inside a fixed 1 ms
     // window so the series stops growing after warmup and the record
     // captures the steady-state bump, not one-off bucket growth.
-    let mut hub = TelemetryHub::new(TelemetryConfig::sampled(16), 64, 2, 4);
+    let mut hub = TelemetryHub::new(TelemetryConfig::sampled(16), 0, 64, 2, 4);
     let mut at: u64 = 0;
     benches.push(bench(
         "telemetry_port_tx_bump",
@@ -427,7 +427,7 @@ fn main() {
 
     // Flight-recorder append into the bounded ring (wraps after warmup,
     // so the timed region never grows the buffer).
-    let mut rec_hub = TelemetryHub::new(TelemetryConfig::sampled(1), 4, 1, 1);
+    let mut rec_hub = TelemetryHub::new(TelemetryConfig::sampled(1), 0, 4, 1, 1);
     let mut rec_at: u64 = 0;
     benches.push(bench(
         "telemetry_record_event",

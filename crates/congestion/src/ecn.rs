@@ -11,69 +11,53 @@
 use crate::{AckFeedback, Pair};
 use slingshot_des::{SimDuration, SimTime};
 
-/// Tunables of the ECN-like model.
-#[derive(Clone, Copy, Debug)]
-pub struct EcnParams {
-    /// Maximum window per destination, bytes.
-    pub max_window: u64,
-    /// Minimum window, bytes.
-    pub min_window: u64,
-    /// Queue depth at which packets start being marked.
-    pub mark_threshold_bytes: u64,
-    /// Multiplicative decrease on reaction.
-    pub decrease_factor: f64,
-    /// The control-loop delay: reductions are applied only once per this
-    /// interval regardless of how many marks arrive (models CNP pacing /
-    /// rate-limiter timers).
-    pub reaction_interval: SimDuration,
-    /// Recovery timer: the window grows by `recovery_fraction` of the gap
-    /// to `max_window` each interval (DCQCN-style slow ramp).
-    pub recovery_interval: SimDuration,
-    /// Fraction of the remaining gap recovered each interval.
-    pub recovery_fraction: f64,
+/// Maximum window per destination, bytes.
+pub(crate) const MAX_WINDOW: u64 = 64 << 10;
+
+/// Minimum window, bytes.
+const MIN_WINDOW: u64 = 4 << 10;
+
+/// Queue depth at which packets start being marked.
+const MARK_THRESHOLD_BYTES: u64 = 128 << 10;
+
+/// Multiplicative decrease on reaction.
+const DECREASE_FACTOR: f64 = 0.5;
+
+/// The control-loop delay: reductions are applied only once per this
+/// interval regardless of how many marks arrive (models CNP pacing /
+/// rate-limiter timers).
+const REACTION_INTERVAL: SimDuration = SimDuration::from_us(50);
+
+/// Recovery timer: the window grows by [`RECOVERY_FRACTION`] of the gap
+/// to [`MAX_WINDOW`] each interval (DCQCN-style slow ramp).
+const RECOVERY_INTERVAL: SimDuration = SimDuration::from_us(300);
+
+/// Fraction of the remaining gap recovered each interval.
+const RECOVERY_FRACTION: f64 = 0.5;
+
+/// May the source put `bytes` more in flight on `pair`? Timer-paced
+/// recovery happens here, on the send path (the rate limiter), so the
+/// call mutates the pair even when the send is then refused.
+#[inline]
+pub(crate) fn may_send(pair: &mut Pair, bytes: u64, now: SimTime) -> bool {
+    if now.saturating_since(pair.last_probe) >= RECOVERY_INTERVAL && pair.window < MAX_WINDOW {
+        let gap = MAX_WINDOW - pair.window;
+        pair.window += ((gap as f64) * RECOVERY_FRACTION).ceil() as u64;
+        pair.window = pair.window.min(MAX_WINDOW);
+        pair.last_probe = now;
+    }
+    pair.in_flight == 0 || pair.in_flight + bytes <= pair.window
 }
 
-impl Default for EcnParams {
-    fn default() -> Self {
-        EcnParams {
-            max_window: 64 << 10,
-            min_window: 4 << 10,
-            mark_threshold_bytes: 128 << 10,
-            decrease_factor: 0.5,
-            reaction_interval: SimDuration::from_us(50),
-            recovery_interval: SimDuration::from_us(300),
-            recovery_fraction: 0.5,
-        }
-    }
-}
-
-impl EcnParams {
-    /// May the source put `bytes` more in flight on `pair`? Timer-paced
-    /// recovery happens here, on the send path (the rate limiter), so the
-    /// call mutates the pair even when the send is then refused.
-    #[inline]
-    pub fn may_send(&self, pair: &mut Pair, bytes: u64, now: SimTime) -> bool {
-        if now.saturating_since(pair.last_probe) >= self.recovery_interval
-            && pair.window < self.max_window
-        {
-            let gap = self.max_window - pair.window;
-            pair.window += ((gap as f64) * self.recovery_fraction).ceil() as u64;
-            pair.window = pair.window.min(self.max_window);
-            pair.last_probe = now;
-        }
-        pair.in_flight == 0 || pair.in_flight + bytes <= pair.window
-    }
-
-    /// Apply one returning ack: a marked ack cuts the window, at most once
-    /// per reaction interval, and restarts the recovery timer.
-    #[inline]
-    pub fn on_ack(&self, pair: &mut Pair, feedback: AckFeedback, now: SimTime) {
-        let marked = feedback.ejection_queue_bytes >= self.mark_threshold_bytes;
-        if marked && now.saturating_since(pair.last_cut) >= self.reaction_interval {
-            pair.window = ((pair.window as f64 * self.decrease_factor) as u64).max(self.min_window);
-            pair.last_cut = now;
-            pair.last_probe = now;
-        }
+/// Apply one returning ack: a marked ack cuts the window, at most once per
+/// reaction interval, and restarts the recovery timer.
+#[inline]
+pub(crate) fn on_ack(pair: &mut Pair, feedback: AckFeedback, now: SimTime) {
+    let marked = feedback.ejection_queue_bytes >= MARK_THRESHOLD_BYTES;
+    if marked && now.saturating_since(pair.last_cut) >= REACTION_INTERVAL {
+        pair.window = ((pair.window as f64 * DECREASE_FACTOR) as u64).max(MIN_WINDOW);
+        pair.last_cut = now;
+        pair.last_probe = now;
     }
 }
 
@@ -88,16 +72,11 @@ mod tests {
         }
     }
 
-    fn fresh(cc: &EcnParams) -> Pair {
-        Pair::fresh(cc.max_window)
-    }
-
     #[test]
     fn marks_below_threshold_are_ignored() {
-        let cc = EcnParams::default();
-        let mut pair = fresh(&cc);
+        let mut pair = Pair::fresh(MAX_WINDOW);
         let t = SimTime::from_us(100);
-        cc.on_ack(
+        on_ack(
             &mut pair,
             AckFeedback {
                 endpoint_congested: true,
@@ -112,22 +91,20 @@ mod tests {
     fn reaction_is_rate_limited() {
         // A burst of marked acks within one reaction interval causes a
         // single reduction — the slow loop of the paper's critique.
-        let cc = EcnParams::default();
-        let mut pair = fresh(&cc);
+        let mut pair = Pair::fresh(MAX_WINDOW);
         let t = SimTime::from_us(100);
         for i in 0..50u64 {
-            cc.on_ack(&mut pair, deep_queue(), t + SimDuration::from_ns(i * 10));
+            on_ack(&mut pair, deep_queue(), t + SimDuration::from_ns(i * 10));
         }
         assert_eq!(pair.window, 32 << 10);
     }
 
     #[test]
     fn repeated_intervals_keep_reducing() {
-        let cc = EcnParams::default();
-        let mut pair = fresh(&cc);
+        let mut pair = Pair::fresh(MAX_WINDOW);
         let mut t = SimTime::from_us(100);
         for _ in 0..5 {
-            cc.on_ack(&mut pair, deep_queue(), t);
+            on_ack(&mut pair, deep_queue(), t);
             t += SimDuration::from_us(60);
         }
         assert_eq!(pair.window, 4 << 10); // floored at min
@@ -135,13 +112,12 @@ mod tests {
 
     #[test]
     fn recovery_is_slow() {
-        let cc = EcnParams::default();
-        let mut pair = fresh(&cc);
+        let mut pair = Pair::fresh(MAX_WINDOW);
         let t0 = SimTime::from_us(100);
-        cc.on_ack(&mut pair, deep_queue(), t0);
+        on_ack(&mut pair, deep_queue(), t0);
         let reduced = pair.window;
         // Immediately after, no recovery.
-        assert!(cc.may_send(&mut pair, 1, t0 + SimDuration::from_us(1)));
+        assert!(may_send(&mut pair, 1, t0 + SimDuration::from_us(1)));
         assert_eq!(pair.window, reduced);
         // Recovery takes several 300 µs intervals — orders of magnitude
         // slower than Slingshot's per-ack additive recovery.
@@ -149,7 +125,7 @@ mod tests {
         let mut intervals = 0;
         while pair.window < 63 << 10 {
             t += SimDuration::from_us(300);
-            let _ = cc.may_send(&mut pair, 1, t);
+            let _ = may_send(&mut pair, 1, t);
             intervals += 1;
             assert!(intervals < 100);
         }
@@ -162,10 +138,9 @@ mod tests {
 
     #[test]
     fn per_destination_isolation_still_holds() {
-        let cc = EcnParams::default();
-        let (mut to7, to8) = (fresh(&cc), fresh(&cc));
+        let (mut to7, to8) = (Pair::fresh(MAX_WINDOW), Pair::fresh(MAX_WINDOW));
         let t = SimTime::from_us(100);
-        cc.on_ack(&mut to7, deep_queue(), t);
+        on_ack(&mut to7, deep_queue(), t);
         assert!(to7.window < to8.window);
     }
 }

@@ -17,19 +17,25 @@
 //!   ([`SlingshotCcParams`]);
 //! * [`CcConfig::None`] — no endpoint congestion control (the Aries
 //!   baseline): a static window that only bounds in-flight bytes;
-//! * [`CcConfig::Ecn`] — an ECN/DCQCN-like scheme with a slow control loop
-//!   ([`EcnParams`]), the kind of algorithm the paper argues is unsuited to
-//!   bursty HPC traffic.
+//! * [`CcConfig::Ecn`] — an ECN/DCQCN-like scheme with a slow control
+//!   loop, the kind of algorithm the paper argues is unsuited to bursty
+//!   HPC traffic.
+//!
+//! Only the Slingshot scheme has settable parameters, the two the
+//! ablation varies; every other tunable is a constant of its scheme.
 
 #![warn(missing_docs)]
 
 mod ecn;
 mod slingshot;
 
-pub use ecn::EcnParams;
 pub use slingshot::SlingshotCcParams;
 
 use slingshot_des::SimTime;
+
+/// Static per-pair window without endpoint CC, bytes: large enough that
+/// it only bounds in-flight bytes and never throttles.
+const NO_CC_WINDOW: u64 = 16 << 20;
 
 /// Feedback carried by an end-to-end acknowledgement from the destination
 /// back to the source (measured at the last-hop/ejection queue).
@@ -80,13 +86,10 @@ impl Pair {
 pub enum CcConfig {
     /// Slingshot per-endpoint-pair hardware CC.
     Slingshot(SlingshotCcParams),
-    /// No endpoint CC (Aries baseline) with the given static window.
-    None {
-        /// Static per-pair window in bytes.
-        window: u64,
-    },
+    /// No endpoint CC (Aries baseline): a static 16 MiB window per pair.
+    None,
     /// ECN/DCQCN-like slow-loop CC (ablation).
-    Ecn(EcnParams),
+    Ecn,
 }
 
 impl CcConfig {
@@ -94,9 +97,9 @@ impl CcConfig {
     /// window sits below it is being throttled.
     pub fn max_window(&self) -> u64 {
         match self {
-            CcConfig::Slingshot(p) => p.max_window,
-            CcConfig::None { window } => *window,
-            CcConfig::Ecn(p) => p.max_window,
+            CcConfig::Slingshot(_) => slingshot::MAX_WINDOW,
+            CcConfig::None => NO_CC_WINDOW,
+            CcConfig::Ecn => ecn::MAX_WINDOW,
         }
     }
 
@@ -105,8 +108,8 @@ impl CcConfig {
     pub fn may_send(&self, pair: &mut Pair, bytes: u64, now: SimTime) -> bool {
         match self {
             CcConfig::Slingshot(p) => p.may_send(pair, bytes),
-            CcConfig::None { .. } => pair.in_flight + bytes <= pair.window,
-            CcConfig::Ecn(p) => p.may_send(pair, bytes, now),
+            CcConfig::None => pair.in_flight + bytes <= pair.window,
+            CcConfig::Ecn => ecn::may_send(pair, bytes, now),
         }
     }
 
@@ -115,8 +118,8 @@ impl CcConfig {
     pub fn on_ack(&self, pair: &mut Pair, feedback: AckFeedback, now: SimTime) {
         match self {
             CcConfig::Slingshot(p) => p.on_ack(pair, feedback, now),
-            CcConfig::None { .. } => {}
-            CcConfig::Ecn(p) => p.on_ack(pair, feedback, now),
+            CcConfig::None => {}
+            CcConfig::Ecn => ecn::on_ack(pair, feedback, now),
         }
     }
 }
@@ -134,19 +137,19 @@ mod tests {
     fn dispatch_matches_config() {
         let t = SimTime::from_us(1);
         let s = CcConfig::Slingshot(SlingshotCcParams::default());
-        let n = CcConfig::None { window: 1 << 20 };
+        let n = CcConfig::None;
         let (mut sp, mut np) = (Pair::fresh(s.max_window()), Pair::fresh(n.max_window()));
         assert_eq!(sp.window, 64 << 10);
-        assert_eq!(np.window, 1 << 20);
+        assert_eq!(np.window, 16 << 20);
         s.on_ack(&mut sp, CONGESTED, t);
         n.on_ack(&mut np, CONGESTED, t);
         assert!(sp.window < 64 << 10);
-        assert_eq!(np.window, 1 << 20);
+        assert_eq!(np.window, 16 << 20);
     }
 
     #[test]
     fn nocc_never_reacts() {
-        let cc = CcConfig::None { window: 16 << 20 };
+        let cc = CcConfig::None;
         let mut pair = Pair::fresh(cc.max_window());
         let t = SimTime::ZERO;
         assert!(cc.may_send(&mut pair, 4096, t));
@@ -159,12 +162,12 @@ mod tests {
 
     #[test]
     fn nocc_window_still_bounds_in_flight() {
-        let cc = CcConfig::None { window: 8192 };
+        let cc = CcConfig::None;
         let mut pair = Pair::fresh(cc.max_window());
         let t = SimTime::ZERO;
-        pair.in_flight = 4096;
+        pair.in_flight = NO_CC_WINDOW - 4096;
         assert!(cc.may_send(&mut pair, 4096, t));
-        pair.in_flight = 8192;
+        pair.in_flight = NO_CC_WINDOW;
         assert!(!cc.may_send(&mut pair, 1, t));
     }
 

@@ -5,24 +5,29 @@
 use crate::{AckFeedback, Pair};
 use slingshot_des::{SimDuration, SimTime};
 
-/// Tunables of the Slingshot congestion-control model.
+/// Initial/maximum window per endpoint pair, bytes. Roughly one
+/// bandwidth-delay product (100 Gb/s × ~5 µs ≈ 64 KiB).
+pub(crate) const MAX_WINDOW: u64 = 64 << 10;
+
+/// Floor the window can be squeezed to, bytes (one MTU keeps a trickle
+/// flowing so the flow can probe recovery).
+const MIN_WINDOW: u64 = 4 << 10;
+
+/// Ejection-queue depth above which the destination reports severe
+/// congestion and the source drops straight to the minimum window.
+const SEVERE_QUEUE_BYTES: u64 = 256 << 10;
+
+/// Additive increase per clean ack, bytes ("fast" recovery — the hardware
+/// loop reacts per packet, not per RTT batch).
+const RECOVERY_BYTES_PER_ACK: u64 = 2 << 10;
+
+/// The tunables of the Slingshot congestion-control model that the
+/// ablation varies.
 #[derive(Clone, Copy, Debug)]
 pub struct SlingshotCcParams {
-    /// Initial/maximum window per endpoint pair, bytes. Roughly one
-    /// bandwidth-delay product (100 Gb/s × ~5 µs ≈ 64 KiB).
-    pub max_window: u64,
-    /// Floor the window can be squeezed to, bytes (one MTU keeps a trickle
-    /// flowing so the flow can probe recovery).
-    pub min_window: u64,
     /// Multiplicative decrease applied on a congested ack ("stiff"
     /// back-pressure).
     pub decrease_factor: f64,
-    /// Ejection-queue depth above which the destination reports severe
-    /// congestion and the source drops straight to the minimum window.
-    pub severe_queue_bytes: u64,
-    /// Additive increase per clean ack, bytes ("fast" recovery — the
-    /// hardware loop reacts per packet, not per RTT batch).
-    pub recovery_bytes_per_ack: u64,
     /// Hold-off after a decrease before recovery starts, so one burst of
     /// congested acks does not immediately bounce back.
     pub recovery_holdoff: SimDuration,
@@ -31,11 +36,7 @@ pub struct SlingshotCcParams {
 impl Default for SlingshotCcParams {
     fn default() -> Self {
         SlingshotCcParams {
-            max_window: 64 << 10,
-            min_window: 4 << 10,
             decrease_factor: 0.5,
-            severe_queue_bytes: 256 << 10,
-            recovery_bytes_per_ack: 2 << 10,
             recovery_holdoff: SimDuration::from_us(5),
         }
     }
@@ -44,7 +45,6 @@ impl Default for SlingshotCcParams {
 impl SlingshotCcParams {
     /// Panics on parameters the rules cannot run with.
     pub fn assert_valid(&self) {
-        assert!(self.min_window > 0 && self.min_window <= self.max_window);
         assert!((0.0..1.0).contains(&self.decrease_factor));
     }
 
@@ -61,17 +61,17 @@ impl SlingshotCcParams {
     #[inline]
     pub fn on_ack(&self, pair: &mut Pair, feedback: AckFeedback, now: SimTime) {
         if feedback.endpoint_congested {
-            let target = if feedback.ejection_queue_bytes >= self.severe_queue_bytes {
-                self.min_window
+            let target = if feedback.ejection_queue_bytes >= SEVERE_QUEUE_BYTES {
+                MIN_WINDOW
             } else {
-                ((pair.window as f64 * self.decrease_factor) as u64).max(self.min_window)
+                ((pair.window as f64 * self.decrease_factor) as u64).max(MIN_WINDOW)
             };
             if target < pair.window {
                 pair.window = target;
                 pair.last_cut = now;
             }
         } else if now.saturating_since(pair.last_cut) >= self.recovery_holdoff {
-            pair.window = (pair.window + self.recovery_bytes_per_ack).min(self.max_window);
+            pair.window = (pair.window + RECOVERY_BYTES_PER_ACK).min(MAX_WINDOW);
         }
     }
 }
@@ -87,20 +87,15 @@ mod tests {
         }
     }
 
-    fn fresh(cc: &SlingshotCcParams) -> Pair {
-        Pair::fresh(cc.max_window)
-    }
-
     #[test]
     fn fresh_pair_has_full_window() {
-        let cc = SlingshotCcParams::default();
-        assert_eq!(fresh(&cc).window, 64 << 10);
+        assert_eq!(Pair::fresh(MAX_WINDOW).window, 64 << 10);
     }
 
     #[test]
     fn congested_ack_halves_window() {
         let cc = SlingshotCcParams::default();
-        let mut pair = fresh(&cc);
+        let mut pair = Pair::fresh(MAX_WINDOW);
         let t = SimTime::from_us(10);
         cc.on_ack(&mut pair, congested(64 << 10), t);
         assert_eq!(pair.window, 32 << 10);
@@ -109,10 +104,10 @@ mod tests {
     #[test]
     fn severe_congestion_drops_to_minimum() {
         let cc = SlingshotCcParams::default();
-        let mut pair = fresh(&cc);
+        let mut pair = Pair::fresh(MAX_WINDOW);
         let t = SimTime::from_us(10);
         cc.on_ack(&mut pair, congested(1 << 20), t);
-        assert_eq!(pair.window, cc.min_window);
+        assert_eq!(pair.window, MIN_WINDOW);
     }
 
     #[test]
@@ -120,29 +115,29 @@ mod tests {
         // The central Slingshot property: pair (→1) congested, pair (→2)
         // untouched.
         let cc = SlingshotCcParams::default();
-        let (mut to1, to2) = (fresh(&cc), fresh(&cc));
+        let (mut to1, to2) = (Pair::fresh(MAX_WINDOW), Pair::fresh(MAX_WINDOW));
         let t = SimTime::from_us(10);
         cc.on_ack(&mut to1, congested(1 << 20), t);
-        assert_eq!(to1.window, cc.min_window);
-        assert_eq!(to2.window, cc.max_window);
+        assert_eq!(to1.window, MIN_WINDOW);
+        assert_eq!(to2.window, MAX_WINDOW);
         assert!(cc.may_send(&to2, 64 << 10));
     }
 
     #[test]
     fn window_floor_never_underflows() {
         let cc = SlingshotCcParams::default();
-        let mut pair = fresh(&cc);
+        let mut pair = Pair::fresh(MAX_WINDOW);
         let t = SimTime::from_us(10);
         for _ in 0..50 {
             cc.on_ack(&mut pair, congested(1 << 20), t);
         }
-        assert_eq!(pair.window, cc.min_window);
+        assert_eq!(pair.window, MIN_WINDOW);
     }
 
     #[test]
     fn recovery_after_holdoff() {
         let cc = SlingshotCcParams::default();
-        let mut pair = fresh(&cc);
+        let mut pair = Pair::fresh(MAX_WINDOW);
         let t0 = SimTime::from_us(10);
         cc.on_ack(&mut pair, congested(1 << 20), t0);
         let floor = pair.window;
@@ -158,24 +153,24 @@ mod tests {
     #[test]
     fn recovery_caps_at_max() {
         let cc = SlingshotCcParams::default();
-        let mut pair = fresh(&cc);
+        let mut pair = Pair::fresh(MAX_WINDOW);
         let t = SimTime::from_ms(1);
         for i in 0..100_000u64 {
             cc.on_ack(&mut pair, AckFeedback::CLEAN, t + SimDuration::from_ns(i));
         }
-        assert_eq!(pair.window, cc.max_window);
+        assert_eq!(pair.window, MAX_WINDOW);
     }
 
     #[test]
     fn probe_packet_always_allowed() {
         let cc = SlingshotCcParams::default();
-        let mut pair = fresh(&cc);
+        let mut pair = Pair::fresh(MAX_WINDOW);
         let t = SimTime::from_us(10);
         cc.on_ack(&mut pair, congested(1 << 20), t);
         // Even squeezed, zero in-flight allows one send of any size.
         assert!(cc.may_send(&pair, 1 << 20));
         // But a squeezed window blocks further sends.
-        pair.in_flight = cc.min_window;
+        pair.in_flight = MIN_WINDOW;
         assert!(!cc.may_send(&pair, 4096));
     }
 
@@ -184,12 +179,12 @@ mod tests {
         // From the floor, full recovery should take ~30 clean acks (a few
         // µs of traffic), not milliseconds.
         let cc = SlingshotCcParams::default();
-        let mut pair = fresh(&cc);
+        let mut pair = Pair::fresh(MAX_WINDOW);
         let t0 = SimTime::from_us(10);
         cc.on_ack(&mut pair, congested(1 << 20), t0);
         let mut acks = 0;
         let mut t = t0 + SimDuration::from_us(10);
-        while pair.window < cc.max_window {
+        while pair.window < MAX_WINDOW {
             cc.on_ack(&mut pair, AckFeedback::CLEAN, t);
             t += SimDuration::from_ns(100);
             acks += 1;
@@ -200,9 +195,9 @@ mod tests {
 
     #[test]
     #[should_panic]
-    fn zero_min_window_is_rejected() {
+    fn decrease_factor_of_one_is_rejected() {
         SlingshotCcParams {
-            min_window: 0,
+            decrease_factor: 1.0,
             ..SlingshotCcParams::default()
         }
         .assert_valid();

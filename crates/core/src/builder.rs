@@ -102,9 +102,10 @@ impl SystemBuilder {
     }
 
     /// Enable time-resolved telemetry (disabled by default; the disabled
-    /// run carries no telemetry state). The flight-recorder sampling seed
-    /// follows the builder's [`SystemBuilder::seed`], so one seed knob
-    /// governs both the simulation and the sampled-packet set.
+    /// run carries no telemetry state). The network seeds the
+    /// flight-recorder sampling with its own seed
+    /// ([`SystemBuilder::seed`]), so one seed knob governs both the
+    /// simulation and the sampled-packet set.
     pub fn telemetry(mut self, cfg: TelemetryConfig) -> Self {
         self.telemetry = Some(cfg);
         self
@@ -118,7 +119,7 @@ impl SystemBuilder {
             Profile::Aries => NetworkConfig::aries(topo),
             Profile::SlingshotEcn => {
                 let mut c = NetworkConfig::slingshot(topo);
-                c.cc = CcConfig::Ecn(Default::default());
+                c.cc = CcConfig::Ecn;
                 c
             }
         };
@@ -127,10 +128,7 @@ impl SystemBuilder {
             cfg.traffic_classes = classes.clone();
         }
         cfg.seed = self.seed;
-        cfg.telemetry = self.telemetry.map(|mut t| {
-            t.seed = self.seed;
-            t
-        });
+        cfg.telemetry = self.telemetry;
         cfg
     }
 
@@ -159,8 +157,8 @@ mod tests {
         let ar = SystemBuilder::new(System::Tiny, Profile::Aries).config();
         let ecn = SystemBuilder::new(System::Tiny, Profile::SlingshotEcn).config();
         assert!(matches!(ss.cc, CcConfig::Slingshot(_)));
-        assert!(matches!(ar.cc, CcConfig::None { .. }));
-        assert!(matches!(ecn.cc, CcConfig::Ecn(_)));
+        assert!(matches!(ar.cc, CcConfig::None));
+        assert!(matches!(ecn.cc, CcConfig::Ecn));
         // ECN ablation keeps Slingshot link rates.
         assert_eq!(ecn.link_gbps, ss.link_gbps);
     }

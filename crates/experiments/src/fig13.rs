@@ -56,8 +56,8 @@ fn alltoall_loop(ranks: u32, bytes: u64) -> Vec<Script> {
 /// classes with modest guarantees.
 fn two_classes() -> TrafficClassSet {
     TrafficClassSet::new(vec![
-        TrafficClass::low_latency(1, 0.3),
-        TrafficClass::bulk(2, 0.6),
+        TrafficClass::low_latency(0.3),
+        TrafficClass::bulk(0.6),
     ])
     .expect("static config")
 }

@@ -88,7 +88,6 @@ pub fn base_rates() -> FaultRates {
         bursts_per_sec: 40_000.0,
         lane_degrades_per_sec: 10_000.0,
         switch_failures_per_sec: 5_000.0,
-        ..FaultRates::none()
     }
 }
 

@@ -80,8 +80,7 @@ impl Run {
     /// The engine with every job added, and the measured job's id. With
     /// `telemetry`, the network records it, sampling under the run's seed.
     pub fn into_engine(mut self, telemetry: Option<TelemetryConfig>) -> (Engine, JobId) {
-        let seed = self.net.seed;
-        self.net.telemetry = telemetry.map(|t| TelemetryConfig { seed, ..t });
+        self.net.telemetry = telemetry;
         let mut eng = Engine::new(Network::new(self.net), self.stack);
         let ids: Vec<JobId> = self
             .jobs

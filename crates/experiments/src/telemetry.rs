@@ -24,8 +24,7 @@ pub const DEFAULT_SAMPLE_EVERY: u32 = 16;
 /// The effective telemetry configuration of a parsed harness config: the
 /// output directory and sampling, or `None` unless `--telemetry DIR` was
 /// given; `--trace-sample N` overrides the default sampling interval. The
-/// sampling seed is filled in per cell by [`slingshot::SystemBuilder`]
-/// from the cell's own seed.
+/// sampling seed is each cell's network seed.
 pub fn config_for(run: &RunConfig) -> Option<(&str, TelemetryConfig)> {
     let dir = run.telemetry.as_deref()?;
     let every = run.trace_sample.unwrap_or(DEFAULT_SAMPLE_EVERY);
@@ -189,8 +188,8 @@ mod tests {
         assert!(config_for(&run).is_none());
         run.telemetry = Some("traces".into());
         assert_eq!(
-            config_for(&run).unwrap().1.sample_every,
-            DEFAULT_SAMPLE_EVERY
+            config_for(&run),
+            Some(("traces", TelemetryConfig::sampled(DEFAULT_SAMPLE_EVERY)))
         );
         run.trace_sample = Some(3);
         assert_eq!(

@@ -52,9 +52,9 @@ fn identity(g: &[u64], aggressor: Option<Option<Congestor>>) -> String {
     ];
     let cc = match g[7] % 3 {
         0 => None,
-        1 => Some(CcConfig::None { window: g[7] / 3 }),
+        1 => Some(CcConfig::None),
         _ => Some(CcConfig::Slingshot(SlingshotCcParams {
-            max_window: g[7] / 3,
+            decrease_factor: (g[7] / 3) as f64 / (1u64 << 32) as f64,
             ..SlingshotCcParams::default()
         })),
     };

@@ -59,27 +59,34 @@ pub struct FaultEvent {
     pub kind: FaultKind,
 }
 
+/// How long a flapped link stays down.
+const FLAP_DOWNTIME: SimDuration = SimDuration::from_us(50);
+
+/// Per-traversal error probability during a bit-error burst.
+const BURST_ERROR_RATE: f64 = 0.05;
+
+/// Length of a bit-error burst.
+const BURST_DURATION: SimDuration = SimDuration::from_us(20);
+
+/// How long a failed switch stays down, and how long a degraded lane takes
+/// to retrain.
+const SWITCH_DOWNTIME: SimDuration = SimDuration::from_us(100);
+
 /// Whole-network fault rates for [`FaultSchedule::random`]. Rates are
 /// events per simulated second across the entire network; each event picks
-/// a uniform random victim channel/switch.
+/// a uniform random victim channel/switch. The shape of each fault (how
+/// long it lasts, how hard a burst hits) is fixed.
 #[derive(Clone, Copy, Debug)]
 pub struct FaultRates {
-    /// Link flaps (down + paired up) per second.
+    /// Link flaps (down + paired up, 50 µs later) per second.
     pub link_flaps_per_sec: f64,
-    /// How long a flapped link stays down.
-    pub flap_downtime: SimDuration,
-    /// Transient bit-error bursts per second.
+    /// Transient bit-error bursts (20 µs at a 5 % per-traversal error
+    /// rate) per second.
     pub bursts_per_sec: f64,
-    /// Per-traversal error probability during a burst.
-    pub burst_error_rate: f64,
-    /// Burst length.
-    pub burst_duration: SimDuration,
-    /// Single-lane hard failures per second.
+    /// Single-lane hard failures (retrained 100 µs later) per second.
     pub lane_degrades_per_sec: f64,
-    /// Whole-switch failures (down + paired up) per second.
+    /// Whole-switch failures (down + paired up, 100 µs later) per second.
     pub switch_failures_per_sec: f64,
-    /// How long a failed switch stays down.
-    pub switch_downtime: SimDuration,
 }
 
 impl FaultRates {
@@ -87,25 +94,20 @@ impl FaultRates {
     pub fn none() -> Self {
         FaultRates {
             link_flaps_per_sec: 0.0,
-            flap_downtime: SimDuration::from_us(50),
             bursts_per_sec: 0.0,
-            burst_error_rate: 0.05,
-            burst_duration: SimDuration::from_us(20),
             lane_degrades_per_sec: 0.0,
             switch_failures_per_sec: 0.0,
-            switch_downtime: SimDuration::from_us(100),
         }
     }
 
-    /// Every rate multiplied by `factor` (durations unchanged) — the knob
-    /// a fault-rate sweep turns.
+    /// Every rate multiplied by `factor` — the knob a fault-rate sweep
+    /// turns.
     pub fn scaled(&self, factor: f64) -> Self {
         FaultRates {
             link_flaps_per_sec: self.link_flaps_per_sec * factor,
             bursts_per_sec: self.bursts_per_sec * factor,
             lane_degrades_per_sec: self.lane_degrades_per_sec * factor,
             switch_failures_per_sec: self.switch_failures_per_sec * factor,
-            ..*self
         }
     }
 }
@@ -194,7 +196,7 @@ impl FaultSchedule {
                     kind: FaultKind::LinkDown { channel },
                 });
                 events.push(FaultEvent {
-                    at: at + rates.flap_downtime,
+                    at: at + FLAP_DOWNTIME,
                     kind: FaultKind::LinkUp { channel },
                 });
             }
@@ -205,8 +207,8 @@ impl FaultSchedule {
                     at,
                     kind: FaultKind::TransientBurst {
                         channel,
-                        error_rate: rates.burst_error_rate,
-                        duration: rates.burst_duration,
+                        error_rate: BURST_ERROR_RATE,
+                        duration: BURST_DURATION,
                     },
                 });
             }
@@ -224,7 +226,7 @@ impl FaultSchedule {
                 // after the switch-downtime span so degradation is visible
                 // but not permanent.
                 events.push(FaultEvent {
-                    at: at + rates.switch_downtime,
+                    at: at + SWITCH_DOWNTIME,
                     kind: FaultKind::LinkUp { channel },
                 });
             }
@@ -238,7 +240,7 @@ impl FaultSchedule {
                     kind: FaultKind::SwitchDown { switch },
                 });
                 events.push(FaultEvent {
-                    at: at + rates.switch_downtime,
+                    at: at + SWITCH_DOWNTIME,
                     kind: FaultKind::SwitchUp { switch },
                 });
             }
@@ -279,7 +281,6 @@ mod tests {
             bursts_per_sec: 3000.0,
             lane_degrades_per_sec: 500.0,
             switch_failures_per_sec: 200.0,
-            ..FaultRates::none()
         };
         let horizon = SimDuration::from_ms(2);
         let a = FaultSchedule::random(42, horizon, 48, 16, &rates);

@@ -89,7 +89,7 @@ impl NetworkConfig {
             bandwidth_taper: 1.0,
             switch_latency: LatencyModel::aries(),
             routing: RoutingAlgorithm::Adaptive,
-            cc: CcConfig::None { window: 16 << 20 },
+            cc: CcConfig::None,
             traffic_classes: TrafficClassSet::single(),
             frame: FrameFormat::StandardEthernet,
             ack_overhead: SimDuration::from_ns(300),
@@ -128,7 +128,7 @@ mod tests {
         let ar = NetworkConfig::aries(tiny());
         assert!(ss.link_gbps > ar.link_gbps);
         assert!(matches!(ss.cc, CcConfig::Slingshot(_)));
-        assert!(matches!(ar.cc, CcConfig::None { .. }));
+        assert!(matches!(ar.cc, CcConfig::None));
     }
 
     #[test]

@@ -172,37 +172,6 @@ pub struct StallReport {
     pub switches_down: u32,
 }
 
-impl StallReport {
-    /// One-line summary for table rendering: the worst port, the widest
-    /// NIC window, and the fault state.
-    pub fn summary(&self) -> String {
-        let port = self
-            .hot_ports
-            .first()
-            .map(|p| {
-                format!(
-                    "sw{} p{} ({}) {}B queued/{}B outstanding",
-                    p.switch, p.port, p.drives, p.queued_wire, p.outstanding
-                )
-            })
-            .unwrap_or_else(|| "no queued port".to_string());
-        let nic = self
-            .hot_nics
-            .first()
-            .map(|n| {
-                format!(
-                    "nic{} {}B in flight to {} dsts",
-                    n.node, n.in_flight_bytes, n.destinations
-                )
-            })
-            .unwrap_or_else(|| "no open nic window".to_string());
-        format!(
-            "{} events pending, {} msgs in flight; hottest: {port}; {nic}; {} ch / {} sw down",
-            self.pending_events, self.messages_in_flight, self.channels_down, self.switches_down
-        )
-    }
-}
-
 impl fmt::Display for StallReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(

@@ -126,18 +126,6 @@ enum CreditTarget {
     Nic(u32),
 }
 
-/// Outcome of the fault-mode checks at the head of `tx_done`.
-enum TxVerdict {
-    /// Healthy: proceed with the normal transmit completion.
-    Proceed,
-    /// A transient error hit and LLR replays the packet; the port stays
-    /// busy until the replayed `TxDone` fires.
-    Replayed,
-    /// The packet was destroyed (dead link/switch or LLR exhaustion); the
-    /// port was released and all credits returned.
-    Dropped,
-}
-
 /// Live telemetry state; boxed so the disabled path carries one pointer.
 struct NetTelemetry {
     hub: TelemetryHub,
@@ -308,7 +296,7 @@ impl Network {
                 total += sw.ports.len() as u32;
             }
             Box::new(NetTelemetry {
-                hub: TelemetryHub::new(tcfg, total as usize, n_tc, NUM_VCS),
+                hub: TelemetryHub::new(tcfg, cfg.seed, total as usize, n_tc, NUM_VCS),
                 port_base,
                 cc_max: cfg.cc.max_window(),
             })
@@ -501,7 +489,6 @@ impl Network {
             remaining_to_inject: bytes,
             remaining_to_deliver: bytes,
             unacked_wire: unacked,
-            fully_injected: src == dst,
             delivered_chunks,
         });
         if src == dst {
@@ -782,7 +769,6 @@ impl Network {
                 let st = &mut self.messages[msg_id.0 as usize];
                 st.remaining_to_inject -= payload as u64;
                 if st.remaining_to_inject == 0 {
-                    st.fully_injected = true;
                     nic.active.pop_front();
                 } else {
                     nic.active.rotate_left(1);
@@ -1048,11 +1034,8 @@ impl Network {
             let p = &self.switches[sw as usize].ports[port as usize];
             (p.kind, p.prop)
         };
-        if self.faults.is_some() {
-            match self.fault_tx_check(sw, port, kind, h, now) {
-                TxVerdict::Proceed => {}
-                TxVerdict::Replayed | TxVerdict::Dropped => return,
-            }
+        if self.faults.is_some() && !self.fault_tx_check(sw, port, kind, h, now) {
+            return;
         }
         self.switches[sw as usize].ports[port as usize].busy = false;
         let hop = HopKind::TxDone { sw, port };
@@ -1112,8 +1095,10 @@ impl Network {
 
     /// Fault-mode checks when a port finishes serializing `pkt`: dead
     /// link/switch destroys it; otherwise a transient error may trigger an
-    /// LLR replay (port stays busy) or — replay budget exhausted — destroy
-    /// the packet and take the link down for retraining.
+    /// LLR replay (port stays busy until the replayed `TxDone`) or —
+    /// replay budget exhausted — destroy the packet and take the link down
+    /// for retraining. Returns whether the transmit completes normally:
+    /// `false` when the packet was replayed or dropped.
     fn fault_tx_check(
         &mut self,
         sw: u32,
@@ -1121,19 +1106,19 @@ impl Network {
         kind: PortKind,
         h: PacketHandle,
         now: SimTime,
-    ) -> TxVerdict {
+    ) -> bool {
         let rt = self.faults.as_mut().expect("fault mode");
         // The switch died, or the link was cut, mid-serialization.
         if let Some(reason) = rt.dead_output(SwitchId(sw), kind) {
             self.drop_at_port(sw, port, h, reason, now);
-            return TxVerdict::Dropped;
+            return false;
         }
         let PortKind::Channel(ch) = kind else {
-            return TxVerdict::Proceed;
+            return true;
         };
         let rate = rt.error_rate(ch.index(), now);
         if rate <= 0.0 || !rt.rng.chance(rate) {
-            return TxVerdict::Proceed;
+            return true;
         }
         let pkt = &mut self.pkts[h];
         if pkt.llr < rt.recovery.llr_max_retries {
@@ -1150,7 +1135,6 @@ impl Network {
             trace(&mut self.telemetry, pkt, now, hop);
             self.queue
                 .push(now + replay, Event::TxDone { sw, port, pkt: h });
-            TxVerdict::Replayed
         } else {
             // Replay budget exhausted: declare the link bad, destroy the
             // packet, and let the retrain (and the end-to-end retry)
@@ -1159,8 +1143,8 @@ impl Network {
             self.kernel.llr_escalations += 1;
             self.drop_at_port(sw, port, h, DropReason::LlrExhausted, now);
             self.take_link_down(ch, now, true);
-            TxVerdict::Dropped
         }
+        false
     }
 
     /// Destroy a packet already taken from `(sw, port)`'s queue: release
@@ -1526,7 +1510,7 @@ impl Network {
         let st = &mut self.messages[msg.0 as usize];
         debug_assert!(st.unacked_wire >= wire as u64);
         st.unacked_wire -= wire as u64;
-        if st.unacked_wire == 0 && st.fully_injected {
+        if st.unacked_wire == 0 && st.remaining_to_inject == 0 {
             self.notifications
                 .push(Notification::SendAcked { msg, at: now });
         }

@@ -201,9 +201,6 @@ pub(crate) struct MessageState {
     pub remaining_to_deliver: u64,
     /// Wire bytes not yet acknowledged.
     pub unacked_wire: u64,
-    /// Set when every packet has been injected (message leaves the NIC's
-    /// active rotation).
-    pub fully_injected: bool,
     /// Receiver-side chunk-delivery bitmap (fault mode only, else empty):
     /// retransmitted copies of an already-delivered chunk are acked but
     /// not delivered twice.

@@ -308,7 +308,6 @@ fn under_budgeted_run_returns_stall_report() {
         "a loaded stall names at least one hot port or open NIC window"
     );
     assert!(report.hot_ports.len() <= slingshot_network::STALL_REPORT_TOP_N);
-    assert!(!report.summary().is_empty());
     assert!(!format!("{err}").is_empty());
 
     // The stall is a budget verdict, not corruption: resuming with a real

@@ -1,68 +1,45 @@
-//! Traffic-class definitions and DSCP mapping.
+//! Traffic-class definitions.
 
-use serde::Serialize;
 use std::sync::Arc;
 
-/// Index of the default traffic class (unclassified traffic).
-pub const DEFAULT_TC: usize = 0;
+/// Most classes a set may hold: a port scheduler tracks its backlog as
+/// one `u64` bitmask, one bit per class.
+const MAX_CLASSES: usize = 64;
 
 /// One traffic class, as configured by the system administrator.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct TrafficClass {
-    /// DSCP code point selecting this class (packet header tag, RFC 3260).
-    pub dscp: u8,
     /// Strict-priority tier; lower value = served first among classes that
     /// hold bandwidth tokens.
     pub priority: u8,
     /// Guaranteed minimum share of link bandwidth, in `[0, 1]`.
     pub min_bandwidth: f64,
-    /// Upper bandwidth cap, in `(0, 1]` (1.0 = uncapped).
-    pub max_bandwidth: f64,
-    /// Whether in-order delivery is required (restricts adaptive routing
-    /// for this class).
-    pub ordered: bool,
-    /// Whether packets may be dropped under pressure (lossy Ethernet
-    /// semantics) instead of back-pressured.
-    pub lossy: bool,
 }
 
 impl TrafficClass {
-    /// A permissive default class: no guarantee, no cap, unordered,
-    /// lossless.
-    pub fn best_effort(dscp: u8) -> Self {
+    /// A permissive default class: no guarantee, lowest priority.
+    pub fn best_effort() -> Self {
         TrafficClass {
-            dscp,
             priority: 7,
             min_bandwidth: 0.0,
-            max_bandwidth: 1.0,
-            ordered: false,
-            lossy: false,
         }
     }
 
     /// A low-latency class for small synchronization traffic (the paper's
     /// suggestion: barriers/allreduce in a high-priority low-bandwidth
     /// class).
-    pub fn low_latency(dscp: u8, min_bandwidth: f64) -> Self {
+    pub fn low_latency(min_bandwidth: f64) -> Self {
         TrafficClass {
-            dscp,
             priority: 0,
             min_bandwidth,
-            max_bandwidth: 1.0,
-            ordered: false,
-            lossy: false,
         }
     }
 
     /// A bulk-bandwidth class for large transfers.
-    pub fn bulk(dscp: u8, min_bandwidth: f64) -> Self {
+    pub fn bulk(min_bandwidth: f64) -> Self {
         TrafficClass {
-            dscp,
             priority: 4,
             min_bandwidth,
-            max_bandwidth: 1.0,
-            ordered: false,
-            lossy: false,
         }
     }
 }
@@ -74,7 +51,7 @@ impl TrafficClass {
 /// plain `Vec` that deep-cloned the table thousands of times at network
 /// construction. Cloning a set now only bumps a reference count; the
 /// class data itself is immutable after validation, so sharing is safe.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct TrafficClassSet {
     classes: Arc<[TrafficClass]>,
 }
@@ -87,13 +64,8 @@ pub enum QosError {
         /// Total requested minimum share.
         total_min: f64,
     },
-    /// A class has `max < min`.
-    CapBelowGuarantee {
-        /// Index of the offending class.
-        class: usize,
-    },
-    /// Two classes share a DSCP tag.
-    DuplicateDscp(u8),
+    /// More classes than a port scheduler can track.
+    TooManyClasses(usize),
     /// No classes at all.
     Empty,
 }
@@ -105,10 +77,12 @@ impl std::fmt::Display for QosError {
                 f,
                 "minimum bandwidth guarantees sum to {total_min:.2} > 1.0"
             ),
-            QosError::CapBelowGuarantee { class } => {
-                write!(f, "class {class} has max_bandwidth below min_bandwidth")
+            QosError::TooManyClasses(n) => {
+                write!(
+                    f,
+                    "{n} traffic classes configured, at most {MAX_CLASSES} allowed"
+                )
             }
-            QosError::DuplicateDscp(d) => write!(f, "duplicate DSCP {d}"),
             QosError::Empty => write!(f, "no traffic classes configured"),
         }
     }
@@ -124,22 +98,12 @@ impl TrafficClassSet {
         if classes.is_empty() {
             return Err(QosError::Empty);
         }
+        if classes.len() > MAX_CLASSES {
+            return Err(QosError::TooManyClasses(classes.len()));
+        }
         let total_min: f64 = classes.iter().map(|c| c.min_bandwidth).sum();
         if total_min > 1.0 + 1e-9 {
             return Err(QosError::Oversubscribed { total_min });
-        }
-        for (i, c) in classes.iter().enumerate() {
-            if c.max_bandwidth + 1e-9 < c.min_bandwidth {
-                return Err(QosError::CapBelowGuarantee { class: i });
-            }
-        }
-        let mut seen = [false; 64];
-        for c in &classes {
-            let d = (c.dscp & 63) as usize;
-            if seen[d] {
-                return Err(QosError::DuplicateDscp(c.dscp));
-            }
-            seen[d] = true;
         }
         Ok(TrafficClassSet {
             classes: classes.into(),
@@ -149,28 +113,20 @@ impl TrafficClassSet {
     /// A single permissive class (networks that do not exercise QoS).
     pub fn single() -> Self {
         TrafficClassSet {
-            classes: Arc::from([TrafficClass::best_effort(0)]),
+            classes: Arc::from([TrafficClass::best_effort()]),
         }
     }
 
     /// The paper's Fig. 14 configuration: TC1 with an 80 % minimum, TC2
     /// with a 10 % minimum (10 % of the link left unallocated).
     pub fn fig14() -> Self {
-        TrafficClassSet::new(vec![
-            TrafficClass::bulk(1, 0.80),
-            TrafficClass::bulk(2, 0.10),
-        ])
-        .expect("static config is valid")
+        TrafficClassSet::new(vec![TrafficClass::bulk(0.80), TrafficClass::bulk(0.10)])
+            .expect("static config is valid")
     }
 
     /// The classes.
     pub fn classes(&self) -> &[TrafficClass] {
         &self.classes
-    }
-
-    /// The shared backing storage (clones are reference-count bumps).
-    pub fn shared(&self) -> Arc<[TrafficClass]> {
-        Arc::clone(&self.classes)
     }
 
     /// Number of classes.
@@ -193,7 +149,7 @@ mod tests {
         let set = TrafficClassSet::fig14();
         let clone = set.clone();
         assert!(
-            Arc::ptr_eq(&set.shared(), &clone.shared()),
+            Arc::ptr_eq(&set.classes, &clone.classes),
             "clone must be a reference-count bump, not a deep copy"
         );
     }
@@ -201,8 +157,8 @@ mod tests {
     #[test]
     fn valid_set_builds() {
         let set = TrafficClassSet::new(vec![
-            TrafficClass::low_latency(1, 0.2),
-            TrafficClass::bulk(2, 0.5),
+            TrafficClass::low_latency(0.2),
+            TrafficClass::bulk(0.5),
         ])
         .unwrap();
         assert_eq!(set.len(), 2);
@@ -210,28 +166,21 @@ mod tests {
 
     #[test]
     fn oversubscription_rejected() {
-        let err =
-            TrafficClassSet::new(vec![TrafficClass::bulk(1, 0.7), TrafficClass::bulk(2, 0.5)])
-                .unwrap_err();
+        let err = TrafficClassSet::new(vec![TrafficClass::bulk(0.7), TrafficClass::bulk(0.5)])
+            .unwrap_err();
         assert!(matches!(err, QosError::Oversubscribed { .. }));
     }
 
     #[test]
-    fn cap_below_guarantee_rejected() {
-        let mut c = TrafficClass::bulk(1, 0.5);
-        c.max_bandwidth = 0.3;
-        let err = TrafficClassSet::new(vec![c]).unwrap_err();
-        assert_eq!(err, QosError::CapBelowGuarantee { class: 0 });
-    }
-
-    #[test]
-    fn duplicate_dscp_rejected() {
-        let err = TrafficClassSet::new(vec![
-            TrafficClass::bulk(3, 0.1),
-            TrafficClass::low_latency(3, 0.1),
-        ])
-        .unwrap_err();
-        assert_eq!(err, QosError::DuplicateDscp(3));
+    fn a_65th_class_is_rejected() {
+        let full = vec![TrafficClass::best_effort(); MAX_CLASSES];
+        assert_eq!(TrafficClassSet::new(full.clone()).unwrap().len(), 64);
+        let mut over = full;
+        over.push(TrafficClass::best_effort());
+        assert_eq!(
+            TrafficClassSet::new(over).unwrap_err(),
+            QosError::TooManyClasses(65)
+        );
     }
 
     #[test]

@@ -22,7 +22,6 @@ struct TcState {
     tokens: f64,
     /// EWMA of this class's served throughput, bytes/s.
     rate_ewma: f64,
-    served_bytes: u64,
     last_update: SimTime,
 }
 
@@ -45,18 +44,12 @@ impl QosScheduler {
                 TcState {
                     tokens: BURST_BYTES,
                     rate_ewma: 0.0,
-                    served_bytes: 0,
                     last_update: SimTime::ZERO,
                 };
                 n
             ],
             link_bytes_per_sec,
         }
-    }
-
-    /// The class set.
-    pub fn classes(&self) -> &TrafficClassSet {
-        &self.classes
     }
 
     /// Refill tokens and decay share estimates up to `now`.
@@ -78,8 +71,8 @@ impl QosScheduler {
     /// Pick the class to serve next among those with queued traffic.
     ///
     /// Bit `i` of `backlog` is set when class `i` has at least one packet
-    /// queued (a class set holds at most 64 classes: their DSCP tags are
-    /// distinct 6-bit values). Returns `None` when nothing is queued.
+    /// queued (`TrafficClassSet::new` admits at most 64 classes). Returns
+    /// `None` when nothing is queued.
     pub fn pick(&mut self, backlog: u64, now: SimTime) -> Option<usize> {
         debug_assert_eq!(
             backlog.checked_shr(self.state.len() as u32).unwrap_or(0),
@@ -93,9 +86,6 @@ impl QosScheduler {
         let mut best: Option<usize> = None;
         for (i, st) in self.state.iter().enumerate() {
             if !queued(i) || st.tokens < 1.0 {
-                continue;
-            }
-            if self.exceeds_cap(i) {
                 continue;
             }
             match best {
@@ -120,7 +110,7 @@ impl QosScheduler {
         // the lowest bandwidth share").
         let mut best: Option<usize> = None;
         for (i, st) in self.state.iter().enumerate() {
-            if !queued(i) || self.exceeds_cap(i) {
+            if !queued(i) {
                 continue;
             }
             match best {
@@ -135,32 +125,13 @@ impl QosScheduler {
         best
     }
 
-    fn exceeds_cap(&self, i: usize) -> bool {
-        let cap = self.classes.classes()[i].max_bandwidth;
-        if cap >= 1.0 {
-            return false;
-        }
-        self.state[i].rate_ewma > cap * self.link_bytes_per_sec
-    }
-
     /// Account `bytes` served for class `tc` at `now`.
     pub fn on_served(&mut self, tc: usize, bytes: u64, now: SimTime) {
         self.advance(now);
         let st = &mut self.state[tc];
         st.tokens = (st.tokens - bytes as f64).max(-BURST_BYTES);
-        st.served_bytes += bytes;
         // Impulse into the EWMA: bytes spread over the time constant.
         st.rate_ewma += bytes as f64 / SHARE_TAU_S;
-    }
-
-    /// Total bytes served for a class.
-    pub fn served_bytes(&self, tc: usize) -> u64 {
-        self.state[tc].served_bytes
-    }
-
-    /// Recent bandwidth share estimate of a class, in `[0, ~1]`.
-    pub fn share(&self, tc: usize) -> f64 {
-        self.state[tc].rate_ewma / self.link_bytes_per_sec
     }
 }
 
@@ -178,17 +149,15 @@ mod tests {
     fn run(sched: &mut QosScheduler, backlog: u64, n: usize) -> Vec<u64> {
         let mut now = SimTime::ZERO;
         let per_pkt = SimDuration::from_secs_f64(PKT as f64 / LINK);
-        let n_tc = sched.classes().len();
-        let before: Vec<u64> = (0..n_tc).map(|i| sched.served_bytes(i)).collect();
+        let mut served = vec![0; sched.classes.len()];
         for _ in 0..n {
             if let Some(tc) = sched.pick(backlog, now) {
                 sched.on_served(tc, PKT, now);
+                served[tc] += PKT;
             }
             now += per_pkt;
         }
-        (0..n_tc)
-            .map(|i| sched.served_bytes(i) - before[i])
-            .collect()
+        served
     }
 
     #[test]
@@ -215,8 +184,7 @@ mod tests {
     #[test]
     fn equal_guarantees_share_equally() {
         let set =
-            TrafficClassSet::new(vec![TrafficClass::bulk(1, 0.4), TrafficClass::bulk(2, 0.4)])
-                .unwrap();
+            TrafficClassSet::new(vec![TrafficClass::bulk(0.4), TrafficClass::bulk(0.4)]).unwrap();
         let mut s = QosScheduler::new(set, LINK);
         let served = run(&mut s, 0b11, 20_000);
         let ratio = served[0] as f64 / served[1] as f64;
@@ -226,25 +194,14 @@ mod tests {
     #[test]
     fn priority_wins_within_guarantees() {
         let set = TrafficClassSet::new(vec![
-            TrafficClass::low_latency(1, 0.3), // priority 0
-            TrafficClass::bulk(2, 0.3),        // priority 4
+            TrafficClass::low_latency(0.3), // priority 0
+            TrafficClass::bulk(0.3),        // priority 4
         ])
         .unwrap();
         let mut s = QosScheduler::new(set, LINK);
         // Single decision with both backlogged and both holding tokens.
         let pick = s.pick(0b11, SimTime::ZERO).unwrap();
         assert_eq!(pick, 0, "high-priority class must be served first");
-    }
-
-    #[test]
-    fn max_cap_is_enforced() {
-        let mut capped = TrafficClass::bulk(1, 0.1);
-        capped.max_bandwidth = 0.3;
-        let set = TrafficClassSet::new(vec![capped, TrafficClass::bulk(2, 0.1)]).unwrap();
-        let mut s = QosScheduler::new(set, LINK);
-        let served = run(&mut s, 0b11, 20_000);
-        let f_capped = served[0] as f64 / (served[0] + served[1]) as f64;
-        assert!(f_capped <= 0.4, "capped class got {f_capped}");
     }
 
     #[test]
@@ -263,7 +220,7 @@ mod tests {
             s.on_served(tc, PKT, now);
             now += per_pkt;
         }
-        let share = s.share(0);
+        let share = s.state[0].rate_ewma / LINK;
         assert!((0.8..=1.2).contains(&share), "share {share}");
     }
 }

@@ -97,22 +97,6 @@ impl LatencyModel {
             + self.outlier_probability * self.outlier_extra_ns
     }
 
-    /// Mean traversal latency averaged over all distinct port pairs — the
-    /// single number used as the per-hop cost by the network simulator.
-    pub fn mean_over_ports_ns(&self) -> f64 {
-        let mut total = 0.0;
-        let mut pairs = 0u32;
-        for a in 0..crate::tiles::PORTS {
-            for b in 0..crate::tiles::PORTS {
-                if a != b {
-                    total += self.mean_ns(a, b);
-                    pairs += 1;
-                }
-            }
-        }
-        total / pairs as f64
-    }
-
     /// Sample one traversal latency.
     pub fn sample(&self, rng: &mut DetRng, in_port: u8, out_port: u8) -> SimDuration {
         let mut ns = self.base_ns(in_port, out_port);
@@ -128,6 +112,22 @@ impl LatencyModel {
 mod tests {
     use super::*;
     use slingshot_stats::Sample;
+
+    /// Mean traversal latency of `m` averaged over all distinct port
+    /// pairs: the calibration probe of the tests below.
+    fn mean_over_ports_ns(m: &LatencyModel) -> f64 {
+        let mut total = 0.0;
+        let mut pairs = 0u32;
+        for a in 0..crate::tiles::PORTS {
+            for b in 0..crate::tiles::PORTS {
+                if a != b {
+                    total += m.mean_ns(a, b);
+                    pairs += 1;
+                }
+            }
+        }
+        total / pairs as f64
+    }
 
     #[test]
     fn base_latency_depends_on_geometry() {
@@ -170,8 +170,8 @@ mod tests {
 
     #[test]
     fn aries_is_slower_than_rosetta() {
-        let r = LatencyModel::rosetta().mean_over_ports_ns();
-        let a = LatencyModel::aries().mean_over_ports_ns();
+        let r = mean_over_ports_ns(&LatencyModel::rosetta());
+        let a = mean_over_ports_ns(&LatencyModel::aries());
         assert!(a > r + 100.0, "aries {a} vs rosetta {r}");
     }
 
@@ -187,8 +187,7 @@ mod tests {
 
     #[test]
     fn mean_over_ports_close_to_350() {
-        let m = LatencyModel::rosetta();
-        let mean = m.mean_over_ports_ns();
+        let mean = mean_over_ports_ns(&LatencyModel::rosetta());
         assert!((340.0..=360.0).contains(&mean), "mean over ports {mean}");
     }
 }

@@ -1,46 +1,34 @@
 //! Telemetry configuration.
 
-/// Tuning knobs for the telemetry subsystem.
+/// Width of the time-series buckets, in picoseconds (the simulator's
+/// native unit): 1 µs, the finest-grained bandwidth-over-time plots in the
+/// paper.
+pub(crate) const BUCKET_PS: u64 = 1_000_000;
+
+/// Ring-buffer capacity of the flight recorder, in events. When full, the
+/// oldest events are overwritten (the report counts evictions).
+pub(crate) const RING_CAPACITY: usize = 1 << 16;
+
+/// Tuning knob of the telemetry subsystem.
 ///
 /// A network built without one of these (the default) carries no telemetry
 /// state at all; every instrumentation site reduces to one `Option`
-/// discriminant check.
+/// discriminant check. The network seeds the flight recorder's sampling
+/// hash with its own seed.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TelemetryConfig {
-    /// Width of the time-series buckets, in picoseconds (the simulator's
-    /// native unit). The default of 1 µs matches the finest-grained
-    /// bandwidth-over-time plots in the paper.
-    pub bucket_ps: u64,
     /// Flight-recorder sampling rate: trace roughly 1 in `sample_every`
-    /// packets. `0` disables the recorder (time series still collected);
-    /// `1` traces every packet.
-    pub sample_every: u32,
-    /// Ring-buffer capacity of the flight recorder, in events. When full,
-    /// the oldest events are overwritten (the report counts evictions).
-    pub ring_capacity: usize,
-    /// Seed folded into the sampling hash so different experiments pick
-    /// different packet populations. Deliberately separate from the
-    /// simulation seed: changing it re-samples without changing the run.
-    pub seed: u64,
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        TelemetryConfig {
-            bucket_ps: 1_000_000, // 1 µs
-            sample_every: 0,
-            ring_capacity: 1 << 16,
-            seed: 0,
-        }
-    }
+    /// packets, at least 1 (`1` traces every packet).
+    pub(crate) sample_every: u32,
 }
 
 impl TelemetryConfig {
     /// Config with the flight recorder on at 1-in-`sample_every`.
+    ///
+    /// # Panics
+    /// If `sample_every` is 0.
     pub fn sampled(sample_every: u32) -> Self {
-        TelemetryConfig {
-            sample_every,
-            ..Default::default()
-        }
+        assert!(sample_every > 0, "telemetry samples 1 in at least 1 packet");
+        TelemetryConfig { sample_every }
     }
 }

@@ -3,6 +3,7 @@
 
 use slingshot_stats::{GaugeSeries, RateSeries};
 
+use crate::config::BUCKET_PS;
 use crate::recorder::{FlightRecorder, HopKind, TraceEvent};
 use crate::TelemetryConfig;
 
@@ -57,13 +58,18 @@ count_kinds! {
 
 /// Central sink for all time-resolved instrumentation.
 ///
-/// The simulator holds an `Option<Box<TelemetryHub>>`; every call below is
-/// reached only behind that gate, so the disabled path costs one
-/// discriminant check per site. All methods take plain integers — no
-/// allocation, no formatting — and amortize to a bucket index + add.
+/// The network keeps the hub, with the port numbering it reports under,
+/// in one `Option<Box<_>>`; every call below is reached only behind that
+/// gate, so the disabled path costs one discriminant check per site.
+/// Flight-recorder hops are further gated on the packet's own traced flag,
+/// set once at injection from [`TelemetryHub::sampled`]. All methods take
+/// plain integers — no allocation, no formatting — and amortize to a
+/// bucket index + add.
 #[derive(Clone, Debug)]
 pub struct TelemetryHub {
     cfg: TelemetryConfig,
+    /// Seed of the flight recorder's sampling hash.
+    seed: u64,
     /// Per-port transmitted wire bytes (global port index).
     port_tx: Vec<RateSeries>,
     /// Per-port queued wire bytes, sampled on enqueue and tx start.
@@ -86,25 +92,21 @@ pub struct TelemetryHub {
 impl TelemetryHub {
     /// Build a hub for a fabric with `ports` total output ports (global
     /// indexing), `classes` traffic classes, and `vcs` virtual channels.
-    pub fn new(cfg: TelemetryConfig, ports: usize, classes: usize, vcs: usize) -> Self {
-        let w = cfg.bucket_ps.max(1);
+    /// `seed` picks the flight recorder's sampled packet population.
+    pub fn new(cfg: TelemetryConfig, seed: u64, ports: usize, classes: usize, vcs: usize) -> Self {
         TelemetryHub {
-            recorder: FlightRecorder::new(&cfg),
+            recorder: FlightRecorder::new(&cfg, seed),
             cfg,
-            port_tx: vec![RateSeries::new(w); ports],
-            port_queue: vec![GaugeSeries::new(w); ports],
-            class_tx: vec![RateSeries::new(w); classes.max(1)],
-            credit_stalls: vec![RateSeries::new(w); classes.max(1) * vcs.max(1)],
-            cc_window: GaugeSeries::new(w),
+            seed,
+            port_tx: vec![RateSeries::new(BUCKET_PS); ports],
+            port_queue: vec![GaugeSeries::new(BUCKET_PS); ports],
+            class_tx: vec![RateSeries::new(BUCKET_PS); classes.max(1)],
+            credit_stalls: vec![RateSeries::new(BUCKET_PS); classes.max(1) * vcs.max(1)],
+            cc_window: GaugeSeries::new(BUCKET_PS),
             paused_now: 0,
-            paused_pairs: GaugeSeries::new(w),
-            counts: std::array::from_fn(|_| RateSeries::new(w)),
+            paused_pairs: GaugeSeries::new(BUCKET_PS),
+            counts: std::array::from_fn(|_| RateSeries::new(BUCKET_PS)),
         }
-    }
-
-    /// The config this hub was built with.
-    pub fn config(&self) -> &TelemetryConfig {
-        &self.cfg
     }
 
     /// Whether `(msg, chunk)` is in the flight recorder's sampled set.
@@ -232,9 +234,9 @@ impl TelemetryHub {
             .collect();
         let (events, events_evicted) = self.recorder.into_events();
         TelemetryReport {
-            bucket_ps: self.cfg.bucket_ps,
+            bucket_ps: BUCKET_PS,
             sample_every: self.cfg.sample_every,
-            seed: self.cfg.seed,
+            seed: self.seed,
             ports,
             class_tx: self.class_tx,
             credit_stalls,
@@ -276,7 +278,7 @@ pub struct ClassVcStallReport {
 pub struct TelemetryReport {
     /// Bucket width of every series, picoseconds.
     pub bucket_ps: u64,
-    /// Flight-recorder sampling rate (0 = recorder off).
+    /// Flight-recorder sampling rate: 1 in this many packets.
     pub sample_every: u32,
     /// Sampling seed.
     pub seed: u64,
@@ -310,7 +312,7 @@ mod tests {
     use super::*;
 
     fn hub() -> TelemetryHub {
-        TelemetryHub::new(TelemetryConfig::sampled(1), 4, 2, 3)
+        TelemetryHub::new(TelemetryConfig::sampled(1), 0, 4, 2, 3)
     }
 
     #[test]

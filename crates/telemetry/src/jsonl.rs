@@ -120,7 +120,7 @@ mod tests {
 
     #[test]
     fn every_line_is_valid_json_with_a_type() {
-        let mut h = TelemetryHub::new(TelemetryConfig::sampled(1), 2, 1, 1);
+        let mut h = TelemetryHub::new(TelemetryConfig::sampled(1), 0, 2, 1, 1);
         h.on_port_tx(0, 0, 10, 100);
         h.record_event(
             5,

@@ -245,7 +245,7 @@ mod tests {
 
     #[test]
     fn trace_parses_and_contains_packet_track() {
-        let mut h = TelemetryHub::new(TelemetryConfig::sampled(1), 2, 1, 1);
+        let mut h = TelemetryHub::new(TelemetryConfig::sampled(1), 0, 2, 1, 1);
         h.record_event(0, 7, 0, 0, 0, HopKind::NicSerializeStart);
         h.record_event(100, 7, 0, 0, 0, HopKind::NicTxDone);
         h.record_event(150, 7, 0, 0, 0, HopKind::SwitchArrive { sw: 3 });
@@ -290,7 +290,7 @@ mod tests {
 
     #[test]
     fn unmatched_spans_are_closed_at_flight_end() {
-        let mut h = TelemetryHub::new(TelemetryConfig::sampled(1), 1, 1, 1);
+        let mut h = TelemetryHub::new(TelemetryConfig::sampled(1), 0, 1, 1, 1);
         // Enqueue recorded, but TxStart/TxDone lost to eviction.
         h.record_event(
             0,

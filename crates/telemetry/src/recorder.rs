@@ -2,6 +2,7 @@
 
 use slingshot_des::mix64;
 
+use crate::config::RING_CAPACITY;
 use crate::TelemetryConfig;
 
 /// What happened to a sampled packet at one instant.
@@ -122,19 +123,17 @@ pub struct TraceEvent {
 pub struct FlightRecorder {
     sample_every: u32,
     seed: u64,
-    capacity: usize,
     events: Vec<TraceEvent>,
     head: usize,
     evicted: u64,
 }
 
 impl FlightRecorder {
-    /// New recorder from config (capacity is clamped to at least 1).
-    pub fn new(cfg: &TelemetryConfig) -> Self {
+    /// New recorder sampling at `cfg`'s rate under `seed`.
+    pub fn new(cfg: &TelemetryConfig, seed: u64) -> Self {
         FlightRecorder {
             sample_every: cfg.sample_every,
-            seed: cfg.seed,
-            capacity: cfg.ring_capacity.max(1),
+            seed,
             events: Vec::new(),
             head: 0,
             evicted: 0,
@@ -147,7 +146,6 @@ impl FlightRecorder {
     #[inline]
     pub fn sampled(&self, msg: u64, chunk: u32) -> bool {
         match self.sample_every {
-            0 => false,
             1 => true,
             n => {
                 let h = mix64(msg ^ (u64::from(chunk) << 40) ^ self.seed.rotate_left(17));
@@ -159,11 +157,11 @@ impl FlightRecorder {
     /// Append an event, evicting the oldest when the ring is full.
     #[inline]
     pub fn record(&mut self, ev: TraceEvent) {
-        if self.events.len() < self.capacity {
+        if self.events.len() < RING_CAPACITY {
             self.events.push(ev);
         } else {
             self.events[self.head] = ev;
-            self.head = (self.head + 1) % self.capacity;
+            self.head = (self.head + 1) % RING_CAPACITY;
             self.evicted += 1;
         }
     }
@@ -187,7 +185,7 @@ impl FlightRecorder {
     /// count. Events are recorded at dispatch time, so insertion order is
     /// already chronological; a full ring just needs rotating.
     pub fn into_events(mut self) -> (Vec<TraceEvent>, u64) {
-        if self.events.len() == self.capacity && self.head != 0 {
+        if self.events.len() == RING_CAPACITY && self.head != 0 {
             self.events.rotate_left(self.head);
         }
         (self.events, self.evicted)
@@ -198,12 +196,8 @@ impl FlightRecorder {
 mod tests {
     use super::*;
 
-    fn cfg(sample_every: u32, cap: usize) -> TelemetryConfig {
-        TelemetryConfig {
-            sample_every,
-            ring_capacity: cap,
-            ..Default::default()
-        }
+    fn recorder(sample_every: u32, seed: u64) -> FlightRecorder {
+        FlightRecorder::new(&TelemetryConfig::sampled(sample_every), seed)
     }
 
     fn ev(at: u64, msg: u64) -> TraceEvent {
@@ -219,7 +213,7 @@ mod tests {
 
     #[test]
     fn sampling_is_deterministic_and_rate_is_plausible() {
-        let r = FlightRecorder::new(&cfg(8, 16));
+        let r = recorder(8, 0);
         let picked: Vec<bool> = (0..10_000).map(|m| r.sampled(m, 0)).collect();
         let again: Vec<bool> = (0..10_000).map(|m| r.sampled(m, 0)).collect();
         assert_eq!(picked, again);
@@ -229,19 +223,21 @@ mod tests {
     }
 
     #[test]
-    fn sample_zero_disables_and_one_takes_all() {
-        let off = FlightRecorder::new(&cfg(0, 16));
-        let all = FlightRecorder::new(&cfg(1, 16));
-        assert!((0..100).all(|m| !off.sampled(m, 0)));
+    fn sample_one_takes_all() {
+        let all = recorder(1, 0);
         assert!((0..100).all(|m| all.sampled(m, 0)));
     }
 
     #[test]
+    #[should_panic]
+    fn sample_zero_is_rejected() {
+        TelemetryConfig::sampled(0);
+    }
+
+    #[test]
     fn seed_changes_the_population() {
-        let a = FlightRecorder::new(&cfg(4, 16));
-        let mut c = cfg(4, 16);
-        c.seed = 99;
-        let b = FlightRecorder::new(&c);
+        let a = recorder(4, 0);
+        let b = recorder(4, 99);
         let same = (0..4096)
             .filter(|&m| a.sampled(m, 0) == b.sampled(m, 0))
             .count();
@@ -250,15 +246,16 @@ mod tests {
 
     #[test]
     fn ring_evicts_oldest_and_rotates_out_in_order() {
-        let mut r = FlightRecorder::new(&cfg(1, 4));
-        for i in 0..6 {
+        let mut r = recorder(1, 0);
+        let n = RING_CAPACITY as u64 + 2;
+        for i in 0..n {
             r.record(ev(i, i));
         }
-        assert_eq!(r.len(), 4);
+        assert_eq!(r.len(), RING_CAPACITY);
         assert_eq!(r.evicted(), 2);
         let (events, evicted) = r.into_events();
         assert_eq!(evicted, 2);
         let times: Vec<u64> = events.iter().map(|e| e.at_ps).collect();
-        assert_eq!(times, vec![2, 3, 4, 5]);
+        assert_eq!(times, (2..n).collect::<Vec<u64>>());
     }
 }
