@@ -2,7 +2,8 @@
 
 use proptest::prelude::*;
 use slingshot_topology::{
-    Allocation, AllocationPolicy, DragonflyParams, GroupId, LinkClass, NodeId, SwitchId,
+    Allocation, AllocationPolicy, Channel, ChannelId, Dragonfly, DragonflyParams, GroupId,
+    LinkClass, NodeId, SwitchId,
 };
 
 fn arb_params() -> impl Strategy<Value = DragonflyParams> {
@@ -128,37 +129,112 @@ proptest! {
         prop_assert!(hops <= 3);
     }
 
-    /// The precomputed CSR route tables are element-for-element identical
-    /// to the per-call computation they replaced, for every (cur, dst)
-    /// pair — same candidates, same order, so adaptive tie-breaking draws
-    /// the same RNG sequence as before the substitution.
+    /// The route tables follow their rule, rebuilt here from the raw
+    /// channel list: inside a group the direct channels; toward another
+    /// group the switch's own global channels in id order, else its local
+    /// channels to each gateway, gateways in the order of their first
+    /// global channel by id. The order matters because adaptive
+    /// tie-breaks index into the candidate slices. `min_hops` equals a
+    /// BFS over the candidates.
     #[test]
-    fn precomputed_tables_match_per_call_routing(params in arb_params()) {
+    fn route_tables_follow_their_rule(params in arb_params()) {
         let d = params.build();
         let n = d.switch_count();
-        for cur in 0..n {
-            let cur = SwitchId(cur);
-            for dst in 0..n {
-                let dst = SwitchId(dst);
+        for cur in (0..n).map(SwitchId) {
+            for grp in (0..params.groups).map(GroupId) {
+                prop_assert_eq!(
+                    d.next_hops_toward_group(cur, grp),
+                    expected_toward_group(&d, cur, grp).as_slice(),
+                    "toward-group candidates at {:?}->{:?}", cur, grp
+                );
+            }
+            for dst in (0..n).map(SwitchId) {
+                let expected = if cur == dst {
+                    Vec::new()
+                } else if d.group_of(cur) == d.group_of(dst) {
+                    direct_channels(&d, cur, dst)
+                } else {
+                    expected_toward_group(&d, cur, d.group_of(dst))
+                };
                 prop_assert_eq!(
                     d.next_hops_toward_switch(cur, dst),
-                    d.uncached_next_hops_toward_switch(cur, dst).as_slice(),
-                    "toward-switch candidates diverge at {:?}->{:?}", cur, dst
+                    expected.as_slice(),
+                    "toward-switch candidates at {:?}->{:?}", cur, dst
                 );
                 prop_assert_eq!(
                     d.min_hops(cur, dst),
-                    d.bfs_min_hops(cur, dst),
-                    "closed-form distance diverges at {:?}->{:?}", cur, dst
-                );
-            }
-            for grp in 0..params.groups {
-                let grp = GroupId(grp);
-                prop_assert_eq!(
-                    d.next_hops_toward_group(cur, grp),
-                    d.uncached_next_hops_toward_group(cur, grp).as_slice(),
-                    "toward-group candidates diverge at {:?}->{:?}", cur, grp
+                    bfs_min_hops(&d, cur, dst),
+                    "distance at {:?}->{:?}", cur, dst
                 );
             }
         }
     }
+}
+
+/// Channels from `from` to `to`, in id order.
+fn direct_channels(d: &Dragonfly, from: SwitchId, to: SwitchId) -> Vec<ChannelId> {
+    d.channels()
+        .iter()
+        .filter(|c| c.from == from && c.to == to)
+        .map(|c| c.id)
+        .collect()
+}
+
+/// Global channels of `sw`'s group into `grp`, in id order.
+fn globals_into(d: &Dragonfly, sw: SwitchId, grp: GroupId) -> impl Iterator<Item = &Channel> {
+    let own_grp = d.group_of(sw);
+    d.channels().iter().filter(move |c| {
+        c.class == LinkClass::GlobalOptical
+            && d.group_of(c.from) == own_grp
+            && d.group_of(c.to) == grp
+    })
+}
+
+/// The toward-group candidates of `(cur, grp)`, from the raw channel list.
+fn expected_toward_group(d: &Dragonfly, cur: SwitchId, grp: GroupId) -> Vec<ChannelId> {
+    let own: Vec<ChannelId> = globals_into(d, cur, grp)
+        .filter(|c| c.from == cur)
+        .map(|c| c.id)
+        .collect();
+    if !own.is_empty() {
+        return own;
+    }
+    let mut gateways: Vec<SwitchId> = Vec::new();
+    for c in globals_into(d, cur, grp) {
+        if !gateways.contains(&c.from) {
+            gateways.push(c.from);
+        }
+    }
+    gateways
+        .into_iter()
+        .filter(|&gw| gw != cur)
+        .flat_map(|gw| direct_channels(d, cur, gw))
+        .collect()
+}
+
+/// BFS distance from `src` to `dst` over the minimal-route candidates.
+fn bfs_min_hops(d: &Dragonfly, src: SwitchId, dst: SwitchId) -> u32 {
+    if src == dst {
+        return 0;
+    }
+    let mut frontier = vec![src];
+    let mut visited = vec![false; d.switch_count() as usize];
+    visited[src.index()] = true;
+    for depth in 1..=4 {
+        let mut next = Vec::new();
+        for &sw in &frontier {
+            for &hop in d.next_hops_toward_switch(sw, dst) {
+                let to = d.channel(hop).to;
+                if to == dst {
+                    return depth;
+                }
+                if !visited[to.index()] {
+                    visited[to.index()] = true;
+                    next.push(to);
+                }
+            }
+        }
+        frontier = next;
+    }
+    panic!("{src:?}->{dst:?}: no route within 4 hops");
 }
