@@ -6,9 +6,8 @@
 //! nodes, *random* shuffles the whole machine.
 
 use crate::ids::NodeId;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
+use slingshot_des::DetRng;
 
 /// Allocation placement strategy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
@@ -92,12 +91,7 @@ impl Allocation {
             }
             AllocationPolicy::Random => {
                 let mut ids: Vec<NodeId> = (0..total_nodes).map(NodeId).collect();
-                let mut rng = ChaCha8Rng::seed_from_u64(seed);
-                // Fisher–Yates with the seeded generator.
-                for i in (1..ids.len()).rev() {
-                    let j = rand::Rng::gen_range(&mut rng, 0..=i);
-                    ids.swap(i, j);
-                }
+                DetRng::seed_from(seed).shuffle(&mut ids);
                 let aggressor = ids.split_off(n_victim as usize);
                 Allocation {
                     victim: ids,
