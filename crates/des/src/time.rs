@@ -276,9 +276,12 @@ impl fmt::Display for SimTime {
     }
 }
 
+/// Exact picoseconds: a duration's `Debug` is part of run identities
+/// (see `congestion::run_identity` in the experiments crate), so it must
+/// not round. `Display` is the human-readable form.
 impl fmt::Debug for SimDuration {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", format_ps(self.0))
+        write!(f, "{}ps", self.0)
     }
 }
 

@@ -7,6 +7,7 @@
 
 use proptest::prelude::*;
 use slingshot::congestion::SlingshotCcParams;
+use slingshot::des::SimDuration;
 use slingshot::network::CcConfig;
 use slingshot::routing::RoutingAlgorithm;
 use slingshot::Profile;
@@ -126,4 +127,29 @@ proptest! {
         prop_assert_eq!(identity(&g, isolated), identity(&other_ppn, isolated));
         prop_assert_ne!(identity(&g, loaded), identity(&other_ppn, loaded));
     }
+}
+
+/// Two CC hold-offs 1 ps apart simulate two different runs, so they get
+/// two identities, even where a rounded rendering would print both as
+/// `5.000us`.
+#[test]
+fn holdoffs_one_picosecond_apart_are_distinct_runs() {
+    let identity = |holdoff_ps| {
+        let cell = Cell {
+            profile: Profile::Slingshot,
+            nodes: 64,
+            victim_nodes: 32,
+            policy: AllocationPolicy::Linear,
+            aggressor: Some(Congestor::Incast),
+            aggressor_ppn: 1,
+            seed: 1,
+            cc: Some(CcConfig::Slingshot(SlingshotCcParams {
+                recovery_holdoff: SimDuration::from_ps(holdoff_ps),
+                ..SlingshotCcParams::default()
+            })),
+            routing: None,
+        };
+        run_identity(&cell, Victim::Halo3d(8), 4, 1_000_000)
+    };
+    assert_ne!(identity(5_000_000), identity(5_000_001));
 }
