@@ -17,5 +17,5 @@
 mod class;
 mod scheduler;
 
-pub use class::{TrafficClass, TrafficClassSet};
+pub use class::{QosError, TrafficClass, TrafficClassSet};
 pub use scheduler::QosScheduler;
