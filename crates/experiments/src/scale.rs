@@ -126,17 +126,14 @@ impl RunConfig {
     /// Argument grammar, separated from process exit for testability.
     /// Outer `Err` = `--help`; inner `Err` = invalid arguments.
     fn parse(
-        mut args: impl Iterator<Item = String>,
+        args: impl Iterator<Item = String>,
     ) -> Result<Result<RunConfig, String>, HelpRequested> {
         let mut cfg = RunConfig::default();
-        let parse_sample = |v: &str| -> Result<u32, String> {
-            match v.parse::<u32>() {
-                Ok(n) if n > 0 => Ok(n),
-                _ => Err(format!(
-                    "--trace-sample expects a positive interval, got {v:?}"
-                )),
-            }
-        };
+        // `--flag=value` is `--flag value`.
+        let mut args = args.flat_map(|a| match a.split_once('=') {
+            Some((flag, v)) if flag.starts_with("--") => vec![flag.to_string(), v.to_string()],
+            _ => vec![a],
+        });
         while let Some(a) = args.next() {
             match a.as_str() {
                 "--tiny" => cfg.scale = Scale::Tiny,
@@ -152,36 +149,23 @@ impl RunConfig {
                     }
                 },
                 "--telemetry" => match args.next() {
-                    Some(dir) if !dir.starts_with('-') => cfg.telemetry = Some(dir),
+                    Some(dir) if !dir.is_empty() && !dir.starts_with('-') => {
+                        cfg.telemetry = Some(dir)
+                    }
                     _ => return Ok(Err("--telemetry expects an output directory".into())),
                 },
                 "--trace-sample" => match args.next() {
-                    Some(v) => match parse_sample(&v) {
-                        Ok(n) => cfg.trace_sample = Some(n),
-                        Err(e) => return Ok(Err(e)),
+                    Some(v) => match v.parse::<u32>() {
+                        Ok(n) if n > 0 => cfg.trace_sample = Some(n),
+                        _ => {
+                            return Ok(Err(format!(
+                                "--trace-sample expects a positive interval, got {v:?}"
+                            )))
+                        }
                     },
                     None => return Ok(Err("--trace-sample expects a packet interval".into())),
                 },
-                other => {
-                    if let Some(v) = other.strip_prefix("--jobs=") {
-                        match v.parse::<usize>() {
-                            Ok(n) => cfg.jobs = n,
-                            Err(_) => return Ok(Err(format!("invalid --jobs value {v:?}"))),
-                        }
-                    } else if let Some(v) = other.strip_prefix("--telemetry=") {
-                        if v.is_empty() {
-                            return Ok(Err("--telemetry expects an output directory".into()));
-                        }
-                        cfg.telemetry = Some(v.to_string());
-                    } else if let Some(v) = other.strip_prefix("--trace-sample=") {
-                        match parse_sample(v) {
-                            Ok(n) => cfg.trace_sample = Some(n),
-                            Err(e) => return Ok(Err(e)),
-                        }
-                    } else {
-                        return Ok(Err(format!("unrecognized option {other:?}")));
-                    }
-                }
+                other => return Ok(Err(format!("unrecognized option {other:?}"))),
             }
         }
         Ok(Ok(cfg))
