@@ -54,7 +54,7 @@ fn main() {
         d.bisection_channels(&left).len()
     );
     println!(
-        "  switch-to-switch diameter verified by BFS: {}",
+        "  switch-to-switch diameter (largest min_hops over all switch pairs): {}",
         (0..d.switch_count())
             .flat_map(|a| (0..d.switch_count()).map(move |b| (a, b)))
             .map(|(a, b)| d.min_hops(
