@@ -48,12 +48,14 @@ impl DetRng {
     /// yields identical substreams; distinct `stream` values yield
     /// statistically independent ones (distinct ChaCha stream ids).
     pub fn fork(&self, stream: u64) -> Self {
-        let mut child = self.inner.clone();
-        child.set_stream(stream.wrapping_add(1)); // avoid colliding with parent stream 0
-                                                  // Decorrelate position as well: skip ahead based on the stream id.
-        let mut child = DetRng { inner: child };
-        let _ = child.inner.next_u64();
-        child
+        // The child keeps the parent's key and block counter but reads
+        // keystream `stream + 1` (the root reads stream 0), then discards
+        // one word. The discard is the same for every stream; every seeded
+        // result depends on it, so it stays.
+        let mut inner = self.inner.clone();
+        inner.set_stream(stream.wrapping_add(1));
+        let _ = inner.next_u64();
+        DetRng { inner }
     }
 
     /// Uniform draw in `[0, n)`.
@@ -122,21 +124,6 @@ impl DetRng {
     }
 }
 
-impl RngCore for DetRng {
-    fn next_u32(&mut self) -> u32 {
-        self.inner.next_u32()
-    }
-    fn next_u64(&mut self) -> u64 {
-        self.inner.next_u64()
-    }
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        self.inner.fill_bytes(dest)
-    }
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
-        self.inner.try_fill_bytes(dest)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,7 +146,7 @@ mod tests {
         let mut a = DetRng::seed_from(42);
         let mut b = DetRng::seed_from(42);
         for _ in 0..64 {
-            assert_eq!(a.next_u64(), b.next_u64());
+            assert_eq!(a.unit(), b.unit());
         }
     }
 
@@ -167,7 +154,7 @@ mod tests {
     fn different_seeds_differ() {
         let mut a = DetRng::seed_from(1);
         let mut b = DetRng::seed_from(2);
-        let same = (0..64).filter(|_| a.next_u64() == b.next_u64()).count();
+        let same = (0..64).filter(|_| a.unit() == b.unit()).count();
         assert!(same < 4);
     }
 
@@ -177,9 +164,9 @@ mod tests {
         let mut f1a = root.fork(1);
         let mut f1b = root.fork(1);
         let mut f2 = root.fork(2);
-        let x1a: Vec<u64> = (0..16).map(|_| f1a.next_u64()).collect();
-        let x1b: Vec<u64> = (0..16).map(|_| f1b.next_u64()).collect();
-        let x2: Vec<u64> = (0..16).map(|_| f2.next_u64()).collect();
+        let x1a: Vec<f64> = (0..16).map(|_| f1a.unit()).collect();
+        let x1b: Vec<f64> = (0..16).map(|_| f1b.unit()).collect();
+        let x2: Vec<f64> = (0..16).map(|_| f2.unit()).collect();
         assert_eq!(x1a, x1b);
         assert_ne!(x1a, x2);
     }

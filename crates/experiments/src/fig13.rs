@@ -116,7 +116,7 @@ impl Figure for Fig13 {
     /// quarantined, so a latched accounting error becomes an error row.
     fn run(scale: Scale, _: Option<&SweepCache>) -> Outcome<Vec<Fig13Row>> {
         let cases = [true, false];
-        let results = runner::quarantine_map(
+        let (rows, failures) = runner::quarantine_map(
             &cases,
             |&same_class| CellMeta {
                 label: format!(
@@ -150,7 +150,6 @@ impl Figure for Fig13 {
                     .collect::<Vec<_>>())
             },
         );
-        let (rows, failures) = runner::split_results(results);
         Outcome {
             output: rows.into_iter().flatten().flatten().collect(),
             failures,

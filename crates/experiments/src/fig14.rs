@@ -152,7 +152,7 @@ impl Figure for Fig14 {
     /// stall; each runs quarantined, so a latched accounting error becomes
     /// an error row.
     fn run(scale: Scale, _: Option<&SweepCache>) -> Outcome<Vec<Fig14Row>> {
-        let results = runner::quarantine_map(
+        let (rows, failures) = runner::quarantine_map(
             &[true, false],
             |&same_class| CellMeta {
                 label: format!(
@@ -163,7 +163,6 @@ impl Figure for Fig14 {
             },
             |&same_class| run_case(scale, same_class),
         );
-        let (rows, failures) = runner::split_results(results);
         Outcome {
             output: rows.into_iter().flatten().flatten().collect(),
             failures,

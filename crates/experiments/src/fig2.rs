@@ -7,7 +7,7 @@
 //! measurement methodology on the simulated network.
 
 use crate::report::Table;
-use crate::runner::{self, Outcome};
+use crate::runner::Outcome;
 use crate::scale::Scale;
 use crate::{driver::Figure, SweepCache};
 use serde::Serialize;
@@ -53,15 +53,13 @@ impl Figure for Fig2 {
     const STEM: &'static str = "fig2";
     type Output = Fig2Result;
 
-    /// Run the figure. The direct model distribution and the differential
-    /// network measurement are independent (separate RNG streams), so they
-    /// run as a parallel pair. The figure has no budget-bounded quiescence
-    /// run, so it cannot stall; the `Outcome` is always failure-free.
+    /// Run the figure: the direct model distribution, then the differential
+    /// network measurement (separate RNG streams). The figure has no
+    /// budget-bounded quiescence run, so it cannot stall; the `Outcome` is
+    /// always failure-free.
     fn run(scale: Scale, _: Option<&SweepCache>) -> Outcome<Fig2Result> {
-        let ((hist, mut sample), differential_ns) = runner::join(
-            || direct_distribution(scale),
-            || differential_switch_latency(scale),
-        );
+        let (hist, mut sample) = direct_distribution(scale);
+        let differential_ns = differential_switch_latency(scale);
         Outcome::ok(Fig2Result {
             density: hist.density(),
             mean_ns: sample.mean(),

@@ -94,7 +94,7 @@ impl Figure for Fig4 {
             .into_iter()
             .flat_map(|d| SIZES.into_iter().map(move |b| (d, b)))
             .collect();
-        let results = runner::quarantine_map(
+        let (rows, failures) = runner::quarantine_map(
             &points,
             |&(distance, bytes)| CellMeta {
                 label: format!("{} {}", distance.label(), crate::report::fmt_bytes(bytes)),
@@ -102,7 +102,6 @@ impl Figure for Fig4 {
             },
             |&(distance, bytes)| measure(distance, bytes, iters),
         );
-        let (rows, failures) = runner::split_results(results);
         Outcome {
             output: rows.into_iter().flatten().collect(),
             failures,

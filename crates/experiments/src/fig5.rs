@@ -63,7 +63,7 @@ impl Figure for Fig5 {
             .into_iter()
             .flat_map(|stack| sizes(scale).into_iter().map(move |bytes| (stack, bytes)))
             .collect();
-        let results = runner::quarantine_map(
+        let (medians, failures) = runner::quarantine_map(
             &points,
             |&(stack, bytes)| CellMeta {
                 label: format!("{} {}", stack.name, crate::report::fmt_bytes(bytes)),
@@ -76,7 +76,6 @@ impl Figure for Fig5 {
                 Ok(pingpong_half_rtts_us(stack, 5, pair, bytes, iters, 4_000_000_000)?.median())
             },
         );
-        let (medians, failures) = runner::split_results(results);
         let rows = points
             .iter()
             .zip(medians)

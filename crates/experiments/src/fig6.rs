@@ -88,51 +88,41 @@ impl Figure for Fig6 {
             Scale::Quick => 2,
             Scale::Paper => 16,
         };
-        let a2a_sizes = sizes(scale);
-        let bis_sizes: Vec<u64> = a2a_sizes.iter().copied().filter(|&b| b >= 256).collect();
-        let (a2a_results, bis_results) = runner::join(
-            || {
-                runner::quarantine_map(
-                    &a2a_sizes,
-                    |&bytes| CellMeta {
-                        label: format!("alltoall ppn={ppn} {}", crate::report::fmt_bytes(bytes)),
-                        seed: 6,
-                    },
-                    |&bytes| try_alltoall_gbps(params, bytes, ppn, scale),
-                )
+        // One sweep, alltoall points first: rows and failures list the
+        // alltoall series before the bisection series.
+        let msg_sizes = sizes(scale);
+        let points: Vec<(bool, u64)> = msg_sizes
+            .iter()
+            .map(|&b| (false, b))
+            .chain(msg_sizes.iter().filter(|&&b| b >= 256).map(|&b| (true, b)))
+            .collect();
+        let alltoall = format!("alltoall ppn={ppn}");
+        let series = |bisection: bool| if bisection { "bisection" } else { &alltoall };
+        let (gbps, failures) = runner::quarantine_map(
+            &points,
+            |&(bisection, bytes)| CellMeta {
+                label: format!("{} {}", series(bisection), fmt_bytes(bytes)),
+                seed: if bisection { 66 } else { 6 },
             },
-            || {
-                runner::quarantine_map(
-                    &bis_sizes,
-                    |&bytes| CellMeta {
-                        label: format!("bisection {}", crate::report::fmt_bytes(bytes)),
-                        seed: 66,
-                    },
-                    |&bytes| try_bisection_gbps(params, bytes, scale),
-                )
+            |&(bisection, bytes)| {
+                if bisection {
+                    try_bisection_gbps(params, bytes, scale)
+                } else {
+                    try_alltoall_gbps(params, bytes, ppn, scale)
+                }
             },
         );
-        let (a2a_gbps, mut failures) = runner::split_results(a2a_results);
-        let (bis_gbps, bis_failures) = runner::split_results(bis_results);
-        failures.extend(bis_failures);
-        let mut rows: Vec<Fig6Row> = a2a_sizes
+        let rows = points
             .iter()
-            .zip(a2a_gbps)
-            .filter_map(|(&bytes, gbps)| {
+            .zip(gbps)
+            .filter_map(|(&(bisection, bytes), gbps)| {
                 gbps.map(|gbps| Fig6Row {
-                    series: format!("alltoall ppn={ppn}"),
+                    series: series(bisection).to_string(),
                     bytes,
                     gbps,
                 })
             })
             .collect();
-        rows.extend(bis_sizes.iter().zip(bis_gbps).filter_map(|(&bytes, gbps)| {
-            gbps.map(|gbps| Fig6Row {
-                series: "bisection".to_string(),
-                bytes,
-                gbps,
-            })
-        }));
         Outcome {
             output: Fig6Result {
                 groups: params.groups,

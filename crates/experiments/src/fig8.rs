@@ -87,7 +87,7 @@ impl Figure for Fig8 {
                 }
             }
         }
-        let results = runner::quarantine_map(
+        let (rows, failures) = runner::quarantine_map(
             &points,
             |&(app, profile, congested)| CellMeta {
                 label: format!(
@@ -103,7 +103,6 @@ impl Figure for Fig8 {
             },
             |&(app, profile, congested)| measure(app, profile, congested, scale),
         );
-        let (rows, failures) = runner::split_results(results);
         Outcome {
             output: rows.into_iter().flatten().collect(),
             failures,

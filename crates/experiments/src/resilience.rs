@@ -259,7 +259,7 @@ impl Figure for Resilience {
     /// itself failed).
     fn run(scale: Scale, _: Option<&SweepCache>) -> Outcome<Vec<ResilienceRow>> {
         let cells: Vec<(usize, f64)> = INTENSITIES.iter().copied().enumerate().collect();
-        let results = runner::quarantine_map(
+        let (rows, failures) = runner::quarantine_map(
             &cells,
             |&(idx, intensity)| CellMeta {
                 label: format!("fault intensity x{intensity}"),
@@ -267,7 +267,6 @@ impl Figure for Resilience {
             },
             |&(idx, intensity)| simulate(scale, idx, intensity),
         );
-        let (rows, failures) = runner::split_results(results);
         let mut rows: Vec<ResilienceRow> = rows.into_iter().flatten().collect();
         let baseline = rows
             .first()

@@ -8,63 +8,99 @@
 //! *bit-identical* at any thread count as long as aggregation order is
 //! fixed.
 //!
-//! [`par_map`] provides exactly that contract: it fans `f` over the items
-//! on the currently installed thread pool and returns the outputs in
-//! input order, regardless of which thread finished first. [`with_jobs`]
-//! installs the pool; figure binaries call it once from `main` with the
-//! `--jobs` value so every `par_map`/[`join`] underneath inherits the
-//! width.
+//! [`quarantine_map`] and [`resumable_map`] provide exactly that
+//! contract: they fan the cells over scoped worker threads and return the
+//! results in input order, regardless of which thread finished first.
+//! [`with_jobs`] sets the number of workers; figure binaries call it once
+//! from `main` with the `--jobs` value so every sweep underneath inherits
+//! the width.
 //!
 //! ```
-//! use slingshot_experiments::runner;
+//! use slingshot_experiments::runner::{self, CellMeta};
 //! let xs = [1u64, 2, 3, 4];
-//! let squares = runner::with_jobs(2, || runner::par_map(&xs, |&x| x * x));
-//! assert_eq!(squares, vec![1, 4, 9, 16]);
+//! let meta = |&x: &u64| CellMeta { label: format!("x={x}"), seed: x };
+//! let (squares, failures) =
+//!     runner::with_jobs(2, || runner::quarantine_map(&xs, meta, |&x| Ok(x * x)));
+//! assert_eq!(squares, vec![Some(1), Some(4), Some(9), Some(16)]);
+//! assert!(failures.is_empty());
 //! ```
 
 use crate::cache::SweepCache;
-use rayon::prelude::*;
-use rayon::ThreadPoolBuilder;
 use serde::Serialize;
 use slingshot_network::{SimError, StallReport};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::cell::Cell;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Run `f` with the parallelism width pinned to `jobs` threads
-/// (0 = one per hardware thread). All [`par_map`] and [`join`] calls
-/// inside `f` use this width; `--jobs 1` reproduces the serial harness
-/// exactly.
-pub fn with_jobs<R>(jobs: usize, f: impl FnOnce() -> R) -> R {
-    let pool = ThreadPoolBuilder::new()
-        .num_threads(jobs)
-        .build()
-        .expect("build worker thread pool");
-    pool.install(f)
+thread_local! {
+    /// Worker count set by the innermost [`with_jobs`] on this thread;
+    /// 0 = one per hardware thread.
+    static JOBS: Cell<usize> = const { Cell::new(0) };
 }
 
-/// Map `f` over `items` in parallel, preserving input order in the
-/// output. With deterministic `f` (everything in this crate: per-cell
-/// seeds, no shared state) the result is bit-identical at any thread
-/// count.
-pub fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
+/// The number of workers a sweep started here and now fans out over.
+fn width() -> usize {
+    match JOBS.get() {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        jobs => jobs,
+    }
+}
+
+/// Run `f` with the parallelism width pinned to `jobs` worker threads
+/// (0 = one per hardware thread). Every sweep inside `f` uses this width;
+/// `--jobs 1` reproduces the serial harness exactly. The previous width
+/// is restored on return, and also when `f` panics.
+pub fn with_jobs<R>(jobs: usize, f: impl FnOnce() -> R) -> R {
+    struct Restore(usize);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            JOBS.set(self.0);
+        }
+    }
+    let _restore = Restore(JOBS.replace(jobs));
+    f()
+}
+
+/// Map `f` over `items` on `min(width, items)` scoped workers, preserving
+/// input order in the output. Each worker claims the next index from a
+/// shared counter, and results are put back in index order, so the
+/// output never depends on scheduling. A worker runs any nested sweep serially, which
+/// bounds the thread count by the width.
+fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
-    items.par_iter().map(f).collect()
-}
-
-/// Run two independent closures, potentially in parallel, and return
-/// `(a(), b())`. Order of the returned tuple is fixed, so combining the
-/// results stays deterministic.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    rayon::join(a, b)
+    let workers = width().min(items.len());
+    if workers <= 1 {
+        return items.iter().map(f).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let mut done: Vec<(usize, U)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    JOBS.set(1);
+                    let mut done = Vec::new();
+                    loop {
+                        // Relaxed: the counter only hands out indices;
+                        // results come back through `join`.
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else { break };
+                        done.push((i, f(item)));
+                    }
+                    done
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)))
+            .collect()
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, value)| value).collect()
 }
 
 /// Identity of a sweep cell for error reporting: what to print when the
@@ -164,19 +200,31 @@ fn run_quarantined<U>(
     }
 }
 
-/// [`par_map`] with fault isolation: each cell runs under
+/// Map `f` over `items` with fault isolation: each cell runs under
 /// `run_quarantined`, so one panicking or stalled cell yields a
 /// structured error row while every other cell completes normally.
-/// Output order matches input order; the all-success result is identical
-/// to `par_map(items, f)` wrapped in `Ok`.
-pub fn quarantine_map<T, U, M, F>(items: &[T], meta: M, f: F) -> Vec<Result<U, CellFailure>>
+/// Returns the positional successes (`None` where the cell failed, so
+/// figures can pair rows with their sweep points) and the failure rows,
+/// both in input order.
+pub fn quarantine_map<T, U, M, F>(items: &[T], meta: M, f: F) -> (Vec<Option<U>>, Vec<CellFailure>)
 where
     T: Sync,
     U: Send,
     M: Fn(&T) -> CellMeta + Sync,
     F: Fn(&T) -> Result<U, SimError> + Sync,
 {
-    par_map(items, |item| run_quarantined(&meta(item), || f(item)))
+    let mut failures = Vec::new();
+    let ok = par_map(items, |item| run_quarantined(&meta(item), || f(item)))
+        .into_iter()
+        .map(|r| match r {
+            Ok(v) => Some(v),
+            Err(failure) => {
+                failures.push(failure);
+                None
+            }
+        })
+        .collect();
+    (ok, failures)
 }
 
 /// [`quarantine_map`] with crash-resume over `(identity, item)` pairs:
@@ -204,26 +252,6 @@ pub fn resumable_map<T: Sync>(
     })
 }
 
-/// Split quarantined results into positional successes (`None` where the
-/// cell failed, so figures can pair rows with their sweep points) and the
-/// failure rows in sweep order.
-pub fn split_results<U>(
-    results: Vec<Result<U, CellFailure>>,
-) -> (Vec<Option<U>>, Vec<CellFailure>) {
-    let mut ok = Vec::with_capacity(results.len());
-    let mut failures = Vec::new();
-    for r in results {
-        match r {
-            Ok(v) => ok.push(Some(v)),
-            Err(f) => {
-                ok.push(None);
-                failures.push(f);
-            }
-        }
-    }
-    (ok, failures)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,17 +267,48 @@ mod tests {
     }
 
     #[test]
-    fn with_jobs_scopes_the_width() {
-        with_jobs(3, || assert_eq!(rayon::current_num_threads(), 3));
-        with_jobs(1, || assert_eq!(rayon::current_num_threads(), 1));
+    fn work_runs_on_more_than_one_thread_at_width_4() {
+        use std::collections::HashSet;
+        use std::sync::{Barrier, Mutex};
+        // Each item waits until all four are in flight, so this returns
+        // only if four workers run at once.
+        let barrier = Barrier::new(4);
+        let ids = Mutex::new(HashSet::new());
+        let items: Vec<u32> = (0..4).collect();
+        let got = with_jobs(4, || {
+            par_map(&items, |&x| {
+                ids.lock().unwrap().insert(std::thread::current().id());
+                barrier.wait();
+                x
+            })
+        });
+        assert_eq!(got, items);
+        assert_eq!(ids.lock().unwrap().len(), 4);
     }
 
     #[test]
-    fn join_returns_both_sides_in_order() {
-        for jobs in [1, 4] {
-            let (a, b) = with_jobs(jobs, || join(|| "left", || 42));
-            assert_eq!((a, b), ("left", 42));
-        }
+    fn empty_single_and_short_inputs() {
+        with_jobs(4, || {
+            assert!(par_map(&[] as &[u32], |&x| x).is_empty());
+            assert_eq!(par_map(&[7u32], |&x| x * 2), vec![14]);
+        });
+        // More workers requested than there are items.
+        let got = with_jobs(16, || par_map(&[1u32, 2, 3], |&x| x + 1));
+        assert_eq!(got, vec![2, 3, 4]);
+    }
+
+    #[test]
+    fn with_jobs_scopes_the_width() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        with_jobs(0, || assert_eq!(width(), cores));
+        with_jobs(3, || {
+            assert_eq!(width(), 3);
+            with_jobs(1, || assert_eq!(width(), 1));
+            assert_eq!(width(), 3, "restored after a nested with_jobs");
+            let caught: std::thread::Result<()> = catch_unwind(|| with_jobs(2, || panic!("boom")));
+            assert!(caught.is_err());
+            assert_eq!(width(), 3, "restored after a panicking with_jobs");
+        });
     }
 
     fn meta_of(x: &u64) -> CellMeta {
@@ -262,7 +321,7 @@ mod tests {
     #[test]
     fn quarantine_isolates_panics_and_sim_errors() {
         let items: Vec<u64> = (0..6).collect();
-        let results = with_jobs(3, || {
+        let (ok, failures) = with_jobs(3, || {
             quarantine_map(&items, meta_of, |&x| match x {
                 2 => panic!("boom at {x}"),
                 4 => Err(SimError::Deadlock {
@@ -271,8 +330,6 @@ mod tests {
                 _ => Ok(x * 10),
             })
         });
-        assert_eq!(results.len(), 6, "every cell yields a row");
-        let (ok, failures) = split_results(results);
         assert_eq!(ok, vec![Some(0), Some(10), None, Some(30), None, Some(50)]);
         assert_eq!(failures.len(), 2);
         assert_eq!(failures[0].cell, "cell-2");

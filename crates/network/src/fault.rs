@@ -169,7 +169,9 @@ pub(crate) struct FaultRuntime {
     /// Fault-plane RNG (forked from the network seed; never touches the
     /// main simulation stream).
     pub rng: DetRng,
-    /// Counters.
+    /// Counters. `llr_replays`, `llr_escalations` and `e2e_retransmits`
+    /// stay 0 here: the kernel counters hold them, and
+    /// `Network::fault_stats` copies them in.
     pub stats: FaultStats,
 }
 

@@ -357,9 +357,15 @@ impl Network {
     }
 
     /// Fault and recovery counters; `None` unless a non-empty fault
-    /// schedule is installed.
+    /// schedule is installed. The LLR replay, LLR escalation and e2e
+    /// retransmit counts are the kernel counters', counted once.
     pub fn fault_stats(&self) -> Option<FaultStats> {
-        self.faults.as_ref().map(|rt| rt.stats)
+        self.faults.as_ref().map(|rt| FaultStats {
+            llr_replays: self.kernel.llr_replays,
+            llr_escalations: self.kernel.llr_escalations,
+            e2e_retransmits: self.kernel.e2e_retransmits,
+            ..rt.stats
+        })
     }
 
     /// Live link/switch liveness; `None` unless a non-empty fault schedule
@@ -1125,7 +1131,6 @@ impl Network {
             // §II-F low-latency link-level retransmission: replay the
             // packet on the same link after the replay latency.
             pkt.llr += 1;
-            rt.stats.llr_replays += 1;
             self.kernel.llr_replays += 1;
             let replay = SimDuration::from_ns_f64(rt.recovery.llr_replay_ns);
             if let Some(t) = self.telemetry.as_deref_mut() {
@@ -1139,7 +1144,6 @@ impl Network {
             // Replay budget exhausted: declare the link bad, destroy the
             // packet, and let the retrain (and the end-to-end retry)
             // recover.
-            rt.stats.llr_escalations += 1;
             self.kernel.llr_escalations += 1;
             self.drop_at_port(sw, port, h, DropReason::LlrExhausted, now);
             self.take_link_down(ch, now, true);
@@ -1378,7 +1382,6 @@ impl Network {
         let attempt = entry.attempt + 1;
         rt.retry
             .insert((msg.0, chunk), RetryEntry { copy, attempt });
-        rt.stats.e2e_retransmits += 1;
         self.kernel.e2e_retransmits += 1;
         if let Some(t) = self.telemetry.as_deref_mut() {
             t.hub.count(CountKind::E2eRetransmit, now.as_ps());
